@@ -21,7 +21,6 @@ from repro.evaluation.archive import save_result
 from repro.evaluation.figures import figure_spec
 from repro.evaluation.harness import ExperimentResult, ExperimentSpec, run_experiment
 from repro.evaluation.reporting import format_result_table, format_rows, format_series
-from repro.core.kernels import resolve_kernel
 from repro.evaluation.shapes import check_figure_shapes
 from repro.obs.manifest import manifest_for_experiment, write_manifest
 from repro.obs.trend import append_trend
@@ -64,13 +63,11 @@ def report(name: str, result: ExperimentResult) -> str:
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     save_result(result, RESULTS_DIR / f"{name}.json")
     # A run manifest rides along with every archive so `repro perf-check`
-    # can diff this bench run against any previous one.  The resolved
-    # kernel backend (REPRO_KERNEL-sensitive) is recorded so comparisons
-    # stay apples-to-apples across backends.
+    # can diff this bench run against any previous one.
     manifest = manifest_for_experiment(
         result,
         seeds={"seed": bench_seed()},
-        extra={"scale": bench_scale(), "bench": name, "kernel": resolve_kernel()},
+        extra={"scale": bench_scale(), "bench": name},
     )
     write_manifest(manifest, RESULTS_DIR / f"{name}.manifest.json")
     # ... and one line in the shared trend ledger, so repeated bench runs

@@ -8,30 +8,21 @@ stages the complexity analysis in §IV-D names:
 * one O(β |F|) family-counts + local-score evaluation,
 * a full TENDS fit on a mid-size LFR observation set.
 
-Each kernel-sensitive bench runs once per counting backend (``numpy``
-vs ``packed``), emitting per-backend rows so regressions in either path
-are visible; ``test_pair_counts_speedup_at_512_nodes`` additionally
-gates the packed backend's headline win — ≥ 5× on the O(β n²) pair
-counts at n = 512 — and archives the measurement under
-``benchmarks/results/``.
+Counting runs through the bit-packed popcount kernels, the only
+production path; the family-count benches pass the packed statuses
+once, as the parent search does.
 """
-
-import timeit
 
 import numpy as np
 import pytest
-from _util import archive_result
 
 from repro.core.imi import infection_mi_matrix
-from repro.core.kernels import PackedStatuses, packed_joint_counts
+from repro.core.kernels import PackedStatuses
 from repro.core.kmeans import fixed_zero_two_means
 from repro.core.scoring import family_counts, local_score
 from repro.core.tends import Tends
 from repro.graphs.generators.lfr import LFRParams, lfr_benchmark_graph
 from repro.simulation.engine import DiffusionSimulator
-from repro.simulation.statuses import StatusMatrix
-
-KERNELS = ("numpy", "packed")
 
 
 @pytest.fixture(scope="module")
@@ -40,18 +31,13 @@ def observations():
     return DiffusionSimulator(truth, mu=0.3, alpha=0.15, seed=1).run(beta=150)
 
 
-@pytest.fixture(params=KERNELS)
-def kernel(request):
-    return request.param
-
-
 @pytest.fixture(scope="module")
 def packed_observations(observations):
     return PackedStatuses.from_statuses(observations.statuses)
 
 
-def test_imi_matrix_200_nodes(benchmark, observations, kernel):
-    result = benchmark(infection_mi_matrix, observations.statuses, kernel=kernel)
+def test_imi_matrix_200_nodes(benchmark, observations):
+    result = benchmark(infection_mi_matrix, observations.statuses)
     assert result.shape == (200, 200)
 
 
@@ -63,71 +49,31 @@ def test_fixed_zero_two_means_40k_values(benchmark, observations):
 
 
 def test_family_counts_three_parents(
-    benchmark, observations, packed_observations, kernel
+    benchmark, observations, packed_observations
 ):
     statuses = observations.statuses
-    packed = packed_observations if kernel == "packed" else None
-    counts = benchmark(family_counts, statuses, 0, [1, 2, 3], packed=packed)
+    counts = benchmark(
+        family_counts, statuses, 0, [1, 2, 3], packed=packed_observations
+    )
     assert counts.totals.sum() == statuses.beta
 
 
 def test_local_score_three_parents(
-    benchmark, observations, packed_observations, kernel
+    benchmark, observations, packed_observations
 ):
     statuses = observations.statuses
-    packed = packed_observations if kernel == "packed" else None
-    score = benchmark(local_score, statuses, 0, [1, 2, 3], packed=packed)
+    score = benchmark(
+        local_score, statuses, 0, [1, 2, 3], packed=packed_observations
+    )
     assert np.isfinite(score)
 
 
-def test_full_tends_fit_200_nodes(benchmark, observations, kernel):
+def test_full_tends_fit_200_nodes(benchmark, observations):
     statuses = observations.statuses
     result = benchmark.pedantic(
-        lambda: Tends(kernel=kernel).fit(statuses), rounds=3, iterations=1
+        lambda: Tends().fit(statuses), rounds=3, iterations=1
     )
     assert result.graph.n_nodes == 200
-    assert result.kernel == kernel
-
-
-def test_pair_counts_speedup_at_512_nodes():
-    """The packed backend's acceptance gate: ≥ 5× on pair counts, n ≥ 512.
-
-    Times the O(β n²) all-pairs joint-count pass — the numpy matmuls vs
-    the blocked popcount kernel (packing included, as a fit pays it) —
-    best-of-N wall clock, and archives the rows for perf tracking.
-    """
-    rng = np.random.default_rng(0)
-    n, beta = 512, 150
-    statuses = StatusMatrix((rng.random((beta, n)) < 0.3).astype(np.uint8))
-
-    def numpy_pass():
-        return statuses.joint_counts()
-
-    def packed_pass():
-        return packed_joint_counts(PackedStatuses.from_statuses(statuses))
-
-    reference = numpy_pass()
-    got = packed_pass()
-    assert all(np.array_equal(reference[key], got[key]) for key in reference)
-
-    numpy_s = min(timeit.repeat(numpy_pass, number=1, repeat=5))
-    packed_s = min(timeit.repeat(packed_pass, number=1, repeat=5))
-    speedup = numpy_s / packed_s
-
-    rows = "\n".join(
-        [
-            f"pair counts, n={n}, beta={beta} (best of 5)",
-            f"numpy   {numpy_s * 1e3:10.2f} ms",
-            f"packed  {packed_s * 1e3:10.2f} ms  (packing included)",
-            f"speedup {speedup:10.2f} x  (gate: >= 5x)",
-        ]
-    )
-    print(f"\n{rows}")
-    archive_result("bench_kernel_pair_counts", rows)
-    assert speedup >= 5.0, (
-        f"packed pair counts only {speedup:.2f}x faster than numpy "
-        f"({packed_s * 1e3:.2f} ms vs {numpy_s * 1e3:.2f} ms)"
-    )
 
 
 def test_disabled_tracing_overhead_under_two_percent(observations):

@@ -96,14 +96,6 @@ def _add_executor_arguments(parser: argparse.ArgumentParser) -> None:
         help="per-chunk wall-clock budget in seconds for the pool backends "
         "(default: REPRO_CHUNK_TIMEOUT or unlimited)",
     )
-    parser.add_argument(
-        "--kernel",
-        choices=("numpy", "packed"),
-        default=None,
-        help="pairwise-count/scoring kernel backend; results are "
-        "bit-identical, packed is faster at scale "
-        "(default: REPRO_KERNEL or numpy)",
-    )
 
 
 def _add_tiling_arguments(parser: argparse.ArgumentParser) -> None:
@@ -356,7 +348,6 @@ def _cmd_infer(args: argparse.Namespace) -> int:
         chunk_size=args.chunk_size,
         max_attempts=args.max_attempts,
         chunk_timeout=args.chunk_timeout,
-        kernel=args.kernel,
         audit=args.audit,
         missing=args.missing,
         bootstrap_samples=args.bootstrap,
@@ -419,7 +410,6 @@ def _cmd_update(args: argparse.Namespace) -> int:
             ("chunk_size", args.chunk_size),
             ("max_attempts", args.max_attempts),
             ("chunk_timeout", args.chunk_timeout),
-            ("kernel", args.kernel),
         )
         if value is not None
     }
@@ -464,7 +454,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             ("chunk_size", args.chunk_size),
             ("max_attempts", args.max_attempts),
             ("chunk_timeout", args.chunk_timeout),
-            ("kernel", args.kernel),
         )
         if value is not None
     }
@@ -684,7 +673,6 @@ def _cmd_figure(args: argparse.Namespace) -> int:
             n_jobs=args.n_jobs,
             max_attempts=args.max_attempts,
             chunk_timeout=args.chunk_timeout,
-            kernel=args.kernel,
         ):
             result = run_experiment(
                 spec,
@@ -756,7 +744,6 @@ def _run_robustness_figure(args: argparse.Namespace) -> int:
         n_jobs=args.n_jobs,
         max_attempts=args.max_attempts,
         chunk_timeout=args.chunk_timeout,
-        kernel=args.kernel,
     ):
         results = run_robustness_experiment(
             kinds=kinds,
@@ -810,7 +797,6 @@ def _run_drift_figure(args: argparse.Namespace) -> int:
         n_jobs=args.n_jobs,
         max_attempts=args.max_attempts,
         chunk_timeout=args.chunk_timeout,
-        kernel=args.kernel,
     ):
         # Quick scale trades graph size for a stronger rewire so the
         # change is still detectable from 60-cascade windows.
@@ -863,7 +849,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         n_jobs=args.n_jobs,
         max_attempts=args.max_attempts,
         chunk_timeout=args.chunk_timeout,
-        kernel=args.kernel,
         trace=True,
         memory=True,
     )

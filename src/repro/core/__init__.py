@@ -30,7 +30,6 @@ from repro.core.kernels import (
     packed_joint_counts,
     packed_pairwise_complete_counts,
     popcount_words,
-    resolve_kernel,
     unpack_bits,
 )
 from repro.core.kmeans import fixed_zero_two_means
@@ -90,7 +89,6 @@ __all__ = [
     "packed_joint_counts",
     "packed_pairwise_complete_counts",
     "packed_family_counts",
-    "resolve_kernel",
     "fixed_zero_two_means",
     "FamilyCounts",
     "family_counts",

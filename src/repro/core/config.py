@@ -15,7 +15,6 @@ __all__ = ["TendsConfig"]
 MiKind = Literal["infection", "traditional"]
 SearchStrategy = Literal["greedy-rescoring", "ranked-union"]
 ExecutorStrategy = Literal["serial", "thread", "process"]
-KernelStrategy = Literal["numpy", "packed"]
 MissingPolicy = Literal["pairwise", "refuse", "zero-fill"]
 
 
@@ -84,13 +83,6 @@ class TendsConfig:
         Whether an unusable backend may fall back along
         ``process → thread → serial`` instead of failing the fit.
         ``None`` (default) enables the fallback.
-    kernel:
-        Counting-kernel backend for the pair-count and contingency hot
-        paths: ``"numpy"`` (the reference dense-matmul estimators) or
-        ``"packed"`` (bit-packed popcount kernels, see
-        :mod:`repro.core.kernels`).  ``None`` (default) falls back to the
-        ``REPRO_KERNEL`` environment variable, then to ``"numpy"``.  Both
-        backends produce bit-identical results; only wall-clock changes.
     audit:
         Observation-audit policy applied at the top of :meth:`Tends.fit`:
         ``"warn"`` (default) emits a
@@ -175,7 +167,6 @@ class TendsConfig:
     max_attempts: int | None = None
     chunk_timeout: float | None = None
     executor_fallback: bool | None = None
-    kernel: KernelStrategy | None = None
     audit: Literal["warn", "strict", "ignore"] = "warn"
     missing: MissingPolicy = "pairwise"
     bootstrap_samples: int | None = None
@@ -211,8 +202,6 @@ class TendsConfig:
             "process",
         ):
             raise ConfigurationError(f"unknown executor: {self.executor!r}")
-        if self.kernel is not None and self.kernel not in ("numpy", "packed"):
-            raise ConfigurationError(f"unknown kernel backend: {self.kernel!r}")
         if self.n_jobs is not None and self.n_jobs != -1:
             check_positive_int("n_jobs", self.n_jobs)
         if self.chunk_size is not None:
@@ -260,12 +249,11 @@ class TendsConfig:
         return asdict(self)
 
     #: Fields that determine *what* the pipeline infers.  Execution knobs
-    #: (executor/n_jobs/chunking/retries, the counting-kernel backend,
-    #: the tiling/spill layout), audit policy, and tracing change only
-    #: how or how observably the work runs — every backend is
-    #: bit-identical — so they are excluded from the algorithm
-    #: fingerprint (a model saved from a numpy-kernel dense fit can be
-    #: resumed by a packed-kernel tiled service, and vice versa).
+    #: (executor/n_jobs/chunking/retries, the tiling/spill layout), audit
+    #: policy, and tracing change only how or how observably the work
+    #: runs — every backend is bit-identical — so they are excluded from
+    #: the algorithm fingerprint (a model saved from a dense fit can be
+    #: resumed by a tiled service, and vice versa).
     ALGORITHM_FIELDS = (
         "mi_kind",
         "threshold",
@@ -276,6 +264,13 @@ class TendsConfig:
         "min_improvement",
         "missing",
     )
+
+    #: Fields older snapshots may still carry in their stored config but
+    #: that no longer exist.  Each never affected results (it is outside
+    #: :attr:`ALGORITHM_FIELDS`), so loaders drop exactly these keys and
+    #: keep rejecting any other unknown one.  ``kernel`` chose between two
+    #: bit-identical counting backends.
+    RETIRED_FIELDS = ("kernel",)
 
     def algorithm_fingerprint(self) -> str:
         """SHA-256 over the result-affecting configuration fields.

@@ -438,22 +438,13 @@ def execution_env(
     n_jobs: int | None = None,
     max_attempts: int | None = None,
     chunk_timeout: float | None = None,
-    kernel: str | None = None,
 ) -> Iterator[None]:
     """Temporarily pin the environment fallbacks (CLI figure runs use this
-    so every ``Tends`` built inside the harness picks up the backend,
-    recovery, and counting-kernel knobs)."""
-    from repro.core.kernels import ENV_KERNEL
-
+    so every ``Tends`` built inside the harness picks up the backend and
+    recovery knobs)."""
     saved = {
         name: os.environ.get(name)
-        for name in (
-            ENV_EXECUTOR,
-            ENV_N_JOBS,
-            ENV_MAX_ATTEMPTS,
-            ENV_CHUNK_TIMEOUT,
-            ENV_KERNEL,
-        )
+        for name in (ENV_EXECUTOR, ENV_N_JOBS, ENV_MAX_ATTEMPTS, ENV_CHUNK_TIMEOUT)
     }
     try:
         if executor is not None:
@@ -464,8 +455,6 @@ def execution_env(
             os.environ[ENV_MAX_ATTEMPTS] = str(max_attempts)
         if chunk_timeout is not None:
             os.environ[ENV_CHUNK_TIMEOUT] = str(chunk_timeout)
-        if kernel is not None:
-            os.environ[ENV_KERNEL] = kernel
         yield
     finally:
         for name, value in saved.items():

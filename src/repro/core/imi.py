@@ -18,8 +18,9 @@ outcomes over-represented) score high, while anti-correlated pairs go
 negative and independent pairs sit near zero.
 
 All functions here are fully vectorised over the ``n × n`` pair matrix;
-the cost is two ``(n × β) @ (β × n)`` products — the ``O(β n²)`` stage of
-the complexity analysis (§IV-D).
+the cost is one bit-packed all-pairs popcount pass
+(:mod:`repro.core.kernels`) — the ``O(β n²)`` stage of the complexity
+analysis (§IV-D).
 
 >>> from repro.simulation.statuses import StatusMatrix
 >>> coupled = StatusMatrix([[1, 1], [0, 0]] * 5)     # always agree
@@ -41,7 +42,6 @@ from repro.core.kernels import (
     packed_infection_counts,
     packed_joint_counts,
     packed_pairwise_complete_counts,
-    resolve_kernel,
 )
 from repro.exceptions import DataError
 from repro.simulation.statuses import StatusMatrix
@@ -57,9 +57,7 @@ __all__ = [
 ]
 
 
-def pointwise_mi_terms(
-    statuses: StatusMatrix, *, kernel: str | None = None
-) -> dict[str, np.ndarray]:
+def pointwise_mi_terms(statuses: StatusMatrix) -> dict[str, np.ndarray]:
     """The four pointwise MI matrices, keyed ``"11"``, ``"10"``, ``"01"``, ``"00"``.
 
     ``result[ab][i, j]`` is ``MI(X_i = a, X_j = b)`` estimated from the
@@ -80,30 +78,16 @@ def pointwise_mi_terms(
     :func:`mi_terms_from_joint_counts` and
     :func:`mi_terms_from_pairwise_counts` expose the count-based cores so
     cached counts (:class:`repro.core.stats.SufficientStats`) run the
-    exact same floating-point pipeline.
-
-    ``kernel`` selects the counting backend (see
-    :func:`repro.core.kernels.resolve_kernel`): ``"packed"`` computes the
-    identical integer counts with bit-packed popcount kernels before
-    entering the same float pipeline, so the terms stay bit-identical.
+    exact same floating-point pipeline.  The integer counts come from the
+    bit-packed popcount kernels (:mod:`repro.core.kernels`).
     """
     if statuses.beta == 0:
         raise DataError("cannot estimate MI from zero diffusion processes")
-    if resolve_kernel(kernel) == "packed":
-        packed = PackedStatuses.from_statuses(statuses)
-        if statuses.has_missing:
-            return mi_terms_from_pairwise_counts(
-                packed_pairwise_complete_counts(packed)
-            )
-        return mi_terms_from_joint_counts(
-            packed_joint_counts(packed),
-            packed_infection_counts(packed),
-            statuses.beta,
-        )
+    packed = PackedStatuses.from_statuses(statuses)
     if statuses.has_missing:
-        return mi_terms_from_pairwise_counts(statuses.pairwise_complete_counts())
+        return mi_terms_from_pairwise_counts(packed_pairwise_complete_counts(packed))
     return mi_terms_from_joint_counts(
-        statuses.joint_counts(), statuses.infection_counts(), statuses.beta
+        packed_joint_counts(packed), packed_infection_counts(packed), statuses.beta
     )
 
 
@@ -117,7 +101,7 @@ def mi_terms_from_joint_counts(
     ``joints`` holds the four ``(n, n)`` pairwise count matrices (keys
     ``"11"``/``"10"``/``"01"``/``"00"``), ``infection_counts`` the per-node
     infected totals, and ``beta`` the number of processes — exactly the
-    additive statistics :meth:`StatusMatrix.joint_counts` and
+    additive statistics :func:`repro.core.kernels.packed_joint_counts` and
     :meth:`StatusMatrix.infection_counts` produce, whether computed in one
     pass or accumulated batch by batch (integer addition is exact, so both
     routes feed bit-identical counts into the identical float pipeline).
@@ -146,11 +130,11 @@ def mi_terms_from_pairwise_counts(
     """Pointwise MI terms over pairwise-complete counts (masked data).
 
     ``counts`` is the five-matrix dict of
-    :meth:`StatusMatrix.pairwise_complete_counts` (the four joint counts
-    plus the per-pair effective sample size ``"obs"``).  Identical in
-    structure to the clean path, except every quantity is an ``(n, n)``
-    matrix: joint probabilities divide by the per-pair ``β_ij`` and the
-    marginals are recomputed per pair from the same complete rows
+    :func:`repro.core.kernels.packed_pairwise_complete_counts` (the four
+    joint counts plus the per-pair effective sample size ``"obs"``).
+    Identical in structure to the clean path, except every quantity is an
+    ``(n, n)`` matrix: joint probabilities divide by the per-pair ``β_ij``
+    and the marginals are recomputed per pair from the same complete rows
     (``P̂^{(ij)}(X_i = 1) = (n11 + n10) / β_ij``), so joint and marginal
     estimates always refer to the same sample.
     """
@@ -195,24 +179,19 @@ def mi_from_terms(terms: dict[str, np.ndarray]) -> np.ndarray:
     return np.maximum(mi, 0.0)
 
 
-def infection_mi_matrix(
-    statuses: StatusMatrix, *, kernel: str | None = None
-) -> np.ndarray:
+def infection_mi_matrix(statuses: StatusMatrix) -> np.ndarray:
     """The ``n × n`` infection-MI matrix (Eq. 25); diagonal zeroed.
 
     ``IMI[i, j]`` measures the positive infection correlation between
     ``v_i`` and ``v_j``.  The measure is symmetric in its arguments, so the
     matrix is symmetric; the diagonal (a node with itself) carries no
-    information about edges and is set to 0.  ``kernel`` selects the
-    counting backend; the matrix is bit-identical under either.
+    information about edges and is set to 0.
     """
-    return imi_from_terms(pointwise_mi_terms(statuses, kernel=kernel))
+    return imi_from_terms(pointwise_mi_terms(statuses))
 
 
-def traditional_mi_matrix(
-    statuses: StatusMatrix, *, kernel: str | None = None
-) -> np.ndarray:
+def traditional_mi_matrix(statuses: StatusMatrix) -> np.ndarray:
     """Standard mutual information per pair (sum of all four pointwise
     terms); diagonal zeroed.  Used by the paper's Fig. 10–11 ablation
     ("TENDS with traditional MI")."""
-    return mi_from_terms(pointwise_mi_terms(statuses, kernel=kernel))
+    return mi_from_terms(pointwise_mi_terms(statuses))

@@ -5,9 +5,8 @@ The complexity analysis (paper §IV-D) puts the cost of TENDS in the
 contingency counting inside the parent search.  Both reduce to counting
 set bits in ANDs of binary columns, so this module packs every status
 column (and observation-mask column) into uint64 words — 64 processes
-per word — and replaces the dense int64 matrix products of
-:class:`~repro.simulation.statuses.StatusMatrix` with blocked popcount
-kernels.
+per word — and counts set bits with blocked popcount kernels.  These
+kernels are the only production counting path.
 
 Layout: a ``(β, n)`` status matrix becomes an ``(n, W)`` uint64 array
 with ``W = ceil(β / 64)``; bit ``ℓ`` of word ``w`` of row ``j`` holds the
@@ -16,12 +15,10 @@ so :func:`unpack_bits` is ``np.unpackbits(..., bitorder="little")``).
 Tail bits of the last word — positions ≥ β — are always zero, which is
 what lets every count come straight off a popcount without masking.
 
-The backend is selected exactly like the executor backends: an explicit
-``TendsConfig.kernel`` value wins, then the ``REPRO_KERNEL`` environment
-variable, then ``"numpy"``.  Both backends are **bit-identical** — the
-packed kernels produce the same int64 counts, which feed the same float
-pipelines — so the knob only moves wall-clock, never results (proved by
-``tests/property/test_prop_kernels.py``).
+Every count is **bit-identical** to the dense numpy estimators kept in
+the test tree as the differential oracle (``tests/oracle.py``, proved by
+``tests/property/test_prop_kernels.py``): the same int64 counts feed the
+same float pipelines.
 
 Popcounting uses ``np.bitwise_count`` (numpy ≥ 2.0) when available and
 falls back to a 16-bit lookup table otherwise; the choice is made per
@@ -31,22 +28,18 @@ fallback path.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.exceptions import ConfigurationError, DataError
+from repro.exceptions import DataError
 from repro.obs.trace import current_tracer
 from repro.simulation.statuses import StatusMatrix
 
 __all__ = [
-    "KERNEL_BACKENDS",
-    "ENV_KERNEL",
     "MAX_PACK_COLUMNS",
     "WORD_BITS",
-    "resolve_kernel",
     "has_native_popcount",
     "popcount_words",
     "pack_bits",
@@ -58,13 +51,6 @@ __all__ = [
     "packed_observed_counts",
     "packed_family_counts",
 ]
-
-#: Supported kernel backends, in documentation order.
-KERNEL_BACKENDS = ("numpy", "packed")
-
-#: Environment fallback consulted when no explicit backend is configured
-#: (mirrors ``REPRO_EXECUTOR`` for the execution backends).
-ENV_KERNEL = "REPRO_KERNEL"
 
 #: Bits per packed word.
 WORD_BITS = 64
@@ -84,24 +70,6 @@ _PATTERN_TREE_MAX_PARENTS = 10
 #: Word budget per temporary block in the all-pairs kernel (uint64 words,
 #: so ~16 MiB of AND scratch per block at the default).
 _BLOCK_WORD_BUDGET = 1 << 21
-
-
-def resolve_kernel(kernel: str | None = None) -> str:
-    """Resolve the kernel backend name.
-
-    ``kernel`` wins when given; otherwise the ``REPRO_KERNEL`` environment
-    variable, then ``"numpy"``.  Raises
-    :class:`~repro.exceptions.ConfigurationError` on unknown names —
-    including unknown values smuggled in through the environment.
-    """
-    if kernel is None:
-        kernel = os.environ.get(ENV_KERNEL) or "numpy"
-    if kernel not in KERNEL_BACKENDS:
-        raise ConfigurationError(
-            f"unknown kernel backend: {kernel!r} "
-            f"(expected one of {', '.join(KERNEL_BACKENDS)})"
-        )
-    return kernel
 
 
 # ----------------------------------------------------------------------
@@ -219,7 +187,7 @@ class PackedStatuses:
         ``(n, W)`` uint64 — the raw status bits (placeholder values under
         an observation mask travel as stored, exactly like
         ``StatusMatrix.values``; the kernels AND with :attr:`mask` before
-        any masked count, mirroring the numpy estimators).
+        any masked count).
     mask:
         ``(n, W)`` uint64 observation bits (1 = observed), or ``None``
         when every entry was observed.
@@ -345,20 +313,20 @@ def _pairwise_popcount(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def packed_infection_counts(packed: PackedStatuses) -> np.ndarray:
-    """Per-node infected totals — ``StatusMatrix.infection_counts``."""
+    """Per-node infected totals (``StatusMatrix.infection_counts``)."""
     return _popcount_sum(packed.ones)
 
 
 def packed_observed_counts(packed: PackedStatuses) -> np.ndarray:
-    """Per-node observed totals — ``StatusMatrix.observed_counts``."""
+    """Per-node observed totals (``StatusMatrix.observed_counts``)."""
     if packed.mask is None:
         return np.full(packed.n_nodes, packed.n_bits, dtype=np.int64)
     return _popcount_sum(packed.mask)
 
 
 def packed_joint_counts(packed: PackedStatuses) -> dict[str, np.ndarray]:
-    """All four pairwise joint counts — ``StatusMatrix.joint_counts``,
-    bit for bit.
+    """All four pairwise joint counts ``count(X_i = a ∧ X_j = b)`` at
+    ``[i, j]``, keyed ``"11"``/``"10"``/``"01"``/``"00"``.
 
     Only the ``(i=1, j=1)`` matrix needs an all-pairs popcount pass; the
     other three follow exactly from the per-node marginals, which is what
@@ -381,10 +349,12 @@ def packed_joint_counts(packed: PackedStatuses) -> dict[str, np.ndarray]:
 def packed_pairwise_complete_counts(
     packed: PackedStatuses,
 ) -> dict[str, np.ndarray]:
-    """Joint counts over pairwise-complete processes —
-    ``StatusMatrix.pairwise_complete_counts``, bit for bit.
+    """Joint counts over pairwise-complete processes only.
 
-    Three popcount passes replace the four masked matmuls: observed ones
+    Each pair ``(i, j)`` is counted over the processes in which **both**
+    statuses were observed; the extra key ``"obs"`` holds the per-pair
+    effective process count ``β_ij`` (identically ``β`` when nothing is
+    missing).  Three popcount passes do the work: observed ones
     against observed ones (``n11``), observed ones against the mask (the
     ``x_i = 1 ∧ obs_i ∧ obs_j`` marginal, whose transpose is the column
     marginal), and mask against mask (``β_ij``); the remaining cells are
@@ -421,17 +391,18 @@ def packed_family_counts(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """``(totals, infected, beta)`` of one (child, parent-set) family.
 
-    Identical — values, dtype, and **ordering** — to the contingency core
-    of :func:`repro.core.scoring.family_counts`: totals are the observed
-    patterns' counts in ascending pattern-code order (first parent =
-    least-significant bit), zero-count patterns dropped, and a family
-    with no (complete) rows degrades to ``([0], [0])``.
+    The contingency core of :func:`repro.core.scoring.family_counts`:
+    totals are the observed patterns' counts in ascending pattern-code
+    order (first parent = least-significant bit), zero-count patterns
+    dropped, and a family with no (complete) rows degrades to
+    ``([0], [0])`` — the ``StatusMatrix.observed_pattern_counts``
+    grouping, bit for bit.
 
     Small parent sets use a pattern tree — the family-complete base row
     is AND-refined into ``2^|F|`` pattern word-rows, in ascending code
     order, and popcounted.  Wide sets (beyond
     :data:`_PATTERN_TREE_MAX_PARENTS`) extract per-row codes and group
-    them with ``np.unique`` exactly like the numpy path, which keeps the
+    them with ``np.unique`` like ``observed_pattern_counts``, which keeps the
     memory O(β) all the way to the :data:`MAX_PACK_COLUMNS` cap.
 
     Kept span-free on purpose: the parent search calls this once per
@@ -472,7 +443,8 @@ def packed_family_counts(
         totals = totals_full[observed]
         infected = _popcount_sum(words[observed] & child_words)
         return totals, infected, beta
-    # Wide parent sets: per-row codes + np.unique, the numpy grouping.
+    # Wide parent sets: per-row codes + np.unique, the observed-pattern
+    # grouping.
     row_mask = unpack_bits(base[None, :], n_bits).reshape(-1).astype(np.bool_)
     columns = np.asarray(parent_list, dtype=np.int64)
     parent_bits = unpack_bits(packed.ones[columns], n_bits)

@@ -142,38 +142,20 @@ def family_counts(
     complete rows degrades to all-zero counts (score 0, like an empty
     observation set) rather than raising.
 
-    Passing ``packed`` (the bit-packed form of the same matrix) routes
-    the counting through :func:`repro.core.kernels.packed_family_counts`
-    — identical counts in identical order, computed on 64 processes per
-    word instead of row by row.
+    Counting runs through the bit-packed kernel
+    (:func:`repro.core.kernels.packed_family_counts`, 64 processes per
+    word).  ``packed`` is the bit-packed form of the same matrix; callers
+    that score many families pass it once, otherwise ``statuses`` is
+    packed here.
     """
     parent_list = [int(p) for p in parents]
     if child in parent_list:
         raise DataError(f"node {child} cannot be its own parent")
     if len(set(parent_list)) != len(parent_list):
         raise DataError(f"duplicate parents in {parent_list}")
-    if packed is not None:
-        totals, infected, beta = packed_family_counts(packed, child, parent_list)
-        return FamilyCounts(
-            n_parents=len(parent_list),
-            totals=totals,
-            infected=infected,
-            beta=beta,
-        )
-    if statuses.has_missing:
-        rows = statuses.complete_rows([child, *parent_list])
-        _, inverse, totals = statuses.observed_pattern_counts(
-            parent_list, rows=rows
-        )
-        child_states = statuses.column(child)[rows].astype(np.float64)
-        beta = int(rows.shape[0])
-    else:
-        _, inverse, totals = statuses.observed_pattern_counts(parent_list)
-        child_states = statuses.column(child).astype(np.float64)
-        beta = statuses.beta
-    infected = np.bincount(
-        inverse, weights=child_states, minlength=totals.shape[0]
-    ).astype(np.int64)
+    if packed is None:
+        packed = PackedStatuses.from_statuses(statuses)
+    totals, infected, beta = packed_family_counts(packed, child, parent_list)
     return FamilyCounts(
         n_parents=len(parent_list),
         totals=totals,
@@ -213,9 +195,8 @@ def local_score(
 ) -> float:
     """``g(v_i, F_i)`` (Eq. 13) computed from scratch.
 
-    ``packed`` optionally routes the contingency counting through the
-    bit-packed kernel (see :func:`family_counts`); the score is
-    bit-identical either way.
+    ``packed`` optionally supplies the bit-packed form of ``statuses``
+    (see :func:`family_counts`).
     """
     counts = family_counts(statuses, child, parents, packed=packed)
     return log_likelihood(counts) - penalty(counts)
@@ -240,8 +221,9 @@ def global_score(
         raise DataError(
             f"{len(parent_sets)} parent sets for {statuses.n_nodes} nodes"
         )
+    packed = PackedStatuses.from_statuses(statuses)
     return sum(
-        local_score(statuses, child, parents)
+        local_score(statuses, child, parents, packed=packed)
         for child, parents in enumerate(parent_sets)
     )
 

@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.core.config import TendsConfig
-from repro.core.kernels import PackedStatuses, resolve_kernel
+from repro.core.kernels import PackedStatuses
 from repro.core.scoring import (
     FamilyCounts,
     delta_i,
@@ -174,8 +174,7 @@ class ParentSearch:
     def __init__(self, statuses: StatusMatrix, config: TendsConfig) -> None:
         self.statuses = statuses
         self.config = config
-        self._kernel = resolve_kernel(config.kernel)
-        # Lazy bit-packed cache for the "packed" kernel backend; built on
+        # Lazy bit-packed cache for the contingency kernel; built on
         # first use so serial fits that never score pay nothing, and
         # dropped from pickles so workers re-pack locally (see
         # __getstate__) instead of shipping the words over the wire.
@@ -187,12 +186,10 @@ class ParentSearch:
         return state
 
     def _family_counts(self, node: int, parents: Sequence[int]) -> FamilyCounts:
-        """Contingency counts through the configured kernel backend."""
-        if self._kernel == "packed":
-            if self._packed is None:
-                self._packed = PackedStatuses.from_statuses(self.statuses)
-            return family_counts(self.statuses, node, parents, packed=self._packed)
-        return family_counts(self.statuses, node, parents)
+        """Contingency counts over the cached bit-packed statuses."""
+        if self._packed is None:
+            self._packed = PackedStatuses.from_statuses(self.statuses)
+        return family_counts(self.statuses, node, parents, packed=self._packed)
 
     # ------------------------------------------------------------------
     # public API

@@ -42,7 +42,6 @@ from repro.core.kernels import (
     packed_infection_counts,
     packed_observed_counts,
     packed_pairwise_complete_counts,
-    resolve_kernel,
 )
 from repro.exceptions import DataError
 from repro.simulation.statuses import StatusMatrix
@@ -79,10 +78,10 @@ class SufficientStats:
     ----------
     counts:
         The five ``(n, n)`` int64 matrices of
-        :meth:`StatusMatrix.pairwise_complete_counts` — pairwise joint
-        counts ``"11"``/``"10"``/``"01"``/``"00"`` plus ``"obs"``
-        (per-pair observed-process count ``β_ij``; identically ``beta``
-        when nothing is missing).
+        :func:`repro.core.kernels.packed_pairwise_complete_counts` —
+        pairwise joint counts ``"11"``/``"10"``/``"01"``/``"00"`` plus
+        ``"obs"`` (per-pair observed-process count ``β_ij``; identically
+        ``beta`` when nothing is missing).
     infected:
         Per-node observed-infection totals (the paper's ``N₂`` per node).
     observed:
@@ -108,15 +107,13 @@ class SufficientStats:
         cls,
         statuses: StatusMatrix,
         *,
-        kernel: str | None = None,
         tiling: "TileFanout | None" = None,
     ) -> "SufficientStats":
         """Count one status matrix (a whole history or a single batch).
 
-        ``kernel`` selects the counting backend (see
-        :func:`repro.core.kernels.resolve_kernel`); the counts are int64
-        either way, so the statistics are bit-identical.  With a
-        ``tiling`` spec (:class:`repro.core.tiles.TileFanout`) the pair
+        The counts come from the bit-packed popcount kernels
+        (:mod:`repro.core.kernels`).  With a ``tiling`` spec
+        (:class:`repro.core.tiles.TileFanout`) the pair
         space is counted tile-by-tile, each tile a retryable chunk under
         the stage-3 executor machinery, and the results assembled into
         the same dense matrices — again bit-identical.
@@ -129,7 +126,6 @@ class SufficientStats:
             pairwise = tiled_batch_counts(
                 statuses,
                 tile_size=tiling.tile_size,
-                kernel=kernel if kernel is not None else tiling.kernel,
                 plan=tiling.plan,
                 tracer=tiling.tracer,
                 metrics=tiling.metrics,
@@ -141,19 +137,12 @@ class SufficientStats:
                 beta=statuses.beta,
                 has_missing=statuses.has_missing,
             )
-        if resolve_kernel(kernel) == "packed":
-            packed = PackedStatuses.from_statuses(statuses)
-            pairwise = packed_pairwise_complete_counts(packed)
-            infected = packed_infection_counts(packed)
-            observed = packed_observed_counts(packed)
-        else:
-            pairwise = statuses.pairwise_complete_counts()
-            infected = statuses.infection_counts()
-            observed = statuses.observed_counts()
+        packed = PackedStatuses.from_statuses(statuses)
+        pairwise = packed_pairwise_complete_counts(packed)
         return cls(
             counts={key: pairwise[key] for key in COUNT_KEYS},
-            infected=infected,
-            observed=observed,
+            infected=packed_infection_counts(packed),
+            observed=packed_observed_counts(packed),
             beta=statuses.beta,
             has_missing=statuses.has_missing,
         )
@@ -207,11 +196,8 @@ class SufficientStats:
     def _require_compatible(self, other: "SufficientStats", verb: str) -> None:
         """Guard binary count algebra (:meth:`merged` / :meth:`subtracted`).
 
-        Counting-kernel provenance needs no check: every backend produces
-        bit-identical int64 counts (see :mod:`repro.core.kernels`), so
-        statistics from different kernels mix freely.  Mask provenance is
-        additive too — ``has_missing`` ORs and the per-pair ``obs``
-        counts keep the pairwise-complete estimator exact — but the two
+        Mask provenance is additive — ``has_missing`` ORs and the per-pair
+        ``obs`` counts keep the pairwise-complete estimator exact — but the two
         operands must describe the same node set and carry internally
         consistent arrays, which is what this validates.
         """
@@ -234,14 +220,13 @@ class SufficientStats:
         self,
         batch: StatusMatrix,
         *,
-        kernel: str | None = None,
         tiling: "TileFanout | None" = None,
     ) -> "SufficientStats":
         """Statistics of the history with ``batch`` appended.
 
-        ``O(Δβ · n²)``: the batch is counted on its own (with the
-        ``kernel`` counting backend) and merged by integer addition,
-        which is exactly equal to recounting the concatenated history.
+        ``O(Δβ · n²)``: the batch is counted on its own and merged by
+        integer addition, which is exactly equal to recounting the
+        concatenated history.
         With a ``tiling`` spec the batch count fans out over pair-space
         tiles as retryable executor chunks (see
         :meth:`from_statuses`) — same integers, same merge.
@@ -258,7 +243,7 @@ class SufficientStats:
         if batch.beta == 0:
             return self
         return self.merged(
-            SufficientStats.from_statuses(batch, kernel=kernel, tiling=tiling)
+            SufficientStats.from_statuses(batch, tiling=tiling)
         )
 
     def merged(self, other: "SufficientStats") -> "SufficientStats":
@@ -512,7 +497,6 @@ class WindowedStats:
         self,
         batch: StatusMatrix,
         *,
-        kernel: str | None = None,
         tiling: "TileFanout | None" = None,
     ) -> "WindowedStats":
         """The ring with ``batch`` absorbed (immutably).
@@ -535,7 +519,7 @@ class WindowedStats:
             return self
         windows = list(self.windows)
         if self.window_cascades is None:
-            windows[-1] = windows[-1].updated(batch, kernel=kernel, tiling=tiling)
+            windows[-1] = windows[-1].updated(batch, tiling=tiling)
         else:
             offset = 0
             while offset < batch.beta:
@@ -545,9 +529,7 @@ class WindowedStats:
                     room = self.window_cascades
                 take = min(room, batch.beta - offset)
                 piece = batch.subset(range(offset, offset + take))
-                windows[-1] = windows[-1].updated(
-                    piece, kernel=kernel, tiling=tiling
-                )
+                windows[-1] = windows[-1].updated(piece, tiling=tiling)
                 offset += take
         evicted_beta = self.evicted_beta
         evicted_windows = self.evicted_windows

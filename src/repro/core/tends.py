@@ -32,7 +32,6 @@ import numpy as np
 
 from repro.core.config import TendsConfig
 from repro.core.executor import ExecutionPlan, ParallelExecutor, WorkerStats
-from repro.core.kernels import resolve_kernel
 from repro.core.kmeans import TwoMeansResult, fixed_zero_two_means
 from repro.core.search import (
     ParentSearch,
@@ -132,11 +131,6 @@ class TendsResult:
         :class:`UpdateInfo` describing the dirty/clean node split of the
         incremental update that produced this result; ``None`` for
         results of a full :meth:`Tends.fit`.
-    kernel:
-        The counting-kernel backend the fit resolved and ran with
-        (``"numpy"`` or ``"packed"``, see :mod:`repro.core.kernels`);
-        recorded in run manifests so perf comparisons are
-        apples-to-apples.  Results are bit-identical across backends.
     drift:
         :class:`~repro.core.drift.DriftReport` from the reference-vs-recent
         check a :meth:`Tends.partial_fit` ran with ``drift="detect"`` or
@@ -161,7 +155,6 @@ class TendsResult:
     imi_bootstrap: "ImiBootstrap | None" = None
     telemetry: Telemetry | None = None
     update: "UpdateInfo | None" = None
-    kernel: str | None = None
     drift: "DriftReport | None" = None
     nodes: tuple[int, ...] | None = None
 
@@ -335,7 +328,6 @@ def merge_results(results: Sequence[TendsResult]) -> TendsResult:
         worker_stats=tuple(
             stats for result in results for stats in result.worker_stats
         ),
-        kernel=reference.kernel,
     )
 
 
@@ -531,7 +523,10 @@ class TendsModel:
                 f"this build reads version {cls.SNAPSHOT_VERSION}"
             )
         try:
-            config = TendsConfig(**meta["config"])
+            settings = dict(meta["config"])
+            for name in TendsConfig.RETIRED_FIELDS:
+                settings.pop(name, None)
+            config = TendsConfig(**settings)
             mask = arrays.get("statuses_mask")
             statuses = StatusMatrix(
                 arrays["statuses"], None if mask is None else mask
@@ -674,7 +669,6 @@ class Tends:
     def _count_stats(
         self,
         statuses: StatusMatrix,
-        kernel_backend: str,
         tracer: "Tracer | NullTracer" = NULL_TRACER,
         metrics: "MetricsRegistry | NullMetrics" = NULL_METRICS,
     ) -> SufficientStats | TiledSufficientStats:
@@ -682,12 +676,11 @@ class Tends:
         default, tile-by-tile into the spill directory when
         ``config.tile_size`` is set (bit-identical either way)."""
         if self.config.tile_size is None:
-            return SufficientStats.from_statuses(statuses, kernel=kernel_backend)
+            return SufficientStats.from_statuses(statuses)
         return TiledSufficientStats.from_statuses(
             statuses,
             tile_size=self.config.tile_size,
             spill_dir=self.config.spill_dir,
-            kernel=kernel_backend,
             max_resident_tiles=self.config.max_resident_tiles,
             plan=self._execution_plan(),
             tracer=tracer,
@@ -750,7 +743,6 @@ class Tends:
                 on_degenerate="strict" if self.config.audit == "strict" else "warn",
             )
         n = statuses.n_nodes
-        kernel_backend = resolve_kernel(self.config.kernel)
         shard: tuple[int, ...] | None = None
         if nodes is not None:
             shard = tuple(sorted({int(node) for node in nodes}))
@@ -792,21 +784,18 @@ class Tends:
             metrics.set_gauge("tends_mask_density", 1.0)
         with ambient_tracer(tracer), memory.activate():
             with tracer.span(
-                "tends.fit", n_nodes=n, beta=statuses.beta, kernel=kernel_backend
+                "tends.fit", n_nodes=n, beta=statuses.beta
             ) as fit_span, memory.measure("total", fit_span):
                 if stats is None:
                     with tracer.span("tends.stats", beta=statuses.beta) as span:
                         with memory.measure("stats", span):
-                            stats = self._count_stats(
-                                statuses, kernel_backend, tracer, metrics
-                            )
+                            stats = self._count_stats(statuses, tracer, metrics)
                 result, candidates = self._run_pipeline(
                     statuses,
                     stats,
                     n,
                     tracer,
                     metrics,
-                    kernel_backend,
                     memory,
                     nodes=shard,
                 )
@@ -881,20 +870,15 @@ class Tends:
         n: int,
         tracer: "Tracer | NullTracer",
         metrics: "MetricsRegistry | NullMetrics",
-        kernel_backend: str,
         memory: "MemoryTracker | NullMemoryTracker" = NULL_MEMORY,
         nodes: tuple[int, ...] | None = None,
     ) -> tuple[TendsResult, tuple[tuple[int, ...], ...]]:
         """Stages 1-3 of Algorithm 1 (validation already done by
-        :meth:`fit`, which also owns the ambient tracer install and the
-        kernel-backend resolution).
+        :meth:`fit`, which also owns the ambient tracer install).
 
         Returns the result plus the per-node candidate sets, which the
         caller folds into the incremental-update model."""
         stage_seconds: dict[str, float] = {}
-        metrics.set_gauge(
-            "tends_kernel_packed", 1.0 if kernel_backend == "packed" else 0.0
-        )
 
         # Stage 1: pairwise MI matrix (Algorithm 1 lines 2-4), from the
         # additive sufficient statistics — identical floating-point
@@ -1014,7 +998,6 @@ class Tends:
             worker_stats=tuple(worker_stats),
             edge_confidence=edge_confidence,
             imi_bootstrap=bootstrap,
-            kernel=kernel_backend,
             nodes=nodes,
         )
         return result, tuple(tuple(candidates) for _, candidates in items)
@@ -1169,10 +1152,6 @@ class Tends:
         n = previous.n_nodes
         stage_seconds: dict[str, float] = {}
         metrics.inc("tends_update_batches_total")
-        kernel_backend = resolve_kernel(self.config.kernel)
-        metrics.set_gauge(
-            "tends_kernel_packed", 1.0 if kernel_backend == "packed" else 0.0
-        )
 
         # Sufficient statistics: count the batch, add (integer-exact).
         # Tile-backed models roll a new copy-on-write tile generation;
@@ -1185,7 +1164,6 @@ class Tends:
                     stats: SufficientStats | TiledSufficientStats = (
                         previous.stats.updated(
                             batch,
-                            kernel=kernel_backend,
                             plan=self._execution_plan(),
                             tracer=tracer,
                             metrics=metrics,
@@ -1194,7 +1172,6 @@ class Tends:
                 elif self.config.tile_size is not None:
                     stats = previous.stats.updated(
                         batch,
-                        kernel=kernel_backend,
                         tiling=TileFanout(
                             tile_size=self.config.tile_size,
                             plan=self._execution_plan(),
@@ -1203,7 +1180,7 @@ class Tends:
                         ),
                     )
                 else:
-                    stats = previous.stats.updated(batch, kernel=kernel_backend)
+                    stats = previous.stats.updated(batch)
                 history = previous.statuses.append(batch)
             stage_seconds["stats"] = watch.elapsed
         if history.has_missing:
@@ -1330,7 +1307,6 @@ class Tends:
             stage_seconds=stage_seconds,
             worker_stats=tuple(worker_stats),
             update=info,
-            kernel=kernel_backend,
         )
         model = TendsModel(
             config=self.config,
@@ -1453,14 +1429,11 @@ class Tends:
         from repro.core.drift import detect_drift
 
         window = min(window, model.beta)
-        kernel_backend = resolve_kernel(self.config.kernel)
         with tracer.span("tends.drift", window=window):
             recent_statuses = model.statuses.subset(
                 range(model.statuses.beta - window, model.statuses.beta)
             )
-            recent = SufficientStats.from_statuses(
-                recent_statuses, kernel=kernel_backend
-            )
+            recent = SufficientStats.from_statuses(recent_statuses)
             reference = model.stats.subtracted(recent)
             report = detect_drift(reference, recent, config)
         metrics.inc("tends_drift_checks_total")
@@ -1487,7 +1460,6 @@ class Tends:
         n = model.n_nodes
         window = min(window, model.beta)
         stage_seconds: dict[str, float] = {}
-        kernel_backend = resolve_kernel(self.config.kernel)
         metrics.inc("tends_adapt_total")
         with tracer.span(
             "tends.adapt", window=window, nodes=len(report.affected_nodes)
@@ -1499,9 +1471,7 @@ class Tends:
                     history = model.statuses.subset(
                         range(model.statuses.beta - window, model.statuses.beta)
                     )
-                    stats = SufficientStats.from_statuses(
-                        history, kernel=kernel_backend
-                    )
+                    stats = SufficientStats.from_statuses(history)
                 stage_seconds["stats"] = watch.elapsed
 
             with tracer.span("tends.imi", kind=self.config.mi_kind) as imi_span:
@@ -1582,7 +1552,6 @@ class Tends:
             stage_seconds=stage_seconds,
             worker_stats=tuple(worker_stats),
             update=info,
-            kernel=kernel_backend,
             drift=report,
         )
         adapted = TendsModel(

@@ -75,11 +75,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 
 from repro.core.executor import ExecutionPlan, ParallelExecutor
-from repro.core.kernels import (
-    PackedStatuses,
-    _pairwise_popcount,
-    resolve_kernel,
-)
+from repro.core.kernels import PackedStatuses, _pairwise_popcount
 from repro.exceptions import DataError
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.trace import NULL_TRACER
@@ -332,19 +328,17 @@ def _statuses_digest(statuses: StatusMatrix) -> str:
 class TileContext:
     """Picklable per-fan-out context shipped once per worker.
 
-    ``ones``/``mask`` hold the packed uint64 word rows for the
-    ``"packed"`` kernel, or the raw ``(β, n)`` uint8 values / bool mask
-    for the ``"numpy"`` kernel.  ``infected`` is the counted batch's own
-    per-node infected totals (used for the marginal-difference counts on
-    the unmasked path).  ``directory`` is the spill target (``None``
-    ships count stacks back to the dispatcher instead); when
-    ``base_directory`` is set each computed batch tile is added to the
-    previous generation's tile before spilling — the copy-on-write
-    update step.
+    ``ones``/``mask`` hold the packed uint64 word rows of the counted
+    batch (:class:`~repro.core.kernels.PackedStatuses`).  ``infected`` is
+    the batch's own per-node infected totals (used for the
+    marginal-difference counts on the unmasked path).  ``directory`` is
+    the spill target (``None`` ships count stacks back to the dispatcher
+    instead); when ``base_directory`` is set each computed batch tile is
+    added to the previous generation's tile before spilling — the
+    copy-on-write update step.
     """
 
     grid: TileGrid
-    kernel: str
     beta: int
     has_missing: bool
     infected: np.ndarray
@@ -357,46 +351,26 @@ class TileContext:
 def _tile_stack(context: TileContext, block: tuple[int, int]) -> np.ndarray:
     """The ``(5, h, w)`` int64 count stack of one upper-triangle block.
 
-    Integer popcounts (packed) or integer matmuls (numpy) over row /
-    column slices — exactly equal to slicing the dense count matrices.
+    Integer popcounts over row / column slices of the packed words —
+    exactly equal to slicing the dense count matrices.
     """
     bi, bj = block
     a0, a1 = context.grid.span(bi)
     b0, b1 = context.grid.span(bj)
-    if context.kernel == "packed":
-        if context.mask is None:
-            n11 = _pairwise_popcount(context.ones[a0:a1], context.ones[b0:b1])
-            n10 = context.infected[a0:a1, None] - n11
-            n01 = context.infected[None, b0:b1] - n11
-            n00 = context.beta - n11 - n10 - n01
-            obs = np.full(n11.shape, context.beta, dtype=np.int64)
-        else:
-            observed_ones_a = context.ones[a0:a1] & context.mask[a0:a1]
-            observed_ones_b = context.ones[b0:b1] & context.mask[b0:b1]
-            n11 = _pairwise_popcount(observed_ones_a, observed_ones_b)
-            n10 = _pairwise_popcount(observed_ones_a, context.mask[b0:b1]) - n11
-            n01 = _pairwise_popcount(context.mask[a0:a1], observed_ones_b) - n11
-            obs = _pairwise_popcount(context.mask[a0:a1], context.mask[b0:b1])
-            n00 = obs - n11 - n10 - n01
+    if context.mask is None:
+        n11 = _pairwise_popcount(context.ones[a0:a1], context.ones[b0:b1])
+        n10 = context.infected[a0:a1, None] - n11
+        n01 = context.infected[None, b0:b1] - n11
+        n00 = context.beta - n11 - n10 - n01
+        obs = np.full(n11.shape, context.beta, dtype=np.int64)
     else:
-        ones_a = context.ones[:, a0:a1].astype(np.int64)
-        ones_b = context.ones[:, b0:b1].astype(np.int64)
-        if context.mask is None:
-            n11 = ones_a.T @ ones_b
-            n10 = context.infected[a0:a1, None] - n11
-            n01 = context.infected[None, b0:b1] - n11
-            n00 = context.beta - n11 - n10 - n01
-            obs = np.full(n11.shape, context.beta, dtype=np.int64)
-        else:
-            mask_a = context.mask[:, a0:a1].astype(np.int64)
-            mask_b = context.mask[:, b0:b1].astype(np.int64)
-            observed_ones_a = ones_a * mask_a
-            observed_ones_b = ones_b * mask_b
-            n11 = observed_ones_a.T @ observed_ones_b
-            n10 = observed_ones_a.T @ mask_b - n11
-            n01 = mask_a.T @ observed_ones_b - n11
-            obs = mask_a.T @ mask_b
-            n00 = obs - n11 - n10 - n01
+        observed_ones_a = context.ones[a0:a1] & context.mask[a0:a1]
+        observed_ones_b = context.ones[b0:b1] & context.mask[b0:b1]
+        n11 = _pairwise_popcount(observed_ones_a, observed_ones_b)
+        n10 = _pairwise_popcount(observed_ones_a, context.mask[b0:b1]) - n11
+        n01 = _pairwise_popcount(context.mask[a0:a1], observed_ones_b) - n11
+        obs = _pairwise_popcount(context.mask[a0:a1], context.mask[b0:b1])
+        n00 = obs - n11 - n10 - n01
     return np.stack(
         [
             np.asarray(plane, dtype=np.int64)
@@ -437,27 +411,18 @@ def count_tile_chunk(
 def _build_context(
     statuses: StatusMatrix,
     grid: TileGrid,
-    kernel: str | None,
     *,
     directory: str | None = None,
     base_directory: str | None = None,
 ) -> TileContext:
-    resolved = resolve_kernel(kernel)
-    if resolved == "packed":
-        packed = PackedStatuses.from_statuses(statuses)
-        ones: np.ndarray = packed.ones
-        mask = packed.mask
-    else:
-        ones = statuses.values
-        mask = statuses.mask
+    packed = PackedStatuses.from_statuses(statuses)
     return TileContext(
         grid=grid,
-        kernel=resolved,
         beta=statuses.beta,
         has_missing=statuses.has_missing,
         infected=statuses.infection_counts(),
-        ones=ones,
-        mask=mask,
+        ones=packed.ones,
+        mask=packed.mask,
         directory=directory,
         base_directory=base_directory,
     )
@@ -487,7 +452,6 @@ def tiled_batch_counts(
     statuses: StatusMatrix,
     *,
     tile_size: int,
-    kernel: str | None = None,
     plan: ExecutionPlan | None = None,
     tracer=NULL_TRACER,
     metrics=NULL_METRICS,
@@ -504,7 +468,7 @@ def tiled_batch_counts(
     if not isinstance(statuses, StatusMatrix):
         statuses = StatusMatrix(statuses)
     grid = TileGrid(statuses.n_nodes, tile_size)
-    context = _build_context(statuses, grid, kernel)
+    context = _build_context(statuses, grid)
     n = statuses.n_nodes
     counts = {key: np.empty((n, n), dtype=np.int64) for key in STACK_KEYS}
     with tracer.span(
@@ -534,7 +498,6 @@ class TileFanout:
     ``partial_fit``)."""
 
     tile_size: int
-    kernel: str | None = None
     plan: ExecutionPlan | None = None
     tracer: object = NULL_TRACER
     metrics: object = NULL_METRICS
@@ -684,7 +647,6 @@ class TiledSufficientStats:
         *,
         tile_size: int,
         spill_dir: str | Path | None = None,
-        kernel: str | None = None,
         max_resident_tiles: int | None = None,
         plan: ExecutionPlan | None = None,
         tracer=NULL_TRACER,
@@ -716,9 +678,7 @@ class TiledSufficientStats:
         }
         directory = root / _generation_name(0)
         _prepare_directory(directory, meta)
-        context = _build_context(
-            statuses, grid, kernel, directory=str(directory)
-        )
+        context = _build_context(statuses, grid, directory=str(directory))
         _compute_missing_tiles(
             context, grid, directory, plan=plan, tracer=tracer, metrics=metrics
         )
@@ -747,7 +707,6 @@ class TiledSufficientStats:
         self,
         batch: StatusMatrix,
         *,
-        kernel: str | None = None,
         plan: ExecutionPlan | None = None,
         tracer=NULL_TRACER,
         metrics=NULL_METRICS,
@@ -783,7 +742,6 @@ class TiledSufficientStats:
         context = _build_context(
             batch,
             self.grid,
-            kernel,
             directory=str(directory),
             base_directory=str(self.store.directory),
         )

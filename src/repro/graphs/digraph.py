@@ -26,6 +26,10 @@ __all__ = ["DiffusionGraph"]
 Edge = tuple[int, int]
 
 
+def _sorted_array(nodes: set[int]) -> np.ndarray:
+    return np.fromiter(sorted(nodes), dtype=np.int64, count=len(nodes))
+
+
 class DiffusionGraph:
     """An immutable-after-freeze directed graph on nodes ``0..n-1``.
 
@@ -103,20 +107,14 @@ class DiffusionGraph:
         return True
 
     def freeze(self) -> "DiffusionGraph":
-        """Disallow further mutation and build sorted adjacency arrays.
+        """Disallow further mutation.  Returns ``self`` for chaining.
 
-        Freezing is what the simulator expects: array adjacency makes the
-        per-round infection attempts a couple of vectorised numpy calls.
-        Returns ``self`` for chaining.
+        The sorted adjacency arrays that make the simulator's per-round
+        infection attempts a couple of vectorised numpy calls are built
+        on the first :meth:`successors` / :meth:`predecessors` call, not
+        here: most frozen graphs (every fit result) are never traversed.
         """
-        if not self._frozen:
-            self._frozen = True
-            self._out_arrays = [
-                np.fromiter(sorted(s), dtype=np.int64, count=len(s)) for s in self._out
-            ]
-            self._in_arrays = [
-                np.fromiter(sorted(s), dtype=np.int64, count=len(s)) for s in self._in
-            ]
+        self._frozen = True
         return self
 
     def copy(self) -> "DiffusionGraph":
@@ -160,18 +158,24 @@ class DiffusionGraph:
     def successors(self, node: int) -> np.ndarray:
         """Out-neighbours of ``node`` as a sorted ``int64`` array."""
         self._check_node(node)
-        if self._frozen and self._out_arrays is not None:
-            return self._out_arrays[node]
-        return np.fromiter(sorted(self._out[node]), dtype=np.int64,
-                           count=len(self._out[node]))
+        if not self._frozen:
+            return _sorted_array(self._out[node])
+        arrays = self._out_arrays
+        if arrays is None:
+            # Built whole, then published by one assignment: a concurrent
+            # reader sees either None or the complete list.
+            arrays = self._out_arrays = [_sorted_array(s) for s in self._out]
+        return arrays[node]
 
     def predecessors(self, node: int) -> np.ndarray:
         """In-neighbours (parents) of ``node`` as a sorted ``int64`` array."""
         self._check_node(node)
-        if self._frozen and self._in_arrays is not None:
-            return self._in_arrays[node]
-        return np.fromiter(sorted(self._in[node]), dtype=np.int64,
-                           count=len(self._in[node]))
+        if not self._frozen:
+            return _sorted_array(self._in[node])
+        arrays = self._in_arrays
+        if arrays is None:
+            arrays = self._in_arrays = [_sorted_array(s) for s in self._in]
+        return arrays[node]
 
     def out_degree(self, node: int) -> int:
         self._check_node(node)

@@ -183,7 +183,6 @@ def manifest_for_fit(
                 "n_nodes": None if graph is None else graph.n_nodes,
                 "n_edges": None if graph is None else graph.n_edges,
                 "threshold": float(getattr(result, "threshold", math.nan)),
-                "kernel": getattr(result, "kernel", None),
             },
             "total_seconds": float(sum(stages.values())),
         }

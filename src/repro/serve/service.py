@@ -171,7 +171,7 @@ class IngestService:
         absorb spans are always inspectable at O(capacity) memory.
     estimator_overrides:
         Execution/observability ``TendsConfig`` overrides for the
-        resuming estimator (executor, n_jobs, kernel, ...); algorithm
+        resuming estimator (executor, n_jobs, tile_size, ...); algorithm
         fields are refused by :meth:`~repro.core.tends.Tends.from_model`.
     drift, drift_window, drift_config:
         Drift response policy (one of :data:`DRIFT_POLICIES`), the

@@ -3,8 +3,9 @@
 A :class:`StatusMatrix` is the ``β × n`` binary matrix ``S`` from the paper
 (§III): row ``ℓ`` holds the final infection status of every node at the end
 of the ``ℓ``-th diffusion process.  It is the *only* observation TENDS
-consumes, so this class also hosts the vectorised marginal/joint counting
-helpers the scoring and IMI code build on.
+consumes, so this class also hosts the marginal and pattern-grouping
+helpers the scoring and selection code build on (the pairwise counts
+behind IMI live in the bit-packed kernels of ``repro.core.kernels``).
 
 Real observation sets are incomplete as well as noisy, so a matrix may
 carry an optional **observation mask**: a boolean ``β × n`` array whose
@@ -360,49 +361,6 @@ class StatusMatrix:
         if self.beta == 0:
             raise DataError("cannot compute rates from zero processes")
         return self.infection_counts() / self.beta
-
-    def joint_counts(self) -> dict[str, np.ndarray]:
-        """All four pairwise joint counts as ``(n, n)`` int64 matrices.
-
-        Keys ``"11"``, ``"10"``, ``"01"``, ``"00"`` give
-        ``count(X_i = a ∧ X_j = b)`` at ``[i, j]``.  Computed with two
-        matrix products, which is what makes the IMI stage ``O(β n²)`` with
-        a tiny constant.
-        """
-        ones = self._data.astype(np.int64)
-        zeros = 1 - ones
-        n11 = ones.T @ ones
-        n10 = ones.T @ zeros
-        n01 = zeros.T @ ones
-        n00 = zeros.T @ zeros
-        return {"11": n11, "10": n10, "01": n01, "00": n00}
-
-    def pairwise_complete_counts(self) -> dict[str, np.ndarray]:
-        """Joint counts over pairwise-complete processes only.
-
-        Like :meth:`joint_counts`, but each pair ``(i, j)`` is counted
-        only over the processes in which **both** statuses were observed;
-        the extra key ``"obs"`` holds the per-pair effective process
-        count ``β_ij``.  For unmasked matrices this equals
-        :meth:`joint_counts` with ``obs ≡ beta``.  Cost is four
-        ``(n × β) @ (β × n)`` products — the same ``O(β n²)`` stage.
-        """
-        if self._mask is None:
-            counts = self.joint_counts()
-            counts["obs"] = np.full(
-                (self.n_nodes, self.n_nodes), self.beta, dtype=np.int64
-            )
-            return counts
-        observed = self._mask.astype(np.int64)
-        ones = self._data.astype(np.int64) * observed
-        zeros = (1 - self._data.astype(np.int64)) * observed
-        return {
-            "11": ones.T @ ones,
-            "10": ones.T @ zeros,
-            "01": zeros.T @ ones,
-            "00": zeros.T @ zeros,
-            "obs": observed.T @ observed,
-        }
 
     def pattern_counts(self, columns: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         """Group rows by the joint pattern of ``columns`` (dense variant).

@@ -72,7 +72,7 @@ class TestWorkerCrashMidTile:
     def test_crashed_worker_is_retried_bit_identically(self, tmp_path):
         statuses = _observations()
         grid = TileGrid(statuses.n_nodes, 5)
-        inner = _build_context(statuses, grid, None)
+        inner = _build_context(statuses, grid)
         context = {
             "inner": inner,
             "dir": str(tmp_path),
@@ -100,7 +100,7 @@ class TestWorkerCrashMidTile:
         grid = TileGrid(statuses.n_nodes, 5)
         spill = tmp_path / "gen"
         spill.mkdir()
-        inner = _build_context(statuses, grid, None, directory=str(spill))
+        inner = _build_context(statuses, grid, directory=str(spill))
         context = {
             "inner": inner,
             "dir": str(tmp_path),

@@ -142,6 +142,24 @@ class TestPerfCheck:
         assert main(args) == 1
         assert main(args + ["--max-slowdown", "3.0"]) == 0
 
+    def test_manifest_with_retired_kernel_field_still_compares(
+        self, tmp_path, statuses_file, capsys
+    ):
+        # Manifests written while the counting-kernel knob existed carry
+        # result.kernel (and config.kernel); they stay valid baselines.
+        manifest = self._manifest(tmp_path, statuses_file)
+        old = json.loads(manifest.read_text())
+        assert "kernel" not in old["result"]
+        old["result"]["kernel"] = "numpy"
+        old["config"]["kernel"] = None
+        old_path = tmp_path / "old.json"
+        old_path.write_text(json.dumps(old))
+        for subject, baseline in ((manifest, old_path), (old_path, manifest)):
+            assert main([
+                "perf-check", str(subject), "--baseline", str(baseline),
+            ]) == 0
+        assert "perf-check: PASS" in capsys.readouterr().out
+
     def test_unusable_input_exits_2(self, tmp_path, capsys):
         bogus = tmp_path / "bogus.json"
         bogus.write_text(json.dumps({"format": "mystery"}))

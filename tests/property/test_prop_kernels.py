@@ -1,10 +1,11 @@
-"""Differential battery: packed kernels vs the numpy estimators.
+"""Differential battery: the packed kernels vs the numpy oracle.
 
-The headline guarantee of :mod:`repro.core.kernels`: everywhere the
-packed backend is reachable — joint counts, masked pairwise-complete
-counts, IMI/MI matrices, parent-set contingency tables, and whole
-``fit`` / ``partial_fit`` pipelines — it is **bit-identical** to the
-numpy path.  Hypothesis generates the statuses and masks (including the
+The headline guarantee of :mod:`repro.core.kernels`, the only production
+counting path: everywhere it is reachable — joint counts, masked
+pairwise-complete counts, IMI/MI matrices, parent-set contingency
+tables, and whole ``fit`` / ``partial_fit`` pipelines — it is
+**bit-identical** to the dense numpy estimators of ``tests/oracle.py``.
+Hypothesis generates the statuses and masks (including the
 degenerate corners: all-zero, all-one, single-cascade, β not divisible
 by 64, and mask-density extremes); the golden fixtures pin the
 end-to-end equality on committed data.
@@ -30,11 +31,12 @@ from repro.core.kernels import (
     packed_observed_counts,
     packed_pairwise_complete_counts,
 )
-from repro.core.scoring import family_counts, local_score
+from repro.core.scoring import local_score
 from repro.core.stats import COUNT_KEYS, SufficientStats
 from repro.core.tends import Tends
 from repro.simulation import io as sim_io
 from repro.simulation.statuses import StatusMatrix
+from tests import oracle
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -82,7 +84,7 @@ def test_joint_and_marginal_counts_bit_equal(statuses):
     packed = PackedStatuses.from_statuses(statuses)
     if not statuses.has_missing:
         _assert_counts_equal(
-            statuses.joint_counts(),
+            oracle.joint_counts(statuses),
             packed_joint_counts(packed),
             ("11", "10", "01", "00"),
         )
@@ -99,7 +101,7 @@ def test_joint_and_marginal_counts_bit_equal(statuses):
 def test_pairwise_complete_counts_bit_equal(statuses):
     packed = PackedStatuses.from_statuses(statuses)
     _assert_counts_equal(
-        statuses.pairwise_complete_counts(),
+        oracle.pairwise_complete_counts(statuses),
         packed_pairwise_complete_counts(packed),
         COUNT_KEYS,
     )
@@ -109,12 +111,10 @@ def test_pairwise_complete_counts_bit_equal(statuses):
 @settings(max_examples=40, deadline=None)
 def test_mi_matrices_bit_equal(statuses):
     assert np.array_equal(
-        infection_mi_matrix(statuses),
-        infection_mi_matrix(statuses, kernel="packed"),
+        oracle.infection_mi_matrix(statuses), infection_mi_matrix(statuses)
     )
     assert np.array_equal(
-        traditional_mi_matrix(statuses),
-        traditional_mi_matrix(statuses, kernel="packed"),
+        oracle.traditional_mi_matrix(statuses), traditional_mi_matrix(statuses)
     )
 
 
@@ -130,22 +130,22 @@ def test_family_counts_and_scores_bit_equal(statuses, data):
         else st.just([])
     )
     packed = PackedStatuses.from_statuses(statuses)
-    reference = family_counts(statuses, child, parents)
+    reference = oracle.family_counts(statuses, child, parents)
     totals, infected, beta = packed_family_counts(packed, child, parents)
     assert np.array_equal(reference.totals, totals)
     assert np.array_equal(reference.infected, infected)
     assert reference.beta == beta
     # The float score runs the same summation order over the same counts.
-    assert local_score(statuses, child, parents) == local_score(
-        statuses, child, parents, packed=packed
-    )
+    score = oracle.local_score(statuses, child, parents)
+    assert local_score(statuses, child, parents) == score
+    assert local_score(statuses, child, parents, packed=packed) == score
 
 
 @given(statuses=status_matrices())
 @settings(max_examples=40, deadline=None)
 def test_sufficient_stats_bit_equal(statuses):
-    reference = SufficientStats.from_statuses(statuses)
-    packed = SufficientStats.from_statuses(statuses, kernel="packed")
+    reference = oracle.sufficient_stats(statuses)
+    packed = SufficientStats.from_statuses(statuses)
     assert reference.equals(packed)
     assert reference.checksum() == packed.checksum()
 
@@ -174,17 +174,16 @@ def test_corner_matrices_bit_equal(index):
     statuses = list(_corner_matrices())[index]
     packed = PackedStatuses.from_statuses(statuses)
     _assert_counts_equal(
-        statuses.pairwise_complete_counts(),
+        oracle.pairwise_complete_counts(statuses),
         packed_pairwise_complete_counts(packed),
         COUNT_KEYS,
     )
     assert np.array_equal(
-        infection_mi_matrix(statuses),
-        infection_mi_matrix(statuses, kernel="packed"),
+        oracle.infection_mi_matrix(statuses), infection_mi_matrix(statuses)
     )
     for child in range(min(statuses.n_nodes, 3)):
         parents = [p for p in range(statuses.n_nodes) if p != child][:3]
-        reference = family_counts(statuses, child, parents)
+        reference = oracle.family_counts(statuses, child, parents)
         totals, infected, beta = packed_family_counts(packed, child, parents)
         assert np.array_equal(reference.totals, totals)
         assert np.array_equal(reference.infected, infected)
@@ -192,7 +191,7 @@ def test_corner_matrices_bit_equal(index):
 
 
 # ----------------------------------------------------------------------
-# end-to-end: golden fixtures under both backends
+# end-to-end: golden fixtures, production vs an all-oracle pipeline
 # ----------------------------------------------------------------------
 
 def _assert_results_identical(reference, result):
@@ -207,14 +206,10 @@ def _assert_results_identical(reference, result):
 
 def test_golden_fit_identical_under_packed_kernel():
     statuses = sim_io.read_statuses_csv(DATA_DIR / "golden_statuses.csv")
-    reference = Tends().fit(statuses)
-    packed = Tends(kernel="packed").fit(statuses)
-    _assert_results_identical(reference, packed)
-    assert reference.kernel == "numpy"
-    assert packed.kernel == "packed"
+    _assert_results_identical(oracle.fit(statuses), Tends().fit(statuses))
 
 
-def _replay_updates(statuses, spec, **overrides):
+def _replay_updates(statuses, spec):
     # Mirrors tests/unit/test_golden_regression.py: fit the initial
     # prefix, absorb the frozen batch schedule, collect the cached-count
     # checksums after every step.
@@ -222,7 +217,7 @@ def _replay_updates(statuses, spec, **overrides):
     for width in spec["batch_betas"]:
         bounds.append(bounds[-1] + width)
     assert bounds[-1] == statuses.beta
-    estimator = Tends(**overrides)
+    estimator = Tends()
     result = estimator.fit(statuses.subset(range(0, bounds[1])))
     checksums = [estimator.model.stats.checksum()]
     for start, stop in zip(bounds[1:], bounds[2:]):
@@ -236,13 +231,12 @@ def test_golden_incremental_replay_identical_under_packed_kernel():
         DATA_DIR / "golden_incremental_statuses.csv"
     )
     spec = json.loads((DATA_DIR / "golden_incremental.json").read_text())
-    result, checksums = _replay_updates(statuses, spec, kernel="packed")
-    # The frozen checksums were produced by the numpy path; matching them
-    # means every packed batch count was integer-exact, bit for bit.
+    result, checksums = _replay_updates(statuses, spec)
+    # The frozen checksums were produced by the numpy estimators; matching
+    # them means every packed batch count was integer-exact, bit for bit.
     assert checksums == spec["stats_checksums"]
     assert result.graph.edge_set() == {(p, c) for p, c in spec["edges"]}
     assert result.threshold == pytest.approx(spec["threshold"], rel=1e-12, abs=0.0)
-    assert result.kernel == "packed"
 
 
 def test_masked_fit_identical_under_packed_kernel():
@@ -250,6 +244,4 @@ def test_masked_fit_identical_under_packed_kernel():
     data = (rng.random((120, 25)) < 0.35).astype(np.uint8)
     mask = rng.random((120, 25)) < 0.85
     statuses = StatusMatrix(data, mask)
-    reference = Tends().fit(statuses)
-    packed = Tends(kernel="packed").fit(statuses)
-    _assert_results_identical(reference, packed)
+    _assert_results_identical(oracle.fit(statuses), Tends().fit(statuses))

@@ -19,6 +19,7 @@ from repro.core.stats import COUNT_KEYS, SufficientStats
 from repro.core.tends import Tends, merge_results
 from repro.core.tiles import TiledSufficientStats, tiled_batch_counts
 from repro.simulation.statuses import StatusMatrix
+from tests import oracle
 
 
 @st.composite
@@ -58,27 +59,28 @@ def sharded_histories(draw):
     return statuses, tile_size, shards
 
 
-def _assert_counts_identical(statuses, tile_size, kernel):
-    dense = SufficientStats.from_statuses(statuses, kernel=kernel)
-    tiled = tiled_batch_counts(statuses, tile_size=tile_size, kernel=kernel)
+def _assert_counts_identical(statuses, tile_size):
+    """Tiled counts equal both the numpy oracle and the dense path."""
+    reference = oracle.pairwise_complete_counts(statuses)
+    dense = SufficientStats.from_statuses(statuses)
+    tiled = tiled_batch_counts(statuses, tile_size=tile_size)
     for key in COUNT_KEYS:
-        assert np.array_equal(tiled[key], dense.counts[key]), key
+        assert np.array_equal(tiled[key], reference[key]), key
+        assert np.array_equal(dense.counts[key], reference[key]), key
 
 
 @given(history=histories(with_mask=False))
 @settings(max_examples=60, deadline=None)
 def test_counts_identical_unmasked(history):
     statuses, tile_size = history
-    _assert_counts_identical(statuses, tile_size, "numpy")
-    _assert_counts_identical(statuses, tile_size, "packed")
+    _assert_counts_identical(statuses, tile_size)
 
 
 @given(history=histories(with_mask=True))
 @settings(max_examples=60, deadline=None)
 def test_counts_identical_masked(history):
     statuses, tile_size = history
-    _assert_counts_identical(statuses, tile_size, "numpy")
-    _assert_counts_identical(statuses, tile_size, "packed")
+    _assert_counts_identical(statuses, tile_size)
 
 
 @given(beta=st.integers(1, 20), n=st.integers(2, 9), tile_size=st.integers(1, 11))
@@ -86,8 +88,7 @@ def test_counts_identical_masked(history):
 def test_all_zero_history_counts(beta, n, tile_size):
     """Nothing ever infected: n00 == obs == beta everywhere, the rest 0."""
     statuses = StatusMatrix(np.zeros((beta, n), dtype=np.uint8))
-    _assert_counts_identical(statuses, tile_size, "numpy")
-    _assert_counts_identical(statuses, tile_size, "packed")
+    _assert_counts_identical(statuses, tile_size)
     tiled = tiled_batch_counts(statuses, tile_size=tile_size)
     assert np.all(tiled["00"] == beta)
     assert np.all(tiled["11"] == 0)
@@ -100,8 +101,7 @@ def test_single_cascade_counts(history):
     counting does not): still bit-identical."""
     statuses, tile_size = history
     single = statuses.subset(range(1))
-    _assert_counts_identical(single, tile_size, "numpy")
-    _assert_counts_identical(single, tile_size, "packed")
+    _assert_counts_identical(single, tile_size)
 
 
 @given(history=histories(with_mask=True, min_beta=2))

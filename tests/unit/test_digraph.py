@@ -1,5 +1,8 @@
 """DiffusionGraph data-structure behaviour."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -63,6 +66,45 @@ class TestMutation:
             graph.add_edge(1, 2)
         with pytest.raises(GraphError):
             graph.remove_edge(0, 1)
+
+    def test_freeze_keeps_adjacency_and_blocks_mutation(self):
+        # freeze() only sets the flag; the sorted adjacency arrays are
+        # built on the first query, possibly by racing readers of a
+        # published graph, and every reader must see the pre-freeze sets.
+        rng = np.random.default_rng(0)
+        edges = {(int(a), int(b)) for a, b in rng.integers(0, 60, (400, 2)) if a != b}
+
+        def adjacency(graph):
+            return [
+                (graph.successors(v).tolist(), graph.predecessors(v).tolist())
+                for v in graph.nodes()
+            ]
+
+        want = adjacency(DiffusionGraph(60, edges))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                graph = DiffusionGraph(60, edges).freeze()
+                seen = []
+                threads = [
+                    threading.Thread(target=lambda: seen.append(adjacency(graph)))
+                    for _ in range(8)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                assert not any(thread.is_alive() for thread in threads)
+                assert seen == [want] * len(threads)
+        finally:
+            sys.setswitchinterval(interval)
+        source, target = sorted(edges)[0]
+        with pytest.raises(GraphError):
+            graph.remove_edge(source, target)
+        with pytest.raises(GraphError):
+            graph.add_edge(target, source)
+        assert adjacency(graph) == want
 
     def test_copy_is_mutable_and_independent(self):
         graph = DiffusionGraph(3, [(0, 1)]).freeze()

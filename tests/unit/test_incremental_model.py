@@ -159,6 +159,41 @@ class TestLoadRefusals:
             TendsModel.load(tmp_path / "absent.npz")
 
 
+class TestRetiredConfigKeys:
+    """Snapshots written while ``TendsConfig`` still had its ``kernel``
+    field (a choice between two bit-identical counting backends) keep
+    loading: exactly that retired key is dropped on load."""
+
+    @pytest.mark.parametrize("backend", ["numpy", "packed"])
+    def test_kernel_key_dropped_and_updates_match_refit(self, tmp_path, backend):
+        history = _history(seed=8, mask_fraction=0.2)
+        batch = _history(beta=12, seed=9, mask_fraction=0.2)
+        path = _fitted(history).model.save(tmp_path / "model.npz")
+
+        def add_kernel(arrays):
+            _rewrite_meta(arrays, lambda meta: meta["config"].update(kernel=backend))
+
+        _tamper(path, add_kernel)
+        model = TendsModel.load(path)
+        assert "kernel" not in model.config.as_dict()
+
+        resumed = Tends.from_model(model)
+        updated = resumed.partial_fit(batch)
+        refit = Tends(audit="ignore")
+        assert updated.fingerprint() == refit.fit(history.append(batch)).fingerprint()
+        assert resumed.model.fingerprint() == refit.model.fingerprint()
+
+    def test_other_unknown_config_keys_still_refused(self, tmp_path):
+        path = _fitted(_history(seed=10)).model.save(tmp_path / "model.npz")
+
+        def add_unknown(arrays):
+            _rewrite_meta(arrays, lambda meta: meta["config"].update(kernels="packed"))
+
+        _tamper(path, add_unknown)
+        with pytest.raises(CheckpointError, match="kernels"):
+            TendsModel.load(path)
+
+
 class TestFromModel:
     def test_algorithm_override_refused(self, tmp_path):
         model = _fitted(_history(seed=5)).model

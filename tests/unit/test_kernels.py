@@ -1,9 +1,9 @@
 """Unit tests for the bit-packing layer itself (repro.core.kernels).
 
 The differential battery (``tests/property/test_prop_kernels.py``) proves
-the packed backend bit-identical to the numpy estimators; these tests pin
-the packing mechanics that proof rests on — word layout, tail-bit
-masking, the popcount fallback, the 62-column cap, and the NPZ
+the packed kernels bit-identical to the numpy oracle (``tests/oracle.py``);
+these tests pin the packing mechanics that proof rests on — word layout,
+tail-bit masking, the popcount fallback, the 62-column cap, and the NPZ
 round-trip of packed arrays.
 """
 
@@ -16,9 +16,7 @@ import pytest
 
 import repro.core.kernels as kernels
 from repro.core.config import TendsConfig
-from repro.core.executor import execution_env
 from repro.core.kernels import (
-    ENV_KERNEL,
     MAX_PACK_COLUMNS,
     WORD_BITS,
     PackedStatuses,
@@ -27,13 +25,13 @@ from repro.core.kernels import (
     packed_joint_counts,
     packed_pairwise_complete_counts,
     popcount_words,
-    resolve_kernel,
     unpack_bits,
 )
 from repro.core.scoring import family_counts
 from repro.core.search import MAX_PARENT_SET_SIZE, ParentSearch
-from repro.exceptions import ConfigurationError, DataError
+from repro.exceptions import DataError
 from repro.simulation.statuses import StatusMatrix
+from tests import oracle
 
 
 def _random_statuses(rng, beta, n, mask_density=None):
@@ -75,7 +73,7 @@ def test_popcount_fallback_parity(monkeypatch):
 def test_fallback_counts_through_whole_kernel_stack(monkeypatch):
     rng = np.random.default_rng(8)
     statuses = _random_statuses(rng, 130, 7, mask_density=0.8)
-    reference = statuses.pairwise_complete_counts()
+    reference = oracle.pairwise_complete_counts(statuses)
     monkeypatch.setattr(kernels, "_HAS_NATIVE_POPCOUNT", False)
     got = packed_pairwise_complete_counts(PackedStatuses.from_statuses(statuses))
     for key in ("11", "10", "01", "00", "obs"):
@@ -245,14 +243,14 @@ def test_zero_process_matrix_counts_to_zero():
 
 def test_family_counts_at_62_parent_cap_boundary():
     # MAX_PARENT_SET_SIZE == MAX_PACK_COLUMNS == 62: the widest family
-    # the search can legally score must count identically on both paths.
+    # the search can legally score must count identically to the oracle.
     assert MAX_PARENT_SET_SIZE == MAX_PACK_COLUMNS
     rng = np.random.default_rng(15)
     statuses = _random_statuses(rng, 70, 63)
     packed = PackedStatuses.from_statuses(statuses)
     parents = list(range(1, 63))
     assert len(parents) == MAX_PACK_COLUMNS
-    reference = family_counts(statuses, 0, parents)
+    reference = oracle.family_counts(statuses, 0, parents)
     totals, infected, beta = packed_family_counts(packed, 0, parents)
     assert np.array_equal(reference.totals, totals)
     assert np.array_equal(reference.infected, infected)
@@ -268,6 +266,8 @@ def test_family_counts_beyond_cap_raises_like_numpy_path():
         packed_family_counts(packed, 0, parents)
     with pytest.raises(DataError, match="too many columns for bit-packing: 63"):
         family_counts(statuses, 0, parents)
+    with pytest.raises(DataError, match="too many columns for bit-packing: 63"):
+        oracle.family_counts(statuses, 0, parents)
 
 
 def test_pattern_tree_and_wide_paths_agree(monkeypatch):
@@ -287,13 +287,13 @@ def test_pattern_tree_and_wide_paths_agree(monkeypatch):
 
 def test_family_counts_with_never_observed_family():
     # A family whose mask intersection is empty degrades to ([0], [0], 0),
-    # exactly like the numpy path's zero-complete-rows guard.
+    # exactly like the oracle's zero-complete-rows guard.
     data = np.ones((6, 3), dtype=np.uint8)
     mask = np.ones((6, 3), dtype=np.bool_)
     mask[:, 2] = False
     statuses = StatusMatrix(data, mask)
     packed = PackedStatuses.from_statuses(statuses)
-    reference = family_counts(statuses, 0, [2])
+    reference = oracle.family_counts(statuses, 0, [2])
     totals, infected, beta = packed_family_counts(packed, 0, [2])
     assert np.array_equal(reference.totals, totals)
     assert np.array_equal(reference.infected, infected)
@@ -304,64 +304,11 @@ def test_family_counts_empty_parent_set():
     rng = np.random.default_rng(18)
     statuses = _random_statuses(rng, 33, 4, mask_density=0.5)
     packed = PackedStatuses.from_statuses(statuses)
-    reference = family_counts(statuses, 2, [])
+    reference = oracle.family_counts(statuses, 2, [])
     totals, infected, beta = packed_family_counts(packed, 2, [])
     assert np.array_equal(reference.totals, totals)
     assert np.array_equal(reference.infected, infected)
     assert reference.beta == beta
-
-
-# ----------------------------------------------------------------------
-# backend selection
-# ----------------------------------------------------------------------
-
-def test_resolve_kernel_defaults_and_explicit(monkeypatch):
-    monkeypatch.delenv(ENV_KERNEL, raising=False)
-    assert resolve_kernel() == "numpy"
-    assert resolve_kernel("packed") == "packed"
-    assert resolve_kernel("numpy") == "numpy"
-
-
-def test_resolve_kernel_env_fallback(monkeypatch):
-    monkeypatch.setenv(ENV_KERNEL, "packed")
-    assert resolve_kernel() == "packed"
-    # Explicit value wins over the environment.
-    assert resolve_kernel("numpy") == "numpy"
-
-
-def test_resolve_kernel_rejects_unknown(monkeypatch):
-    with pytest.raises(ConfigurationError):
-        resolve_kernel("simd")
-    monkeypatch.setenv(ENV_KERNEL, "simd")
-    with pytest.raises(ConfigurationError):
-        resolve_kernel()
-
-
-def test_execution_env_pins_and_restores_kernel(monkeypatch):
-    monkeypatch.delenv(ENV_KERNEL, raising=False)
-    import os
-
-    with execution_env(kernel="packed"):
-        assert os.environ[ENV_KERNEL] == "packed"
-        assert resolve_kernel() == "packed"
-    assert ENV_KERNEL not in os.environ
-
-
-def test_config_validates_kernel_field():
-    assert TendsConfig(kernel="packed").kernel == "packed"
-    assert TendsConfig().kernel is None
-    with pytest.raises(ConfigurationError):
-        TendsConfig(kernel="simd")
-
-
-def test_kernel_excluded_from_algorithm_fingerprint():
-    # Backends are bit-identical, so a model saved under one kernel must
-    # resume under the other (kernel stays out of ALGORITHM_FIELDS).
-    assert "kernel" not in TendsConfig.ALGORITHM_FIELDS
-    assert (
-        TendsConfig(kernel="packed").algorithm_fingerprint()
-        == TendsConfig().algorithm_fingerprint()
-    )
 
 
 # ----------------------------------------------------------------------
@@ -371,7 +318,7 @@ def test_kernel_excluded_from_algorithm_fingerprint():
 def test_parent_search_pickle_drops_packed_cache():
     rng = np.random.default_rng(19)
     statuses = _random_statuses(rng, 60, 6)
-    search = ParentSearch(statuses, TendsConfig(kernel="packed"))
+    search = ParentSearch(statuses, TendsConfig())
     parents, _ = search.find_parents(0, [1, 2, 3])
     assert search._packed is not None  # cache built on first score
     clone = pickle.loads(pickle.dumps(search))
@@ -383,11 +330,11 @@ def test_parent_search_pickle_drops_packed_cache():
 def test_parent_search_backends_agree():
     rng = np.random.default_rng(20)
     statuses = _random_statuses(rng, 80, 8, mask_density=0.85)
-    reference = ParentSearch(statuses, TendsConfig())
-    packed = ParentSearch(statuses, TendsConfig(kernel="packed"))
+    search = ParentSearch(statuses, TendsConfig())
     for node in range(8):
         candidates = [c for c in range(8) if c != node]
-        ref_parents, ref_diag = reference.find_parents(node, candidates)
-        got_parents, got_diag = packed.find_parents(node, candidates)
+        with oracle.counting():
+            ref_parents, ref_diag = search.find_parents(node, candidates)
+        got_parents, got_diag = search.find_parents(node, candidates)
         assert ref_parents == got_parents
         assert ref_diag.final_score == got_diag.final_score

@@ -5,6 +5,7 @@ import pytest
 
 from repro.exceptions import DataError
 from repro.simulation.statuses import StatusMatrix
+from tests import oracle
 
 
 class TestConstruction:
@@ -48,13 +49,16 @@ class TestAccessors:
 
 
 class TestJointCounts:
+    """The oracle's joint counts (``tests/oracle.py``) on a hand-checked
+    matrix — the reference every packed-kernel count is compared to."""
+
     def test_consistency(self, tiny_statuses):
-        joints = tiny_statuses.joint_counts()
+        joints = oracle.joint_counts(tiny_statuses)
         total = joints["11"] + joints["10"] + joints["01"] + joints["00"]
         assert (total == tiny_statuses.beta).all()
 
     def test_hand_checked_pair(self, tiny_statuses):
-        joints = tiny_statuses.joint_counts()
+        joints = oracle.joint_counts(tiny_statuses)
         # Columns 0 and 1: rows (1,1),(1,1),(0,0),(0,1),(1,0),(0,0)
         assert joints["11"][0, 1] == 2
         assert joints["10"][0, 1] == 1
@@ -62,7 +66,7 @@ class TestJointCounts:
         assert joints["00"][0, 1] == 2
 
     def test_diagonal_is_marginal(self, tiny_statuses):
-        joints = tiny_statuses.joint_counts()
+        joints = oracle.joint_counts(tiny_statuses)
         assert joints["11"][0, 0] == 3
         assert joints["10"][0, 0] == 0
 

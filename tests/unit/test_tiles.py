@@ -32,6 +32,7 @@ from repro.exceptions import ConfigurationError, DataError, InferenceError
 from repro.graphs.generators.random_graphs import erdos_renyi_digraph
 from repro.simulation.engine import DiffusionSimulator
 from repro.simulation.statuses import StatusMatrix
+from tests import oracle
 
 
 def _observations(n=19, beta=70, seed=7, masked=False) -> StatusMatrix:
@@ -133,18 +134,24 @@ class TestTileFiles:
         assert sidecar["crc32"] == (zlib.crc32(payload) & 0xFFFFFFFF)
 
 
+#: The dense counts tiled counting must reproduce: the numpy oracle and
+#: the production (bit-packed) one-shot path.
+DENSE_REFERENCES = {
+    "numpy": oracle.pairwise_complete_counts,
+    "packed": lambda statuses: SufficientStats.from_statuses(statuses).counts,
+}
+
+
 class TestTiledBatchCounts:
-    @pytest.mark.parametrize("kernel", ["numpy", "packed"])
+    @pytest.mark.parametrize("reference", sorted(DENSE_REFERENCES))
     @pytest.mark.parametrize("masked", [False, True])
     @pytest.mark.parametrize("tile_size", [1, 4, 7, 100])
-    def test_bit_identical_to_dense(self, kernel, masked, tile_size):
+    def test_bit_identical_to_dense(self, reference, masked, tile_size):
         statuses = _observations(masked=masked)
-        dense = SufficientStats.from_statuses(statuses, kernel=kernel)
-        tiled = tiled_batch_counts(
-            statuses, tile_size=tile_size, kernel=kernel
-        )
+        dense = DENSE_REFERENCES[reference](statuses)
+        tiled = tiled_batch_counts(statuses, tile_size=tile_size)
         for key in COUNT_KEYS:
-            assert np.array_equal(tiled[key], dense.counts[key]), key
+            assert np.array_equal(tiled[key], dense[key]), key
 
 
 class TestTileStore:
