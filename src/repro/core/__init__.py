@@ -49,7 +49,7 @@ from repro.core.selection import (
     predictive_log_likelihood,
     select_threshold_scale,
 )
-from repro.core.stats import SufficientStats, WindowedStats
+from repro.core.stats import SufficientStats
 from repro.core.tends import (
     Tends,
     TendsModel,
@@ -60,10 +60,8 @@ from repro.core.tends import (
 from repro.core.tiles import (
     DEFAULT_MAX_RESIDENT_TILES,
     TiledSufficientStats,
-    TileFanout,
     TileGrid,
     TileStore,
-    tiled_batch_counts,
 )
 
 __all__ = [
@@ -105,7 +103,6 @@ __all__ = [
     "predictive_log_likelihood",
     "select_threshold_scale",
     "SufficientStats",
-    "WindowedStats",
     "Tends",
     "TendsModel",
     "TendsResult",
@@ -113,8 +110,6 @@ __all__ = [
     "merge_results",
     "DEFAULT_MAX_RESIDENT_TILES",
     "TiledSufficientStats",
-    "TileFanout",
     "TileGrid",
     "TileStore",
-    "tiled_batch_counts",
 ]

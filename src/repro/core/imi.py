@@ -35,6 +35,8 @@ analysis (§IV-D).
 
 from __future__ import annotations
 
+from typing import Mapping
+
 import numpy as np
 
 from repro.core.kernels import (
@@ -92,31 +94,43 @@ def pointwise_mi_terms(statuses: StatusMatrix) -> dict[str, np.ndarray]:
 
 
 def mi_terms_from_joint_counts(
-    joints: dict[str, np.ndarray],
+    joints: Mapping[str, np.ndarray],
     infection_counts: np.ndarray,
     beta: int,
+    column_counts: np.ndarray | None = None,
 ) -> dict[str, np.ndarray]:
     """Pointwise MI terms from fully-observed joint counts.
 
-    ``joints`` holds the four ``(n, n)`` pairwise count matrices (keys
+    ``joints`` holds the four pairwise count matrices (keys
     ``"11"``/``"10"``/``"01"``/``"00"``), ``infection_counts`` the per-node
     infected totals, and ``beta`` the number of processes — exactly the
     additive statistics :func:`repro.core.kernels.packed_joint_counts` and
     :meth:`StatusMatrix.infection_counts` produce, whether computed in one
     pass or accumulated batch by batch (integer addition is exact, so both
     routes feed bit-identical counts into the identical float pipeline).
+
+    For one block of the pair space (a tile), ``infection_counts`` holds
+    the totals of the block's row nodes and ``column_counts`` those of
+    its column nodes; omitted, the columns are the rows (the full
+    ``n × n`` matrix).  Every operation is elementwise, so a block's
+    terms equal the same slice of the full terms bit for bit.
     """
     if beta == 0:
         raise DataError("cannot estimate MI from zero diffusion processes")
     p1 = infection_counts / beta
     p0 = 1.0 - p1
-    marginal = {"1": p1, "0": p0}
+    row = {"1": p1, "0": p0}
+    if column_counts is None:
+        column = row
+    else:
+        q1 = column_counts / beta
+        column = {"1": q1, "0": 1.0 - q1}
 
     terms: dict[str, np.ndarray] = {}
     for key in ("11", "10", "01", "00"):
         a, b = key[0], key[1]
         p_joint = joints[key] / float(beta)
-        denominator = np.outer(marginal[a], marginal[b])
+        denominator = np.outer(row[a], column[b])
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(denominator > 0, p_joint / denominator, 1.0)
             logs = np.where((p_joint > 0) & (ratio > 0), np.log2(ratio), 0.0)
@@ -125,7 +139,7 @@ def mi_terms_from_joint_counts(
 
 
 def mi_terms_from_pairwise_counts(
-    counts: dict[str, np.ndarray],
+    counts: Mapping[str, np.ndarray],
 ) -> dict[str, np.ndarray]:
     """Pointwise MI terms over pairwise-complete counts (masked data).
 
@@ -136,7 +150,8 @@ def mi_terms_from_pairwise_counts(
     ``(n, n)`` matrix: joint probabilities divide by the per-pair ``β_ij``
     and the marginals are recomputed per pair from the same complete rows
     (``P̂^{(ij)}(X_i = 1) = (n11 + n10) / β_ij``), so joint and marginal
-    estimates always refer to the same sample.
+    estimates always refer to the same sample.  Purely elementwise on the
+    five count planes, so it applies to one block of the pair space as is.
     """
     beta_ij = counts["obs"].astype(np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -158,24 +173,32 @@ def mi_terms_from_pairwise_counts(
     return terms
 
 
-def imi_from_terms(terms: dict[str, np.ndarray]) -> np.ndarray:
+def imi_from_terms(
+    terms: Mapping[str, np.ndarray], *, zero_diagonal: bool = True
+) -> np.ndarray:
     """Combine pointwise terms into the infection-MI matrix (Eq. 25);
-    diagonal zeroed."""
+    diagonal zeroed unless ``zero_diagonal`` is false (a block off the
+    diagonal of the pair space has no ``(i, i)`` entries)."""
     imi = (
         terms["11"]
         + terms["00"]
         - np.abs(terms["10"])
         - np.abs(terms["01"])
     )
-    np.fill_diagonal(imi, 0.0)
+    if zero_diagonal:
+        np.fill_diagonal(imi, 0.0)
     return imi
 
 
-def mi_from_terms(terms: dict[str, np.ndarray]) -> np.ndarray:
+def mi_from_terms(
+    terms: Mapping[str, np.ndarray], *, zero_diagonal: bool = True
+) -> np.ndarray:
     """Combine pointwise terms into the traditional MI matrix; diagonal
-    zeroed, tiny float-noise negatives clamped to 0."""
+    zeroed (as in :func:`imi_from_terms`), tiny float-noise negatives
+    clamped to 0."""
     mi = terms["11"] + terms["00"] + terms["10"] + terms["01"]
-    np.fill_diagonal(mi, 0.0)
+    if zero_diagonal:
+        np.fill_diagonal(mi, 0.0)
     return np.maximum(mi, 0.0)
 
 

@@ -324,60 +324,98 @@ def packed_observed_counts(packed: PackedStatuses) -> np.ndarray:
     return _popcount_sum(packed.mask)
 
 
-def packed_joint_counts(packed: PackedStatuses) -> dict[str, np.ndarray]:
+def _block_slices(
+    packed: PackedStatuses,
+    rows: tuple[int, int] | None,
+    cols: tuple[int, int] | None,
+) -> tuple[slice, slice, bool]:
+    """Row and column slices of one pair block (the whole ``n × n``
+    space when a span is omitted), and whether the block is square on
+    the diagonal — rows equal to columns."""
+    rows = (0, packed.n_nodes) if rows is None else rows
+    cols = (0, packed.n_nodes) if cols is None else cols
+    return slice(*rows), slice(*cols), tuple(rows) == tuple(cols)
+
+
+def packed_joint_counts(
+    packed: PackedStatuses,
+    rows: tuple[int, int] | None = None,
+    cols: tuple[int, int] | None = None,
+) -> dict[str, np.ndarray]:
     """All four pairwise joint counts ``count(X_i = a ∧ X_j = b)`` at
     ``[i, j]``, keyed ``"11"``/``"10"``/``"01"``/``"00"``.
+
+    ``rows``/``cols`` are ``[start, stop)`` node spans restricting the
+    result to one pair block (default: every node); a block's counts
+    equal the same slice of the full matrices exactly.
 
     Only the ``(i=1, j=1)`` matrix needs an all-pairs popcount pass; the
     other three follow exactly from the per-node marginals, which is what
     turns the dense ``O(β n²)`` matmuls into ``O(β n² / 64)`` word ops.
     """
+    row_slice, col_slice, square = _block_slices(packed, rows, cols)
+    ones_a = packed.ones[row_slice]
+    ones_b = ones_a if square else packed.ones[col_slice]
     with current_tracer().span(
         "kernel.pair_counts",
         kind="joint",
         n_nodes=packed.n_nodes,
         words=packed.n_words,
     ):
-        n11 = _pairwise_popcount(packed.ones, packed.ones)
-        counts = packed_infection_counts(packed)
-    n10 = counts[:, None] - n11
-    n01 = counts[None, :] - n11
+        n11 = _pairwise_popcount(ones_a, ones_b)
+        counts_a = _popcount_sum(ones_a)
+        counts_b = counts_a if square else _popcount_sum(ones_b)
+    n10 = counts_a[:, None] - n11
+    n01 = counts_b[None, :] - n11
     n00 = packed.n_bits - n11 - n10 - n01
     return {"11": n11, "10": n10, "01": n01, "00": n00}
 
 
 def packed_pairwise_complete_counts(
     packed: PackedStatuses,
+    rows: tuple[int, int] | None = None,
+    cols: tuple[int, int] | None = None,
 ) -> dict[str, np.ndarray]:
     """Joint counts over pairwise-complete processes only.
 
     Each pair ``(i, j)`` is counted over the processes in which **both**
     statuses were observed; the extra key ``"obs"`` holds the per-pair
     effective process count ``β_ij`` (identically ``β`` when nothing is
-    missing).  Three popcount passes do the work: observed ones
-    against observed ones (``n11``), observed ones against the mask (the
-    ``x_i = 1 ∧ obs_i ∧ obs_j`` marginal, whose transpose is the column
-    marginal), and mask against mask (``β_ij``); the remaining cells are
-    integer-exact differences.
+    missing).  ``rows``/``cols`` restrict the result to one pair block,
+    as in :func:`packed_joint_counts`.
+
+    A square block (rows equal to columns, the whole matrix included)
+    takes three popcount passes: observed ones against observed ones
+    (``n11``), observed ones against the mask (the ``x_i = 1 ∧ obs_i ∧
+    obs_j`` marginal, whose transpose is the column marginal), and mask
+    against mask (``β_ij``).  Any other block has no transpose to reuse,
+    so the column marginal takes a fourth pass (mask against observed
+    ones).  The remaining cells are integer-exact differences.
     """
     if packed.mask is None:
-        counts = packed_joint_counts(packed)
-        counts["obs"] = np.full(
-            (packed.n_nodes, packed.n_nodes), packed.n_bits, dtype=np.int64
-        )
+        counts = packed_joint_counts(packed, rows, cols)
+        counts["obs"] = np.full(counts["11"].shape, packed.n_bits, dtype=np.int64)
         return counts
+    row_slice, col_slice, square = _block_slices(packed, rows, cols)
+    mask_a = packed.mask[row_slice]
+    mask_b = mask_a if square else packed.mask[col_slice]
     with current_tracer().span(
         "kernel.pair_counts",
         kind="pairwise-complete",
         n_nodes=packed.n_nodes,
         words=packed.n_words,
     ):
-        observed_ones = packed.ones & packed.mask
-        n11 = _pairwise_popcount(observed_ones, observed_ones)
-        ones_mask = _pairwise_popcount(observed_ones, packed.mask)
-        obs = _pairwise_popcount(packed.mask, packed.mask)
+        observed_a = packed.ones[row_slice] & mask_a
+        observed_b = observed_a if square else packed.ones[col_slice] & mask_b
+        n11 = _pairwise_popcount(observed_a, observed_b)
+        ones_mask = _pairwise_popcount(observed_a, mask_b)
+        if square:
+            mask_ones = np.ascontiguousarray(ones_mask.T)
+        else:
+            mask_ones = _pairwise_popcount(mask_a, observed_b)
+        obs = _pairwise_popcount(mask_a, mask_b)
     n10 = ones_mask - n11
-    n01 = np.ascontiguousarray(ones_mask.T) - n11
+    n01 = mask_ones - n11
     n00 = obs - n11 - n10 - n01
     return {"11": n11, "10": n10, "01": n01, "00": n00, "obs": obs}
 

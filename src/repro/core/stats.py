@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -46,10 +46,7 @@ from repro.core.kernels import (
 from repro.exceptions import DataError
 from repro.simulation.statuses import StatusMatrix
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (stats ↔ tiles)
-    from repro.core.tiles import TileFanout
-
-__all__ = ["SufficientStats", "WindowedStats", "COUNT_KEYS"]
+__all__ = ["SufficientStats", "COUNT_KEYS"]
 
 #: Keys of the pairwise count matrices, in canonical (serialisation) order:
 #: the four joint counts plus the per-pair observed-process count ``β_ij``.
@@ -62,7 +59,7 @@ def _accumulator(array: np.ndarray) -> np.ndarray:
     Externally constructed statistics (a deserialised shard, a tile read
     back from disk, a user-built ``SufficientStats``) may carry int32
     counts; adding many large-β shards in int32 silently wraps past
-    2³¹ − 1.  Floats (the decayed-window path) pass through unchanged.
+    2³¹ − 1.
     """
     array = np.asarray(array)
     if np.issubdtype(array.dtype, np.integer) and array.dtype != np.int64:
@@ -103,40 +100,14 @@ class SufficientStats:
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_statuses(
-        cls,
-        statuses: StatusMatrix,
-        *,
-        tiling: "TileFanout | None" = None,
-    ) -> "SufficientStats":
+    def from_statuses(cls, statuses: StatusMatrix) -> "SufficientStats":
         """Count one status matrix (a whole history or a single batch).
 
         The counts come from the bit-packed popcount kernels
-        (:mod:`repro.core.kernels`).  With a ``tiling`` spec
-        (:class:`repro.core.tiles.TileFanout`) the pair
-        space is counted tile-by-tile, each tile a retryable chunk under
-        the stage-3 executor machinery, and the results assembled into
-        the same dense matrices — again bit-identical.
+        (:mod:`repro.core.kernels`).
         """
         if not isinstance(statuses, StatusMatrix):
             statuses = StatusMatrix(statuses)
-        if tiling is not None:
-            from repro.core.tiles import tiled_batch_counts
-
-            pairwise = tiled_batch_counts(
-                statuses,
-                tile_size=tiling.tile_size,
-                plan=tiling.plan,
-                tracer=tiling.tracer,
-                metrics=tiling.metrics,
-            )
-            return cls(
-                counts={key: pairwise[key] for key in COUNT_KEYS},
-                infected=statuses.infection_counts(),
-                observed=statuses.observed_counts(),
-                beta=statuses.beta,
-                has_missing=statuses.has_missing,
-            )
         packed = PackedStatuses.from_statuses(statuses)
         pairwise = packed_pairwise_complete_counts(packed)
         return cls(
@@ -216,22 +187,13 @@ class SufficientStats:
     # ------------------------------------------------------------------
     # incremental update
     # ------------------------------------------------------------------
-    def updated(
-        self,
-        batch: StatusMatrix,
-        *,
-        tiling: "TileFanout | None" = None,
-    ) -> "SufficientStats":
+    def updated(self, batch: StatusMatrix) -> "SufficientStats":
         """Statistics of the history with ``batch`` appended.
 
         ``O(Δβ · n²)``: the batch is counted on its own and merged by
         integer addition, which is exactly equal to recounting the
-        concatenated history.
-        With a ``tiling`` spec the batch count fans out over pair-space
-        tiles as retryable executor chunks (see
-        :meth:`from_statuses`) — same integers, same merge.
-        ``self`` is never modified; an empty batch returns ``self``
-        unchanged.
+        concatenated history.  ``self`` is never modified; an empty batch
+        returns ``self`` unchanged.
         """
         if not isinstance(batch, StatusMatrix):
             batch = StatusMatrix(batch)
@@ -242,9 +204,7 @@ class SufficientStats:
             )
         if batch.beta == 0:
             return self
-        return self.merged(
-            SufficientStats.from_statuses(batch, tiling=tiling)
-        )
+        return self.merged(SufficientStats.from_statuses(batch))
 
     def merged(self, other: "SufficientStats") -> "SufficientStats":
         """Statistics of the two histories concatenated (pure addition).
@@ -406,230 +366,4 @@ class SufficientStats:
         return (
             f"SufficientStats(n_nodes={self.n_nodes}, beta={self.beta}, "
             f"has_missing={self.has_missing})"
-        )
-
-
-@dataclass(frozen=True)
-class WindowedStats:
-    """A ring of per-window :class:`SufficientStats` blocks.
-
-    Streaming workloads on drifting networks need *recent* evidence
-    weighed against *stale* evidence without re-reading old cascades.
-    ``WindowedStats`` keeps the sufficient statistics as a ring of
-    consecutive cascade windows: pushing a batch fills the newest window
-    (rolling a fresh one at each ``window_cascades`` boundary), and once
-    the ring exceeds ``max_windows`` the oldest blocks are evicted —
-    memory stays ``O(max_windows · n²)`` however long the stream runs.
-
-    Derived views are pure count algebra (exact integer addition):
-
-    * :meth:`total` — all retained windows merged.  With a single
-      unbounded window (``window_cascades=None``) this is **bit-identical**
-      to chaining :meth:`SufficientStats.updated`, held by
-      ``tests/property/test_prop_drift.py``.
-    * :meth:`recent` / :meth:`reference` — the newest *k* windows vs.
-      everything retained before them, the two operands of
-      :func:`repro.core.drift.detect_drift`.
-    * :meth:`decayed` — exponentially down-weighted combination
-      (weight ``decay**age`` per window).  ``decay=1.0`` short-circuits
-      to the exact integer :meth:`total` path; ``decay<1`` yields
-      float64-weighted counts whose effective ``beta`` is the weighted
-      sum — consumable by the MI pipelines, which divide by ``beta``
-      rather than assuming integers.
-
-    Instances are immutable: :meth:`pushed` returns a new ring sharing
-    the untouched window blocks (copy-on-write, like the rest of the
-    incremental machinery).
-    """
-
-    windows: tuple[SufficientStats, ...]
-    window_cascades: int | None = None
-    max_windows: int | None = None
-    decay: float = 1.0
-    evicted_beta: int = 0
-    evicted_windows: int = 0
-
-    def __post_init__(self) -> None:
-        if not self.windows:
-            raise DataError("WindowedStats needs at least one window block")
-        if self.window_cascades is not None and self.window_cascades < 1:
-            raise DataError(
-                f"window_cascades must be >= 1, got {self.window_cascades}"
-            )
-        if self.max_windows is not None and self.max_windows < 1:
-            raise DataError(f"max_windows must be >= 1, got {self.max_windows}")
-        if not (0.0 < self.decay <= 1.0):
-            raise DataError(f"decay must be in (0, 1], got {self.decay}")
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def empty(
-        cls,
-        n_nodes: int,
-        *,
-        window_cascades: int | None = None,
-        max_windows: int | None = None,
-        decay: float = 1.0,
-    ) -> "WindowedStats":
-        """A ring with one empty window, ready to absorb batches."""
-        return cls(
-            windows=(SufficientStats.zeros(n_nodes),),
-            window_cascades=window_cascades,
-            max_windows=max_windows,
-            decay=decay,
-        )
-
-    @property
-    def n_nodes(self) -> int:
-        return self.windows[0].n_nodes
-
-    @property
-    def n_windows(self) -> int:
-        return len(self.windows)
-
-    @property
-    def beta(self) -> int:
-        """Processes retained across all windows (evicted ones excluded)."""
-        return sum(window.beta for window in self.windows)
-
-    # ------------------------------------------------------------------
-    def pushed(
-        self,
-        batch: StatusMatrix,
-        *,
-        tiling: "TileFanout | None" = None,
-    ) -> "WindowedStats":
-        """The ring with ``batch`` absorbed (immutably).
-
-        The batch is split at window boundaries: the newest window fills
-        up to ``window_cascades``, then fresh windows roll — a single
-        push may add several blocks.  Windows beyond ``max_windows`` are
-        evicted oldest-first (tracked by :attr:`evicted_beta`).  A
-        ``tiling`` spec fans each window's count over pair-space tiles
-        exactly like :meth:`SufficientStats.updated`.
-        """
-        if not isinstance(batch, StatusMatrix):
-            batch = StatusMatrix(batch)
-        if batch.n_nodes != self.n_nodes:
-            raise DataError(
-                f"cannot push a {batch.n_nodes}-node batch into "
-                f"{self.n_nodes}-node windowed statistics"
-            )
-        if batch.beta == 0:
-            return self
-        windows = list(self.windows)
-        if self.window_cascades is None:
-            windows[-1] = windows[-1].updated(batch, tiling=tiling)
-        else:
-            offset = 0
-            while offset < batch.beta:
-                room = self.window_cascades - windows[-1].beta
-                if room == 0:
-                    windows.append(SufficientStats.zeros(self.n_nodes))
-                    room = self.window_cascades
-                take = min(room, batch.beta - offset)
-                piece = batch.subset(range(offset, offset + take))
-                windows[-1] = windows[-1].updated(piece, tiling=tiling)
-                offset += take
-        evicted_beta = self.evicted_beta
-        evicted_windows = self.evicted_windows
-        if self.max_windows is not None and len(windows) > self.max_windows:
-            dropped = windows[: len(windows) - self.max_windows]
-            windows = windows[len(windows) - self.max_windows :]
-            evicted_beta += sum(window.beta for window in dropped)
-            evicted_windows += len(dropped)
-        return WindowedStats(
-            windows=tuple(windows),
-            window_cascades=self.window_cascades,
-            max_windows=self.max_windows,
-            decay=self.decay,
-            evicted_beta=evicted_beta,
-            evicted_windows=evicted_windows,
-        )
-
-    # ------------------------------------------------------------------
-    # derived views (exact integer algebra)
-    # ------------------------------------------------------------------
-    def total(self) -> SufficientStats:
-        """All retained windows merged (exact integer addition)."""
-        total = self.windows[0]
-        for window in self.windows[1:]:
-            total = total.merged(window)
-        return total
-
-    def recent(self, n_windows: int = 1) -> SufficientStats:
-        """The newest ``n_windows`` blocks merged."""
-        if not 1 <= n_windows <= len(self.windows):
-            raise DataError(
-                f"recent({n_windows}) out of range for {len(self.windows)} "
-                "window(s)"
-            )
-        tail = self.windows[-n_windows:]
-        merged = tail[0]
-        for window in tail[1:]:
-            merged = merged.merged(window)
-        return merged
-
-    def reference(self, n_recent: int = 1) -> SufficientStats:
-        """Everything retained *before* the newest ``n_recent`` blocks
-        (the drift detector's baseline operand)."""
-        if not 1 <= n_recent < len(self.windows):
-            raise DataError(
-                f"reference({n_recent}) needs at least {n_recent + 1} "
-                f"windows, have {len(self.windows)}"
-            )
-        head = self.windows[:-n_recent]
-        merged = head[0]
-        for window in head[1:]:
-            merged = merged.merged(window)
-        return merged
-
-    def decayed(self) -> SufficientStats:
-        """Exponentially down-weighted combination of the windows.
-
-        Window ``k`` from the newest gets weight ``decay**k``; the
-        newest always weighs 1.  At ``decay=1.0`` this *is* the exact
-        integer :meth:`total` — bit-identical to today's cumulative
-        counts — so turning decay on is strictly opt-in.  With
-        ``decay<1`` the returned statistics carry float64 counts and a
-        float effective ``beta`` (the weighted process count); they feed
-        the MI estimators, which are ratio pipelines, but are not meant
-        for :meth:`SufficientStats.checksum`-style integrity checks.
-        """
-        if self.decay == 1.0:
-            return self.total()
-        ages = range(len(self.windows) - 1, -1, -1)
-        weights = [self.decay**age for age in ages]
-        counts = {
-            key: sum(
-                weight * np.asarray(window.counts[key], dtype=np.float64)
-                for weight, window in zip(weights, self.windows)
-            )
-            for key in COUNT_KEYS
-        }
-        infected = sum(
-            weight * np.asarray(window.infected, dtype=np.float64)
-            for weight, window in zip(weights, self.windows)
-        )
-        observed = sum(
-            weight * np.asarray(window.observed, dtype=np.float64)
-            for weight, window in zip(weights, self.windows)
-        )
-        beta = sum(
-            weight * window.beta
-            for weight, window in zip(weights, self.windows)
-        )
-        return SufficientStats(
-            counts=counts,
-            infected=infected,
-            observed=observed,
-            beta=beta,
-            has_missing=any(window.has_missing for window in self.windows),
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging nicety
-        return (
-            f"WindowedStats(n_windows={self.n_windows}, beta={self.beta}, "
-            f"window_cascades={self.window_cascades}, "
-            f"max_windows={self.max_windows}, decay={self.decay})"
         )

@@ -40,7 +40,7 @@ from repro.core.search import (
     search_chunk,
 )
 from repro.core.stats import COUNT_KEYS, SufficientStats
-from repro.core.tiles import TileFanout, TiledSufficientStats
+from repro.core.tiles import TiledSufficientStats
 from repro.exceptions import (
     CheckpointError,
     ConfigurationError,
@@ -1155,9 +1155,9 @@ class Tends:
 
         # Sufficient statistics: count the batch, add (integer-exact).
         # Tile-backed models roll a new copy-on-write tile generation;
-        # dense models under a configured tile_size fan the batch count
-        # out over tiles (same integers, same merge) — either way the
-        # update is bit-identical to the one-shot dense path.
+        # dense models (e.g. loaded from a snapshot) count the batch
+        # densely — either way the update is bit-identical to the
+        # one-shot dense path.
         with tracer.span("tends.stats", batch_beta=batch.beta) as stats_span:
             with memory.measure("stats", stats_span), Stopwatch() as watch:
                 if isinstance(previous.stats, TiledSufficientStats):
@@ -1168,16 +1168,6 @@ class Tends:
                             tracer=tracer,
                             metrics=metrics,
                         )
-                    )
-                elif self.config.tile_size is not None:
-                    stats = previous.stats.updated(
-                        batch,
-                        tiling=TileFanout(
-                            tile_size=self.config.tile_size,
-                            plan=self._execution_plan(),
-                            tracer=tracer,
-                            metrics=metrics,
-                        ),
                     )
                 else:
                     stats = previous.stats.updated(batch)

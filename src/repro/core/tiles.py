@@ -31,10 +31,18 @@ per-node marginals.  This module exploits that:
   :meth:`~TiledSufficientStats.updated` rolls a new copy-on-write
   generation of tiles (old tile + batch tile, fanned out the same way).
 
-**Bit-identity.**  Tile counts are integer popcounts / matmuls over row
-and column slices, so they equal the corresponding dense-matrix slices
-exactly; the MI pipeline applied per tile runs the identical elementwise
-float operations on identical inputs, so the assembled IMI matrix, the
+This module stores and fans out; it computes nothing of its own.  A
+tile's counts are the block form of
+:func:`repro.core.kernels.packed_pairwise_complete_counts` over the
+tile's row and column spans, and a tile's MI is
+:mod:`repro.core.imi` applied to those counts with the row and column
+marginals of the two spans — the single statistics pipeline the dense
+path runs too.
+
+**Bit-identity.**  Tile counts are integer popcounts over row and column
+slices, so they equal the corresponding dense-matrix slices exactly; the
+MI pipeline is elementwise, so per tile it runs the identical float
+operations on identical inputs, and the assembled IMI matrix, the
 2-means threshold, and everything downstream are bit-identical to the
 dense path (held by ``tests/property/test_prop_tiles.py``).
 
@@ -70,38 +78,34 @@ import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.core.executor import ExecutionPlan, ParallelExecutor
-from repro.core.kernels import PackedStatuses, _pairwise_popcount
+from repro.core.imi import (
+    imi_from_terms,
+    mi_from_terms,
+    mi_terms_from_joint_counts,
+    mi_terms_from_pairwise_counts,
+)
+from repro.core.kernels import PackedStatuses, packed_pairwise_complete_counts
+from repro.core.stats import COUNT_KEYS, SufficientStats
 from repro.exceptions import DataError
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.trace import NULL_TRACER
 from repro.simulation.statuses import StatusMatrix
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (stats ↔ tiles)
-    from repro.core.stats import SufficientStats
-
 __all__ = [
     "DEFAULT_MAX_RESIDENT_TILES",
     "TileGrid",
     "TileStore",
-    "TileFanout",
     "TiledSufficientStats",
     "count_tile_chunk",
-    "tiled_batch_counts",
     "write_tile",
     "read_tile",
     "validate_tile",
 ]
-
-#: Keys of the count planes in every ``(5, h, w)`` tile stack, in the
-#: canonical :data:`repro.core.stats.COUNT_KEYS` order.  Duplicated here
-#: (and asserted equal in the tests) instead of imported so this module
-#: stays importable from ``repro.core.stats`` without a cycle.
-STACK_KEYS = ("11", "10", "01", "00", "obs")
 
 #: Default LRU cap on simultaneously memory-mapped tiles.
 DEFAULT_MAX_RESIDENT_TILES = 16
@@ -328,83 +332,48 @@ def _statuses_digest(statuses: StatusMatrix) -> str:
 class TileContext:
     """Picklable per-fan-out context shipped once per worker.
 
-    ``ones``/``mask`` hold the packed uint64 word rows of the counted
-    batch (:class:`~repro.core.kernels.PackedStatuses`).  ``infected`` is
-    the batch's own per-node infected totals (used for the
-    marginal-difference counts on the unmasked path).  ``directory`` is
-    the spill target (``None`` ships count stacks back to the dispatcher
-    instead); when ``base_directory`` is set each computed batch tile is
-    added to the previous generation's tile before spilling — the
-    copy-on-write update step.
+    ``packed`` is the counted batch in bit-packed form, ``directory`` the
+    spill target.  When ``base_directory`` is set each computed batch
+    tile is added to the previous generation's tile before spilling —
+    the copy-on-write update step.
     """
 
     grid: TileGrid
-    beta: int
-    has_missing: bool
-    infected: np.ndarray
-    ones: np.ndarray
-    mask: np.ndarray | None
-    directory: str | None = None
+    packed: PackedStatuses
+    directory: str
     base_directory: str | None = None
 
 
 def _tile_stack(context: TileContext, block: tuple[int, int]) -> np.ndarray:
-    """The ``(5, h, w)`` int64 count stack of one upper-triangle block.
-
-    Integer popcounts over row / column slices of the packed words —
-    exactly equal to slicing the dense count matrices.
-    """
-    bi, bj = block
-    a0, a1 = context.grid.span(bi)
-    b0, b1 = context.grid.span(bj)
-    if context.mask is None:
-        n11 = _pairwise_popcount(context.ones[a0:a1], context.ones[b0:b1])
-        n10 = context.infected[a0:a1, None] - n11
-        n01 = context.infected[None, b0:b1] - n11
-        n00 = context.beta - n11 - n10 - n01
-        obs = np.full(n11.shape, context.beta, dtype=np.int64)
-    else:
-        observed_ones_a = context.ones[a0:a1] & context.mask[a0:a1]
-        observed_ones_b = context.ones[b0:b1] & context.mask[b0:b1]
-        n11 = _pairwise_popcount(observed_ones_a, observed_ones_b)
-        n10 = _pairwise_popcount(observed_ones_a, context.mask[b0:b1]) - n11
-        n01 = _pairwise_popcount(context.mask[a0:a1], observed_ones_b) - n11
-        obs = _pairwise_popcount(context.mask[a0:a1], context.mask[b0:b1])
-        n00 = obs - n11 - n10 - n01
-    return np.stack(
-        [
-            np.asarray(plane, dtype=np.int64)
-            for plane in (n11, n10, n01, n00, obs)
-        ]
+    """The ``(5, h, w)`` int64 count stack of one upper-triangle block:
+    the block form of the dense counting kernel, so exactly equal to
+    slicing the dense count matrices."""
+    counts = packed_pairwise_complete_counts(
+        context.packed, context.grid.span(block[0]), context.grid.span(block[1])
     )
+    return np.stack([counts[key] for key in COUNT_KEYS])
 
 
 def count_tile_chunk(
     context: TileContext, blocks: Sequence[tuple[int, int]]
-) -> list[tuple[tuple[int, int], object]]:
-    """Executor chunk function: count (and optionally spill) tiles.
+) -> list[tuple[tuple[int, int], int]]:
+    """Executor chunk function: count and spill tiles.
 
     Module-level and pure so the process backend can ship it by
     reference and recovery can re-execute it: recomputing a tile writes
     the identical bytes (integer counts), so retries and worker crashes
-    are invisible in the result.  Spilling workers return only
-    ``(block, crc)`` — no O(tile²) payload travels back to the
-    dispatcher; the return-counts mode (``directory is None``) ships the
-    stacks for dense accumulation instead.
+    are invisible in the result.  Workers return only ``(block, crc)`` —
+    no O(tile²) payload travels back to the dispatcher.
     """
-    results: list[tuple[tuple[int, int], object]] = []
+    results: list[tuple[tuple[int, int], int]] = []
     for block in blocks:
         block = (int(block[0]), int(block[1]))
         stack = _tile_stack(context, block)
         if context.base_directory is not None:
-            expected = (len(STACK_KEYS),) + context.grid.block_shape(*block)
+            expected = (len(COUNT_KEYS),) + context.grid.block_shape(*block)
             base = read_tile(context.base_directory, block, expected)
             stack = stack + base
-        if context.directory is None:
-            results.append((block, stack))
-        else:
-            crc = write_tile(context.directory, block, stack)
-            results.append((block, crc))
+        results.append((block, write_tile(context.directory, block, stack)))
     return results
 
 
@@ -412,95 +381,15 @@ def _build_context(
     statuses: StatusMatrix,
     grid: TileGrid,
     *,
-    directory: str | None = None,
+    directory: str,
     base_directory: str | None = None,
 ) -> TileContext:
-    packed = PackedStatuses.from_statuses(statuses)
     return TileContext(
         grid=grid,
-        beta=statuses.beta,
-        has_missing=statuses.has_missing,
-        infected=statuses.infection_counts(),
-        ones=packed.ones,
-        mask=packed.mask,
+        packed=PackedStatuses.from_statuses(statuses),
         directory=directory,
         base_directory=base_directory,
     )
-
-
-def _fan_out(
-    context: TileContext,
-    blocks: Sequence[tuple[int, int]],
-    *,
-    plan: ExecutionPlan | None,
-    tracer=NULL_TRACER,
-) -> list[tuple[tuple[int, int], object]]:
-    """Run :func:`count_tile_chunk` over ``blocks`` under the stage-3
-    executor machinery (retries, deterministic-jitter backoff, process →
-    thread → serial fallback, per-chunk timeouts)."""
-    if not blocks:
-        return []
-    executor = ParallelExecutor(plan or ExecutionPlan.resolve(), tracer)
-    results, _ = executor.map(count_tile_chunk, context, list(blocks))
-    flattened: list[tuple[tuple[int, int], object]] = []
-    for result in results:
-        flattened.append(result)
-    return flattened
-
-
-def tiled_batch_counts(
-    statuses: StatusMatrix,
-    *,
-    tile_size: int,
-    plan: ExecutionPlan | None = None,
-    tracer=NULL_TRACER,
-    metrics=NULL_METRICS,
-) -> dict[str, np.ndarray]:
-    """Dense pairwise-complete counts computed tile-by-tile.
-
-    The fan-out path of ``SufficientStats.updated`` /
-    ``WindowedStats.pushed`` under tiling: each tile is a retryable
-    executor chunk, the stacks ship back, and the dispatcher assembles
-    them (mirroring the lower triangle exactly) into the same five dense
-    int64 matrices the one-shot counters produce — bit-identical, so
-    incremental services keep their equivalence guarantee.
-    """
-    if not isinstance(statuses, StatusMatrix):
-        statuses = StatusMatrix(statuses)
-    grid = TileGrid(statuses.n_nodes, tile_size)
-    context = _build_context(statuses, grid)
-    n = statuses.n_nodes
-    counts = {key: np.empty((n, n), dtype=np.int64) for key in STACK_KEYS}
-    with tracer.span(
-        "tiles.compute", mode="batch", n_tiles=len(grid.blocks()), n_nodes=n
-    ):
-        results = _fan_out(context, grid.blocks(), plan=plan, tracer=tracer)
-    metrics.inc("tiles_computed_total", len(results))
-    for (bi, bj), stack in results:
-        a0, a1 = grid.span(bi)
-        b0, b1 = grid.span(bj)
-        for index, key in enumerate(STACK_KEYS):
-            counts[key][a0:a1, b0:b1] = stack[index]
-        if bi != bj:
-            # Transpose symmetry: n11/n00/obs are symmetric, 10 ↔ 01.
-            counts["11"][b0:b1, a0:a1] = stack[0].T
-            counts["10"][b0:b1, a0:a1] = stack[2].T
-            counts["01"][b0:b1, a0:a1] = stack[1].T
-            counts["00"][b0:b1, a0:a1] = stack[3].T
-            counts["obs"][b0:b1, a0:a1] = stack[4].T
-    return counts
-
-
-@dataclass(frozen=True)
-class TileFanout:
-    """How to fan a counting pass out over tiles (the dense-accumulation
-    seam used by ``SufficientStats``/``WindowedStats`` under
-    ``partial_fit``)."""
-
-    tile_size: int
-    plan: ExecutionPlan | None = None
-    tracer: object = NULL_TRACER
-    metrics: object = NULL_METRICS
 
 
 # ----------------------------------------------------------------------
@@ -539,7 +428,7 @@ class TileStore:
         self._resident: OrderedDict[tuple[int, int], np.ndarray] = OrderedDict()
 
     def stack_shape(self, bi: int, bj: int) -> tuple[int, int, int]:
-        return (len(STACK_KEYS),) + self.grid.block_shape(bi, bj)
+        return (len(COUNT_KEYS),) + self.grid.block_shape(bi, bj)
 
     def is_valid(self, block: tuple[int, int]) -> bool:
         return validate_tile(self.directory, block, self.stack_shape(*block))
@@ -567,7 +456,7 @@ class TileStore:
         """The five count planes of block ``(bi, bj)``, either triangle."""
         if bi <= bj:
             stack = self.load((bi, bj))
-            return {key: stack[index] for index, key in enumerate(STACK_KEYS)}
+            return {key: stack[index] for index, key in enumerate(COUNT_KEYS)}
         stack = self.load((bj, bi))
         return {
             "11": stack[0].T,
@@ -784,13 +673,16 @@ class TiledSufficientStats:
     def mi_matrix(self, kind: str = "infection") -> np.ndarray:
         """The MI matrix assembled into a spill-directory memory-map.
 
-        Per tile the exact elementwise float pipeline of
-        :func:`repro.core.imi.mi_terms_from_joint_counts` /
-        :func:`repro.core.imi.mi_terms_from_pairwise_counts` runs on the
-        tile's counts, so every entry is bit-identical to the dense
-        matrix; only one tile's terms are resident at a time.
+        Per tile, :mod:`repro.core.imi` runs its elementwise float
+        pipeline on the tile's counts and the marginals of the tile's
+        row and column nodes, so every entry is bit-identical to the
+        dense matrix; only one tile's terms are resident at a time.
         """
-        if kind not in ("infection", "traditional"):
+        if kind == "infection":
+            combine = imi_from_terms
+        elif kind == "traditional":
+            combine = mi_from_terms
+        else:
             raise DataError(f"unknown MI kind: {kind!r}")
         if self.beta == 0:
             raise DataError("cannot estimate MI from zero diffusion processes")
@@ -799,26 +691,21 @@ class TiledSufficientStats:
         out = np.lib.format.open_memmap(
             path, mode="w+", dtype=np.float64, shape=(n, n)
         )
-        if not self.has_missing:
-            p1 = self.infected / self.beta
-            p0 = 1.0 - p1
         for bi in range(self.grid.n_blocks):
             a0, a1 = self.grid.span(bi)
             for bj in range(self.grid.n_blocks):
                 b0, b1 = self.grid.span(bj)
                 counts = self.store.counts(bi, bj)
                 if self.has_missing:
-                    terms = _tile_terms_masked(counts)
+                    terms = mi_terms_from_pairwise_counts(counts)
                 else:
-                    terms = _tile_terms_clean(
+                    terms = mi_terms_from_joint_counts(
                         counts,
-                        (p1[a0:a1], p0[a0:a1]),
-                        (p1[b0:b1], p0[b0:b1]),
+                        self.infected[a0:a1],
                         self.beta,
+                        column_counts=self.infected[b0:b1],
                     )
-                out[a0:a1, b0:b1] = _combine_terms(
-                    terms, kind, diagonal=(bi == bj)
-                )
+                out[a0:a1, b0:b1] = combine(terms, zero_diagonal=(bi == bj))
         out.flush()
         return out
 
@@ -829,7 +716,7 @@ class TiledSufficientStats:
         """One dense ``(n, n)`` count matrix assembled from the tiles
         (transient O(n²) — snapshot serialisation and drift detection
         densify one plane at a time)."""
-        if key not in STACK_KEYS:
+        if key not in COUNT_KEYS:
             raise DataError(f"unknown count key: {key!r}")
         n = self.n_nodes
         dense = np.empty((n, n), dtype=np.int64)
@@ -840,19 +727,17 @@ class TiledSufficientStats:
                 dense[a0:a1, b0:b1] = self.store.counts(bi, bj)[key]
         return dense
 
-    def to_dense(self) -> "SufficientStats":
+    def to_dense(self) -> SufficientStats:
         """The equivalent dense :class:`SufficientStats` (tests, drift)."""
-        from repro.core.stats import SufficientStats
-
         return SufficientStats(
-            counts={key: self.count_matrix(key) for key in STACK_KEYS},
+            counts={key: self.count_matrix(key) for key in COUNT_KEYS},
             infected=self.infected,
             observed=self.observed,
             beta=self.beta,
             has_missing=self.has_missing,
         )
 
-    def subtracted(self, other) -> "SufficientStats":
+    def subtracted(self, other) -> SufficientStats:
         """Dense subtraction (drift's recent-vs-reference windows are
         dense already, so the result is too)."""
         return self.to_dense().subtracted(other)
@@ -872,7 +757,7 @@ class TiledSufficientStats:
         digest = hashlib.sha256()
         digest.update(f"beta={self.beta};missing={self.has_missing};".encode())
         n = self.n_nodes
-        for index, key in enumerate(STACK_KEYS):
+        for key in COUNT_KEYS:
             digest.update(key.encode())
             digest.update(str((n, n)).encode())
             for bi in range(self.grid.n_blocks):
@@ -924,7 +809,7 @@ def _compute_missing_tiles(
     """
     blocks = grid.blocks()
     expected = {
-        block: (len(STACK_KEYS),) + grid.block_shape(*block) for block in blocks
+        block: (len(COUNT_KEYS),) + grid.block_shape(*block) for block in blocks
     }
     todo = [
         block for block in blocks if not validate_tile(directory, block, expected[block])
@@ -932,12 +817,16 @@ def _compute_missing_tiles(
     reused = len(blocks) - len(todo)
     with tracer.span(
         "tiles.compute",
-        mode="spill",
+        mode="spill" if context.base_directory is None else "update",
         n_tiles=len(blocks),
         computed=len(todo),
         reused=reused,
     ):
-        _fan_out(context, todo, plan=plan, tracer=tracer)
+        if todo:
+            # The stage-3 executor machinery: retries, deterministic-jitter
+            # backoff, process → thread → serial fallback, chunk timeouts.
+            executor = ParallelExecutor(plan or ExecutionPlan.resolve(), tracer)
+            executor.map(count_tile_chunk, context, todo)
     invalid = [
         block for block in blocks if not validate_tile(directory, block, expected[block])
     ]
@@ -950,73 +839,3 @@ def _compute_missing_tiles(
         metrics.inc("tiles_reused_total", reused)
     metrics.inc("tiles_computed_total", len(todo))
     metrics.set_gauge("tiles_spilled_bytes", _spilled_bytes(directory))
-
-
-# ----------------------------------------------------------------------
-# per-tile MI pipeline (mirrors repro.core.imi exactly, elementwise)
-# ----------------------------------------------------------------------
-
-def _tile_terms_clean(
-    counts: Mapping[str, np.ndarray],
-    marginal_row: tuple[np.ndarray, np.ndarray],
-    marginal_col: tuple[np.ndarray, np.ndarray],
-    beta: int,
-) -> dict[str, np.ndarray]:
-    """``mi_terms_from_joint_counts`` restricted to one tile — the same
-    elementwise operations on the same values, so bit-identical."""
-    row = {"1": marginal_row[0], "0": marginal_row[1]}
-    col = {"1": marginal_col[0], "0": marginal_col[1]}
-    terms: dict[str, np.ndarray] = {}
-    for key in ("11", "10", "01", "00"):
-        a, b = key[0], key[1]
-        p_joint = counts[key] / float(beta)
-        denominator = np.outer(row[a], col[b])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(denominator > 0, p_joint / denominator, 1.0)
-            logs = np.where((p_joint > 0) & (ratio > 0), np.log2(ratio), 0.0)
-        terms[key] = p_joint * logs
-    return terms
-
-
-def _tile_terms_masked(counts: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """``mi_terms_from_pairwise_counts`` restricted to one tile (purely
-    elementwise on the five count planes, so bit-identical)."""
-    beta_ij = counts["obs"].astype(np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p1_row = np.where(beta_ij > 0, (counts["11"] + counts["10"]) / beta_ij, 0.0)
-        p1_col = np.where(beta_ij > 0, (counts["11"] + counts["01"]) / beta_ij, 0.0)
-    marginal_row = {"1": p1_row, "0": np.where(beta_ij > 0, 1.0 - p1_row, 0.0)}
-    marginal_col = {"1": p1_col, "0": np.where(beta_ij > 0, 1.0 - p1_col, 0.0)}
-    terms: dict[str, np.ndarray] = {}
-    for key in ("11", "10", "01", "00"):
-        a, b = key[0], key[1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            p_joint = np.where(beta_ij > 0, counts[key] / beta_ij, 0.0)
-        denominator = marginal_row[a] * marginal_col[b]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(denominator > 0, p_joint / denominator, 1.0)
-            logs = np.where((p_joint > 0) & (ratio > 0), np.log2(ratio), 0.0)
-        terms[key] = p_joint * logs
-    return terms
-
-
-def _combine_terms(
-    terms: Mapping[str, np.ndarray], kind: str, *, diagonal: bool
-) -> np.ndarray:
-    """``imi_from_terms`` / ``mi_from_terms`` for one tile; ``diagonal``
-    marks on-diagonal blocks whose (i, i) entries are zeroed, in the
-    same operation order as the dense combiners."""
-    if kind == "infection":
-        tile = (
-            terms["11"]
-            + terms["00"]
-            - np.abs(terms["10"])
-            - np.abs(terms["01"])
-        )
-        if diagonal:
-            np.fill_diagonal(tile, 0.0)
-        return tile
-    tile = terms["11"] + terms["00"] + terms["10"] + terms["01"]
-    if diagonal:
-        np.fill_diagonal(tile, 0.0)
-    return np.maximum(tile, 0.0)

@@ -23,6 +23,7 @@ local: ``repro.obs`` is a leaf package and must not import
 from __future__ import annotations
 
 import json
+import os
 import statistics
 import time
 import warnings
@@ -126,14 +127,15 @@ def append_trend(
     label: str | None = None,
     extra: Mapping | None = None,
 ) -> dict:
-    """Append one run manifest's profile to the ledger; returns the
-    entry as written."""
+    """Append one run manifest's profile to the ledger, fsynced like the
+    other JSONL writers; returns the entry as written."""
     entry = build_entry(manifest, label=label, extra=extra)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("a", encoding="utf-8") as handle:
         handle.write(json.dumps(entry, separators=(",", ":")) + "\n")
         handle.flush()
+        os.fsync(handle.fileno())
     return entry
 
 

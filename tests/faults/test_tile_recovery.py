@@ -70,11 +70,16 @@ def _tile_mtimes(directory: Path) -> dict:
 
 class TestWorkerCrashMidTile:
     def test_crashed_worker_is_retried_bit_identically(self, tmp_path):
+        """A worker dies before spilling anything; the retried chunks
+        spill tiles byte-identical to an unfaulted spill."""
         statuses = _observations()
         grid = TileGrid(statuses.n_nodes, 5)
-        inner = _build_context(statuses, grid)
+        spill = tmp_path / "recovered"
+        clean = tmp_path / "clean"
+        spill.mkdir()
+        clean.mkdir()
         context = {
-            "inner": inner,
+            "inner": _build_context(statuses, grid, directory=str(spill)),
             "dir": str(tmp_path),
             "main_pid": os.getpid(),
         }
@@ -84,13 +89,27 @@ class TestWorkerCrashMidTile:
         )
         assert (tmp_path / "crashed").exists(), "fault never fired"
 
-        truth = dict(
-            tile_fault_lib.echo_tile_chunk(context, grid.blocks())
-        )
-        recovered = dict(results)
-        assert recovered.keys() == truth.keys()
-        for block, stack in truth.items():
-            assert np.array_equal(recovered[block], stack), block
+        control = {
+            "inner": _build_context(statuses, grid, directory=str(clean)),
+            "dir": str(tmp_path),
+            "main_pid": os.getpid(),
+        }
+        truth = dict(tile_fault_lib.echo_tile_chunk(control, grid.blocks()))
+        assert dict(results) == truth  # same block set, same CRCs
+        # Workers killed with the pool may leave torn ``.tmp`` files
+        # behind; only the renamed tiles and their sidecars count.
+        def spilled(directory):
+            return sorted(
+                path.name
+                for path in directory.iterdir()
+                if path.name.endswith((".npy", ".npy.crc"))
+            )
+
+        names = spilled(clean)
+        assert len(names) == 2 * len(grid.blocks())
+        assert spilled(spill) == names
+        for name in names:
+            assert (spill / name).read_bytes() == (clean / name).read_bytes(), name
 
     def test_crash_while_spilling_completes_every_tile(self, tmp_path):
         """The worker dies after writing one tile of its chunk; the

@@ -1,14 +1,16 @@
-"""Property suite for windowed statistics and the drift detector.
+"""Property suite for windowed count algebra and the drift detector.
 
 Two algebraic guarantees and one behavioural one, over
 Hypothesis-generated streams (with and without observation masks):
 
-* a ``decay=1.0`` :class:`WindowedStats` ring — any window size, any
-  batch split — aggregates to **bit-identical** counts to chaining
-  :meth:`SufficientStats.updated` over the same batches (the cumulative
-  path the rest of the estimator uses);
-* ``recent(k) + reference(k) == total`` exactly, for every legal ``k``
-  (integer count algebra, no float drift);
+* the stream re-cut into windows of any size, each window counted on
+  its own and the windows merged, gives **bit-identical** counts to
+  chaining :meth:`SufficientStats.updated` over the original batches
+  (the cumulative path the rest of the estimator uses);
+* the drift detector's operands are exact: ``total.subtracted(recent)``
+  equals a from-scratch count of the reference head, and merging the
+  two back reassembles ``total`` (integer count algebra, no float
+  drift);
 * :func:`detect_drift` is deterministic and symmetric-safe: the same
   two windows always produce the same report, and comparing a window
   against itself never flags.
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.core.drift import DriftConfig, detect_drift
-from repro.core.stats import SufficientStats, WindowedStats
+from repro.core.stats import SufficientStats
 from repro.simulation.statuses import StatusMatrix
 
 
@@ -44,44 +46,64 @@ def batched_streams(draw, with_mask: bool):
     return batches, n
 
 
+def _windows(batches, window_cascades=None):
+    """The stream's processes re-cut into consecutive windows of at most
+    ``window_cascades`` cascades (one window when ``None``), ignoring
+    the original batch boundaries."""
+    history = batches[0]
+    for batch in batches[1:]:
+        history = history.append(batch)
+    size = window_cascades or max(history.beta, 1)
+    return [
+        history.subset(range(start, min(start + size, history.beta)))
+        for start in range(0, history.beta, size)
+    ]
+
+
+def _merged(n, windows):
+    total = SufficientStats.zeros(n)
+    for window in windows:
+        total = total.merged(SufficientStats.from_statuses(window))
+    return total
+
+
+def _chain(n, batches):
+    chain = SufficientStats.zeros(n)
+    for batch in batches:
+        chain = chain.updated(batch)
+    return chain
+
+
 @given(batched_streams(with_mask=False), st.integers(1, 5))
 @settings(max_examples=60, deadline=None)
 def test_windowed_total_equals_updated_chain(stream, window_cascades):
     batches, n = stream
-    ring = WindowedStats.empty(n, window_cascades=window_cascades)
-    chain = SufficientStats.zeros(n)
-    for batch in batches:
-        ring = ring.pushed(batch)
-        chain = chain.updated(batch)
-    assert ring.total().equals(chain)
-    assert ring.total().checksum() == chain.checksum()
+    total = _merged(n, _windows(batches, window_cascades))
+    chain = _chain(n, batches)
+    assert total.equals(chain)
+    assert total.checksum() == chain.checksum()
 
 
 @given(batched_streams(with_mask=True))
 @settings(max_examples=40, deadline=None)
 def test_windowed_total_equals_updated_chain_masked(stream):
     batches, n = stream
-    # Single unbounded window: the ring degenerates to the plain chain.
-    ring = WindowedStats.empty(n)
-    chain = SufficientStats.zeros(n)
-    for batch in batches:
-        ring = ring.pushed(batch)
-        chain = chain.updated(batch)
-    assert ring.total().equals(chain)
+    # One window: the whole history counted in a single pass.
+    assert _merged(n, _windows(batches)).equals(_chain(n, batches))
 
 
 @given(batched_streams(with_mask=True), st.integers(1, 4))
 @settings(max_examples=40, deadline=None)
 def test_recent_plus_reference_reassembles_total(stream, window_cascades):
     batches, n = stream
-    ring = WindowedStats.empty(n, window_cascades=window_cascades)
-    for batch in batches:
-        ring = ring.pushed(batch)
-    for k in range(1, ring.n_windows):
-        recent = ring.recent(k)
-        reference = ring.reference(k)
-        assert recent.merged(reference).equals(ring.total())
-        assert recent.beta + reference.beta == ring.beta
+    windows = _windows(batches, window_cascades)
+    total = _merged(n, windows)
+    for k in range(1, len(windows)):
+        recent = _merged(n, windows[-k:])
+        reference = total.subtracted(recent)
+        assert reference.equals(_merged(n, windows[:-k]))
+        assert recent.merged(reference).equals(total)
+        assert recent.beta + reference.beta == total.beta
 
 
 @given(

@@ -17,7 +17,7 @@ from hypothesis.extra.numpy import arrays
 
 from repro.core.stats import COUNT_KEYS, SufficientStats
 from repro.core.tends import Tends, merge_results
-from repro.core.tiles import TiledSufficientStats, tiled_batch_counts
+from repro.core.tiles import TiledSufficientStats
 from repro.simulation.statuses import StatusMatrix
 from tests import oracle
 
@@ -60,13 +60,15 @@ def sharded_histories(draw):
 
 
 def _assert_counts_identical(statuses, tile_size):
-    """Tiled counts equal both the numpy oracle and the dense path."""
+    """Tiled counts equal both the numpy oracle and the dense path;
+    returns the tiled statistics."""
     reference = oracle.pairwise_complete_counts(statuses)
     dense = SufficientStats.from_statuses(statuses)
-    tiled = tiled_batch_counts(statuses, tile_size=tile_size)
+    tiled = TiledSufficientStats.from_statuses(statuses, tile_size=tile_size)
     for key in COUNT_KEYS:
-        assert np.array_equal(tiled[key], reference[key]), key
+        assert np.array_equal(tiled.count_matrix(key), reference[key]), key
         assert np.array_equal(dense.counts[key], reference[key]), key
+    return tiled
 
 
 @given(history=histories(with_mask=False))
@@ -88,10 +90,9 @@ def test_counts_identical_masked(history):
 def test_all_zero_history_counts(beta, n, tile_size):
     """Nothing ever infected: n00 == obs == beta everywhere, the rest 0."""
     statuses = StatusMatrix(np.zeros((beta, n), dtype=np.uint8))
-    _assert_counts_identical(statuses, tile_size)
-    tiled = tiled_batch_counts(statuses, tile_size=tile_size)
-    assert np.all(tiled["00"] == beta)
-    assert np.all(tiled["11"] == 0)
+    tiled = _assert_counts_identical(statuses, tile_size)
+    assert np.all(tiled.count_matrix("00") == beta)
+    assert np.all(tiled.count_matrix("11") == 0)
 
 
 @given(history=histories(with_mask=False, min_beta=1))

@@ -5,7 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.imi import infection_mi_matrix, pointwise_mi_terms, traditional_mi_matrix
+from repro.core.imi import (
+    imi_from_terms,
+    infection_mi_matrix,
+    mi_from_terms,
+    mi_terms_from_joint_counts,
+    mi_terms_from_pairwise_counts,
+    pointwise_mi_terms,
+    traditional_mi_matrix,
+)
+from repro.core.kernels import PackedStatuses, packed_pairwise_complete_counts
 from repro.exceptions import DataError
 from repro.simulation.statuses import StatusMatrix
 
@@ -96,3 +105,34 @@ class TestTraditionalMI:
     def test_diagonal_zero(self, small_observations):
         mi = traditional_mi_matrix(small_observations.statuses)
         assert np.allclose(np.diag(mi), 0.0)
+
+
+class TestBlockForm:
+    """A tile scores one block of the pair space through the same
+    functions; every entry must equal the dense matrix bit for bit."""
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("combine", [imi_from_terms, mi_from_terms])
+    @pytest.mark.parametrize(
+        "rows, cols", [((2, 6), (2, 6)), ((0, 3), (5, 9)), ((5, 9), (0, 3))]
+    )
+    def test_block_equals_dense_slice(self, masked, combine, rows, cols):
+        rng = np.random.default_rng(21)
+        data = (rng.random((90, 9)) < 0.4).astype(np.uint8)
+        mask = rng.random((90, 9)) < 0.85 if masked else None
+        statuses = StatusMatrix(data, mask)
+        counts = packed_pairwise_complete_counts(PackedStatuses.from_statuses(statuses))
+        a, b = slice(*rows), slice(*cols)
+        block_counts = {key: plane[a, b] for key, plane in counts.items()}
+        if masked:
+            dense = mi_terms_from_pairwise_counts(counts)
+            block = mi_terms_from_pairwise_counts(block_counts)
+        else:
+            infected = statuses.infection_counts()
+            dense = mi_terms_from_joint_counts(counts, infected, statuses.beta)
+            block = mi_terms_from_joint_counts(
+                block_counts, infected[a], statuses.beta, column_counts=infected[b]
+            )
+        expected = combine(dense)[a, b]
+        got = combine(block, zero_diagonal=rows == cols)
+        assert np.array_equal(got, expected)

@@ -230,6 +230,25 @@ def test_unmasked_pairwise_complete_equals_joint_plus_beta():
     assert (complete["obs"] == 100).all()
 
 
+#: (rows, cols) node spans: the whole matrix, a diagonal block, and two
+#: off-diagonal blocks (one above, one below the diagonal).
+BLOCKS = [((0, 11), (0, 11)), ((3, 7), (3, 7)), ((0, 4), (4, 11)), ((6, 11), (2, 5))]
+
+
+@pytest.mark.parametrize("mask_density", [None, 0.8])
+@pytest.mark.parametrize("rows, cols", BLOCKS)
+def test_block_counts_equal_dense_slices(mask_density, rows, cols):
+    # The block form tiles count through: square blocks reuse the
+    # transpose, other blocks take a fourth popcount — same integers.
+    rng = np.random.default_rng(16)
+    statuses = _random_statuses(rng, 140, 11, mask_density)
+    packed = PackedStatuses.from_statuses(statuses)
+    dense = packed_pairwise_complete_counts(packed)
+    block = packed_pairwise_complete_counts(packed, rows, cols)
+    for key in ("11", "10", "01", "00", "obs"):
+        assert np.array_equal(block[key], dense[key][slice(*rows), slice(*cols)]), key
+
+
 def test_zero_process_matrix_counts_to_zero():
     packed = PackedStatuses.from_statuses(np.zeros((0, 4), dtype=np.uint8))
     assert packed.n_words == 0

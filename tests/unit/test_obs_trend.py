@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -93,6 +94,19 @@ class TestAppendLoad:
         assert len(entries) == 2
         assert entries[0]["timings"]["total"] == 1.5
         assert entries[0]["memory"]["mem:total:peak_rss"] == float(50 * MB)
+
+    def test_append_fsyncs_the_ledger_once(self, tmp_path, monkeypatch):
+        synced = []
+        real_fsync = os.fsync
+
+        def recording_fsync(fd):
+            synced.append(os.fstat(fd).st_ino)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        path = tmp_path / "trend.jsonl"
+        append_trend(path, _manifest({"imi": 1.0}))
+        assert synced == [path.stat().st_ino]
 
     def test_missing_file_is_empty_ledger(self, tmp_path):
         assert load_trend(tmp_path / "absent.jsonl") == []

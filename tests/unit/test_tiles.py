@@ -19,12 +19,10 @@ from repro.core.stats import COUNT_KEYS, SufficientStats
 from repro.core.tends import Tends, TendsModel, merge_results
 from repro.core.tiles import (
     DEFAULT_MAX_RESIDENT_TILES,
-    STACK_KEYS,
     TileGrid,
     TileStore,
     TiledSufficientStats,
     read_tile,
-    tiled_batch_counts,
     validate_tile,
     write_tile,
 )
@@ -43,13 +41,6 @@ def _observations(n=19, beta=70, seed=7, masked=False) -> StatusMatrix:
     rng = np.random.default_rng(seed)
     mask = rng.random(statuses.values.shape) > 0.2
     return StatusMatrix(statuses.values, mask)
-
-
-class TestStackKeys:
-    def test_matches_canonical_count_key_order(self):
-        # tiles duplicates the tuple to stay import-cycle-free; the
-        # serialisation order must never drift.
-        assert STACK_KEYS == COUNT_KEYS
 
 
 class TestTileGrid:
@@ -146,12 +137,14 @@ class TestTiledBatchCounts:
     @pytest.mark.parametrize("reference", sorted(DENSE_REFERENCES))
     @pytest.mark.parametrize("masked", [False, True])
     @pytest.mark.parametrize("tile_size", [1, 4, 7, 100])
-    def test_bit_identical_to_dense(self, reference, masked, tile_size):
+    def test_bit_identical_to_dense(self, tmp_path, reference, masked, tile_size):
         statuses = _observations(masked=masked)
         dense = DENSE_REFERENCES[reference](statuses)
-        tiled = tiled_batch_counts(statuses, tile_size=tile_size)
+        tiled = TiledSufficientStats.from_statuses(
+            statuses, tile_size=tile_size, spill_dir=tmp_path
+        )
         for key in COUNT_KEYS:
-            assert np.array_equal(tiled[key], dense[key]), key
+            assert np.array_equal(tiled.count_matrix(key), dense[key]), key
 
 
 class TestTileStore:
@@ -387,6 +380,31 @@ class TestTendsTiledFit:
             np.asarray(tiled_result.mi_matrix),
         )
         assert dense.model.fingerprint() == tiled.model.fingerprint()
+
+    def test_dense_snapshot_updated_under_tile_size_counts_densely(self, tmp_path):
+        # A model loaded from a snapshot carries dense statistics; a
+        # tile_size override does not re-tile them, the batch is counted
+        # densely and merged — same integers as every other route.
+        statuses = _observations(beta=90)
+        head = statuses.subset(range(60))
+        tail = statuses.subset(range(60, 90))
+        estimator = Tends()
+        estimator.fit(head)
+        path = estimator.model.save(tmp_path / "model.npz")
+        spill = tmp_path / "spill"
+        resumed = Tends.from_model(
+            TendsModel.load(path), tile_size=5, spill_dir=str(spill)
+        )
+        resumed_result = resumed.partial_fit(tail)
+        dense_result = estimator.partial_fit(tail)
+        one_shot = Tends()
+        one_shot_result = one_shot.fit(statuses)
+        assert isinstance(resumed.model.stats, SufficientStats)
+        assert not list(spill.glob("gen-*"))
+        assert resumed.model.fingerprint() == estimator.model.fingerprint()
+        assert resumed.model.fingerprint() == one_shot.model.fingerprint()
+        assert resumed_result.parent_sets == dense_result.parent_sets
+        assert resumed_result.parent_sets == one_shot_result.parent_sets
 
 
 class TestShardFitAndMerge:
