@@ -6,20 +6,27 @@ stages the complexity analysis in §IV-D names:
 * the O(β n²) IMI matrix,
 * the fixed-zero 2-means,
 * one O(β |F|) family-counts + local-score evaluation,
+* one batched greedy iteration of the parent search (µs per family
+  evaluation, the stage-3 unit cost),
 * a full TENDS fit on a mid-size LFR observation set.
 
 Counting runs through the bit-packed popcount kernels, the only
 production path; the family-count benches pass the packed statuses
-once, as the parent search does.
+once.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.imi import infection_mi_matrix
-from repro.core.kernels import PackedStatuses
+from repro.core.kernels import (
+    PackedStatuses,
+    packed_pattern_counts,
+    packed_split_words,
+    refine_patterns,
+)
 from repro.core.kmeans import fixed_zero_two_means
-from repro.core.scoring import family_counts, local_score
+from repro.core.scoring import batch_scores, family_counts, local_score
 from repro.core.tends import Tends
 from repro.graphs.generators.lfr import LFRParams, lfr_benchmark_graph
 from repro.simulation.engine import DiffusionSimulator
@@ -66,6 +73,33 @@ def test_local_score_three_parents(
         local_score, statuses, 0, [1, 2, 3], packed=packed_observations
     )
     assert np.isfinite(score)
+
+
+def test_batch_scores_three_parents_32_candidates(
+    benchmark, packed_observations
+):
+    """One greedy iteration as the parent search runs it: the 3-parent
+    family's pattern tree refined by 32 candidates, popcounted and
+    scored in one batch.  ``us_per_family`` is the per-evaluation cost."""
+    packed = packed_observations
+    zeros, ones = packed_split_words(packed)
+    tree = (zeros[0] | ones[0])[None, :]
+    for parent in (1, 2, 3):
+        tree = refine_patterns(tree, zeros[parent], ones[parent])
+    tree = tree[tree.any(axis=1)]
+    candidates = np.arange(4, 36)
+
+    def score_batch():
+        rows = refine_patterns(tree[None], zeros[candidates], ones[candidates])
+        return batch_scores(*packed_pattern_counts(rows, packed.ones[0]))
+
+    scores, _ = benchmark(score_batch)
+    assert scores.shape == (candidates.size,)
+    assert np.isfinite(scores).all()
+    if benchmark.stats is not None:  # None under --benchmark-disable
+        benchmark.extra_info["us_per_family"] = (
+            benchmark.stats.stats.mean / candidates.size * 1e6
+        )
 
 
 def test_full_tends_fit_200_nodes(benchmark, observations):

@@ -50,6 +50,9 @@ __all__ = [
     "packed_infection_counts",
     "packed_observed_counts",
     "packed_family_counts",
+    "packed_split_words",
+    "refine_patterns",
+    "packed_pattern_counts",
 ]
 
 #: Bits per packed word.
@@ -424,6 +427,49 @@ def packed_pairwise_complete_counts(
 # family contingency counting
 # ----------------------------------------------------------------------
 
+def packed_split_words(packed: PackedStatuses) -> tuple[np.ndarray, np.ndarray]:
+    """``(zeros, ones)``: per node, the processes in which it was observed
+    uninfected and observed infected, as two ``(n, W)`` word arrays.
+
+    These are the two halves one pattern-tree level splits a row into
+    (:func:`refine_patterns`); because the mask is folded in, every row
+    refined by them stays family-complete.  ``zeros | ones`` is the
+    node's observed processes, and tail bits are zero in both.
+    """
+    observed = packed.mask
+    if observed is None:
+        observed = np.broadcast_to(_full_words(packed.n_bits), packed.ones.shape)
+    return observed & ~packed.ones, observed & packed.ones
+
+
+def refine_patterns(
+    rows: np.ndarray, zeros: np.ndarray, ones: np.ndarray
+) -> np.ndarray:
+    """One pattern-tree level: split every pattern row by one more column.
+
+    ``rows`` is ``(..., R, W)`` pattern word-rows in ascending code
+    order; ``zeros``/``ones`` are the new column's ``(..., W)`` words and
+    broadcast against the leading axes of ``rows``, so one shared tree
+    ``(1, R, W)`` refined by ``C`` candidate columns ``(C, W)`` gives all
+    ``C`` families at once.  The result is ``(..., 2R, W)``: the zeros
+    block, then the ones block — the new column is the most significant
+    code bit, and ascending code order is kept.
+    """
+    return np.concatenate(
+        (rows & zeros[..., None, :], rows & ones[..., None, :]), axis=-2
+    )
+
+
+def packed_pattern_counts(
+    rows: np.ndarray, child_words: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(totals, infected)`` of pattern word-rows: the set bits of each
+    row, and of each row AND the child's status words, summed along the
+    last (word) axis as int64."""
+    rows = np.ascontiguousarray(rows, dtype=np.uint64)
+    return _popcount_sum(rows), _popcount_sum(rows & child_words)
+
+
 def packed_family_counts(
     packed: PackedStatuses, child: int, parents: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray, int]:
@@ -437,14 +483,18 @@ def packed_family_counts(
     grouping, bit for bit.
 
     Small parent sets use a pattern tree — the family-complete base row
-    is AND-refined into ``2^|F|`` pattern word-rows, in ascending code
-    order, and popcounted.  Wide sets (beyond
-    :data:`_PATTERN_TREE_MAX_PARENTS`) extract per-row codes and group
-    them with ``np.unique`` like ``observed_pattern_counts``, which keeps the
-    memory O(β) all the way to the :data:`MAX_PACK_COLUMNS` cap.
+    is AND-refined (:func:`refine_patterns`) into ``2^|F|`` pattern
+    word-rows, in ascending code order, and popcounted.  Wide sets
+    (beyond :data:`_PATTERN_TREE_MAX_PARENTS`) extract per-row codes and
+    group them with ``np.unique`` like ``observed_pattern_counts``, which
+    keeps the memory O(β) all the way to the :data:`MAX_PACK_COLUMNS` cap.
 
-    Kept span-free on purpose: the parent search calls this once per
-    candidate combination, so tracing here would dominate traced runs.
+    Kept span-free on purpose: it counts one family per call, and a
+    caller that counts many (the whole-topology
+    :func:`~repro.core.scoring.global_score`) would otherwise flood
+    traced runs with spans.  The parent search does not call it: it
+    holds its own pattern trees, which drop empty rows after every
+    level and so need no width limit.
     """
     parent_list = [int(p) for p in parents]
     if len(parent_list) > MAX_PACK_COLUMNS:
@@ -469,18 +519,13 @@ def packed_family_counts(
     if beta == 0:
         return np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64), 0
     if len(parent_list) <= _PATTERN_TREE_MAX_PARENTS:
-        # Pattern tree: refine the base row by one parent column per
-        # level, keeping the parent-0-is-LSB ascending code order —
-        # zeros block first, ones block second, previous order within.
         words = base[None, :]
         for parent in parent_list:
             column = packed.ones[parent]
-            words = np.concatenate([words & ~column, words & column], axis=0)
-        totals_full = _popcount_sum(words)
-        observed = totals_full > 0
-        totals = totals_full[observed]
-        infected = _popcount_sum(words[observed] & child_words)
-        return totals, infected, beta
+            words = refine_patterns(words, ~column, column)
+        totals, infected = packed_pattern_counts(words, child_words)
+        observed = totals > 0
+        return totals[observed], infected[observed], beta
     # Wide parent sets: per-row codes + np.unique, the observed-pattern
     # grouping.
     row_mask = unpack_bits(base[None, :], n_bits).reshape(-1).astype(np.bool_)

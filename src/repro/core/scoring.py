@@ -25,7 +25,10 @@ with ``N = 0`` vanish under the same convention).
 
 Everything here is computed from bit-packed parent patterns, giving
 ``O(β · |F_i|)`` per evaluation as the complexity analysis (§IV-D)
-requires.
+requires.  :func:`family_counts`, :func:`log_likelihood` and
+:func:`penalty` score one family per call; :func:`batch_scores` scores a
+whole batch of families from their count arrays, bit for bit equal to
+the one-family helpers, and is what the parent search runs.
 
 >>> from repro.simulation.statuses import StatusMatrix
 >>> statuses = StatusMatrix([[1, 1], [1, 1], [0, 0], [0, 0], [1, 0], [0, 1]])
@@ -58,6 +61,7 @@ __all__ = [
     "log_likelihood",
     "penalty",
     "local_score",
+    "batch_scores",
     "empty_set_score",
     "global_score",
     "delta_i",
@@ -184,6 +188,72 @@ def penalty(counts: FamilyCounts) -> float:
     """The statistical-error penalty ``½ Σ_j log2(N_ij + 1)`` (Eq. 12-13)."""
     observed = counts.totals[counts.totals > 0].astype(np.float64)
     return 0.5 * float(np.sum(np.log2(observed + 1.0)))
+
+
+def batch_scores(
+    totals: np.ndarray, infected: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(scores, n_observed)`` of a batch of families (Eq. 13).
+
+    Row ``r`` of the ``(C, P)`` int arrays holds one family's ``N_ij``
+    and ``N_ij2`` over its parent patterns in ascending code order;
+    zero-total patterns may sit anywhere and count as unobserved.
+    ``scores[r]`` equals ``log_likelihood(c) - penalty(c)`` **bit for
+    bit**, for ``c`` the :class:`FamilyCounts` of row ``r``'s observed
+    patterns, and ``n_observed[r]`` equals ``c.n_observed``; a row with
+    no observed pattern scores ``0.0``, like a family with no complete
+    rows.
+
+    Every term is the scalar path's float expression on the same
+    integers, so the only thing to match is summation order: each row's
+    terms are summed over its compacted observed entries exactly as
+    ``np.sum`` sums that 1-D array (see :func:`_row_sums`).
+    """
+    totals = np.asarray(totals, dtype=np.int64)
+    infected = np.asarray(infected, dtype=np.int64)
+    # Likelihood terms of the infected then the uninfected cells (2C
+    # rows), then the penalty terms of the observed patterns (C rows).
+    groups = np.concatenate((infected, totals - infected))
+    keep = groups > 0
+    n_ijk = groups[keep].astype(np.float64)
+    n_ij = np.concatenate((totals, totals))[keep].astype(np.float64)
+    observed = totals > 0
+    n_observed = observed.sum(axis=1)
+    terms = np.concatenate(
+        (
+            n_ijk * (np.log2(n_ijk) - np.log2(n_ij)),
+            np.log2(totals[observed].astype(np.float64) + 1.0),
+        )
+    )
+    sums = _row_sums(terms, np.concatenate((keep.sum(axis=1), n_observed)))
+    infected_sum, uninfected_sum, penalty_sum = sums.reshape(3, -1)
+    return (infected_sum + uninfected_sum) - 0.5 * penalty_sum, n_observed
+
+
+def _row_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``np.sum`` of each row of ``values`` — rows laid end to end,
+    ``lengths[r]`` entries each — bit for bit.
+
+    ``np.sum``'s order of additions depends on the length: a sequential
+    loop for short arrays, 8-lane pairwise partial sums for longer ones,
+    recursive halving beyond that.  Rows of one length therefore go
+    through one C-contiguous ``(rows, k)`` block (fancy indexing copies)
+    reduced along axis 1, which runs the same inner loop ``np.sum`` runs
+    on each 1-D row.
+    """
+    sums = np.zeros(lengths.shape[0])
+    if not values.size:
+        return sums
+    # Left-justified rows: row r's entries fill padded[r, :lengths[r]].
+    padded = np.zeros((lengths.shape[0], int(lengths.max())))
+    padded[np.arange(padded.shape[1]) < lengths[:, None]] = values
+    rows_of: dict[int, list[int]] = {}
+    for row, length in enumerate(lengths.tolist()):
+        rows_of.setdefault(length, []).append(row)
+    for length, rows in rows_of.items():
+        if length:
+            sums[rows] = padded[rows, :length].sum(axis=1)
+    return sums
 
 
 def local_score(

@@ -18,28 +18,45 @@ Two strategies are implemented (see DESIGN.md §1 for why both exist):
     empty set, sort descending, and union combinations into ``F_i`` in
     that order while the bound admits them.
 
-Both run in ``O(iterations · |combinations| · β · |F_i|)`` per node; the
-pruning stage is what keeps ``|P_i|`` (the paper's ``κ``) small.
+Candidates are scored in batches.  A node's search holds the current
+parent set's *pattern tree*: its family-complete processes split into
+one bit-packed word row per observed parent pattern, in ascending code
+order.  Every remaining combination of one size refines that tree by
+its columns (:func:`~repro.core.kernels.refine_patterns`), one popcount
+pass counts all of them, and :func:`~repro.core.scoring.batch_scores`
+turns the counts into Eq. 13 scores that equal the scalar
+``log_likelihood − penalty`` bit for bit.  The accepted combination's
+rows become the next iteration's tree, so no tree is rebuilt.  An
+iteration costs ``O(|combinations| · R · 2^η · β / 64)`` word operations
+for ``R ≤ min(2^{|F_i|}, β)`` observed patterns, in a fixed number of
+numpy calls per combination size rather than per candidate; the
+pruning stage is what keeps ``|P_i|`` (the paper's ``κ``) small.  A
+tree keeps only its observed rows after every level, so it stays at
+most ``β`` rows for any parent-set width up to
+:data:`MAX_PARENT_SET_SIZE`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from repro.core.config import TendsConfig
-from repro.core.kernels import PackedStatuses
-from repro.core.scoring import (
-    FamilyCounts,
-    delta_i,
-    family_counts,
-    log_likelihood,
-    penalty,
-    size_bound,
+from repro.core.kernels import (
+    PackedStatuses,
+    packed_pattern_counts,
+    packed_split_words,
+    refine_patterns,
 )
+from repro.core.scoring import batch_scores, delta_i, size_bound
+
+# Not called here: the search scores through batch_scores alone.  The
+# one-family scorers stay importable from this module because the
+# benchmark's layer tracer (benchmarks/e2e/trace.py) wraps them here.
+from repro.core.scoring import family_counts, log_likelihood, penalty  # noqa: F401
 from repro.obs.trace import current_tracer
 from repro.simulation.statuses import StatusMatrix
 
@@ -58,6 +75,10 @@ __all__ = [
 #: counter and far beyond any statistically meaningful parent set.
 MAX_PARENT_SET_SIZE = 62
 
+#: Word budget of one scoring batch's pattern rows (uint64 words, so
+#: 2 MiB of scratch); larger combination sets are scored in chunks.
+_BATCH_WORD_BUDGET = 1 << 18
+
 
 @dataclass
 class SearchDiagnostics:
@@ -70,7 +91,8 @@ class SearchDiagnostics:
     n_candidates:
         ``|P_i|`` after pruning.
     n_evaluations:
-        Number of (family-counts + score) evaluations performed.
+        Number of candidate families scored — one per family, whether
+        it was scored in a batch or on its own.
     iterations:
         Greedy acceptance rounds (``greedy-rescoring``) or union steps
         attempted (``ranked-union``).
@@ -174,22 +196,25 @@ class ParentSearch:
     def __init__(self, statuses: StatusMatrix, config: TendsConfig) -> None:
         self.statuses = statuses
         self.config = config
-        # Lazy bit-packed cache for the contingency kernel; built on
-        # first use so serial fits that never score pay nothing, and
-        # dropped from pickles so workers re-pack locally (see
-        # __getstate__) instead of shipping the words over the wire.
+        # Lazy bit-packed cache (statuses plus each node's zeros/ones
+        # split words); built on first use so serial fits that never
+        # score pay nothing, and dropped from pickles so workers re-pack
+        # locally (see __getstate__) instead of shipping the words over
+        # the wire.
         self._packed: PackedStatuses | None = None
+        self._split: tuple[np.ndarray, np.ndarray] | None = None
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         state["_packed"] = None
+        state["_split"] = None
         return state
 
-    def _family_counts(self, node: int, parents: Sequence[int]) -> FamilyCounts:
-        """Contingency counts over the cached bit-packed statuses."""
-        if self._packed is None:
+    def _split_words(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._split is None:
             self._packed = PackedStatuses.from_statuses(self.statuses)
-        return family_counts(self.statuses, node, parents, packed=self._packed)
+            self._split = packed_split_words(self._packed)
+        return self._split
 
     # ------------------------------------------------------------------
     # public API
@@ -223,24 +248,29 @@ class ParentSearch:
     ) -> list[int]:
         current_parents: list[int] = []
         current_score = diag.empty_score
-        available = set(pool)
+        tree = self._tree(node, current_parents)
+        available = sorted(set(pool))
         while available:
             best_combo: tuple[int, ...] | None = None
             best_score = -np.inf
-            for combo in self._combinations(sorted(available)):
-                trial = current_parents + list(combo)
-                if len(trial) > MAX_PARENT_SET_SIZE:
-                    diag.bound_hits += 1
+            best_tree = tree
+            top = min(self.config.max_combination_size, len(available))
+            for size in range(1, top + 1):
+                combos = list(combinations(available, size))
+                if len(current_parents) + size > MAX_PARENT_SET_SIZE:
+                    diag.bound_hits += len(combos)
                     continue
-                counts = self._family_counts(node, trial)
-                diag.n_evaluations += 1
-                if len(trial) > size_bound(counts.phi, delta):
-                    diag.bound_hits += 1
-                    continue
-                score = log_likelihood(counts) - penalty(counts)
-                if score > best_score:
-                    best_score = score
-                    best_combo = combo
+                for block, scores, allowed, rows in self._rate(
+                    node, current_parents, tree, combos, delta, diag
+                ):
+                    # First maximum in candidate order wins, as in a
+                    # one-at-a-time loop with a strict comparison.
+                    ranked = np.where(allowed, scores, -np.inf)
+                    index = int(np.argmax(ranked))
+                    if allowed[index] and ranked[index] > best_score:
+                        best_score = float(ranked[index])
+                        best_combo = block[index]
+                        best_tree = _observed(rows[index])
             if best_combo is None:
                 break
             if best_score <= current_score + self.config.min_improvement:
@@ -248,7 +278,8 @@ class ParentSearch:
             diag.iterations += 1
             current_parents.extend(best_combo)
             current_score = best_score
-            available.difference_update(best_combo)
+            tree = best_tree
+            available = [c for c in available if c not in best_combo]
         diag.final_score = current_score
         return sorted(current_parents)
 
@@ -259,46 +290,115 @@ class ParentSearch:
         delta: float,
         diag: SearchDiagnostics,
     ) -> list[int]:
+        root = self._tree(node, [])
         scored: list[tuple[float, tuple[int, ...]]] = []
-        for combo in self._combinations(pool):
-            counts = self._family_counts(node, list(combo))
-            diag.n_evaluations += 1
-            if len(combo) > size_bound(counts.phi, delta):
-                diag.bound_hits += 1
-                continue
-            score = log_likelihood(counts) - penalty(counts)
-            scored.append((score, combo))
+        for size in range(1, min(self.config.max_combination_size, len(pool)) + 1):
+            for block, scores, allowed, _ in self._rate(
+                node, [], root, list(combinations(pool, size)), delta, diag
+            ):
+                scored.extend(
+                    (score, combo)
+                    for score, combo, ok in zip(scores.tolist(), block, allowed)
+                    if ok
+                )
         scored.sort(key=lambda item: (-item[0], item[1]))
 
-        parents: set[int] = set()
-        for score, combo in scored:
-            union = parents | set(combo)
-            if union == parents:
+        # A union step only checks the bound, which needs the union's
+        # observed-pattern count; that count does not depend on parent
+        # order, so each step refines the accepted set's tree by the
+        # combination's new members alone.
+        parents: list[int] = []
+        tree = root
+        for _, combo in scored:
+            added = [c for c in dict.fromkeys(combo) if c not in parents]
+            if not added:
                 continue
-            if len(union) > MAX_PARENT_SET_SIZE:
+            width = len(parents) + len(added)
+            if width > MAX_PARENT_SET_SIZE:
                 diag.bound_hits += 1
                 continue
             diag.iterations += 1
-            counts = self._family_counts(node, sorted(union))
             diag.n_evaluations += 1
-            if len(union) > size_bound(counts.phi, delta):
-                diag.bound_hits += 1
-                continue
-            parents = union
+            grown = self._grow(tree, added)
+            if _within_bound(width, [grown.shape[0]], delta, diag)[0]:
+                parents.extend(added)
+                tree = grown
         result = sorted(parents)
         diag.final_score = self._score(node, result, diag)
         return result
 
     # ------------------------------------------------------------------
-    # helpers
+    # batch scorer
     # ------------------------------------------------------------------
-    def _combinations(self, pool: Sequence[int]) -> Iterable[tuple[int, ...]]:
-        """All combinations of ``pool`` up to the configured size."""
-        top = min(self.config.max_combination_size, len(pool))
-        for size in range(1, top + 1):
-            yield from combinations(pool, size)
+    def _grow(self, tree: np.ndarray, parents: Iterable[int]) -> np.ndarray:
+        """``tree`` refined by each of ``parents`` in turn, dropping empty
+        rows after every level so it never exceeds ``β`` rows."""
+        zeros, ones = self._split_words()
+        for parent in parents:
+            tree = _observed(refine_patterns(tree, zeros[parent], ones[parent]))
+        return tree
+
+    def _tree(self, node: int, parents: Sequence[int]) -> np.ndarray:
+        """The observed pattern rows ``(R, W)`` of the family ``(node,
+        parents)``, first parent least significant."""
+        zeros, ones = self._split_words()
+        return self._grow(_observed((zeros[node] | ones[node])[None, :]), parents)
+
+    def _rate(
+        self,
+        node: int,
+        parents: list[int],
+        tree: np.ndarray,
+        combos: list[tuple[int, ...]],
+        delta: float,
+        diag: SearchDiagnostics,
+    ) -> Iterator[tuple[list[tuple[int, ...]], np.ndarray, np.ndarray, np.ndarray]]:
+        """Score every family ``parents + combo`` for ``combos`` of one size.
+
+        Yields ``(combos, scores, allowed, rows)`` per chunk, in candidate
+        order: ``allowed`` marks the families within the Theorem-2 bound,
+        and ``rows`` are their ``(C, P, W)`` pattern rows (``tree``
+        refined by each combination).  Counts every family as one
+        evaluation and every family outside the bound as one bound hit.
+        """
+        width = len(parents) + len(combos[0])
+        diag.n_evaluations += len(combos)
+        zeros, ones = self._split_words()
+        child = self._packed.ones[node]
+        columns = np.array(combos, dtype=np.intp)
+        row_words = max(1, tree.size) << columns.shape[1]
+        chunk = max(1, _BATCH_WORD_BUDGET // row_words)
+        for start in range(0, len(combos), chunk):
+            # One level per combination member, each candidate's tree
+            # split by its own column.
+            rows = tree[None]
+            for column in columns[start : start + chunk].T:
+                rows = refine_patterns(rows, zeros[column], ones[column])
+            scores, n_observed = batch_scores(*packed_pattern_counts(rows, child))
+            allowed = _within_bound(width, n_observed.tolist(), delta, diag)
+            yield combos[start : start + chunk], scores, allowed, rows
 
     def _score(self, node: int, parents: list[int], diag: SearchDiagnostics) -> float:
-        counts = self._family_counts(node, parents)
+        """``g(node, parents)`` of one family, as one evaluation."""
         diag.n_evaluations += 1
-        return log_likelihood(counts) - penalty(counts)
+        tree = self._tree(node, parents)
+        counts = packed_pattern_counts(tree[None], self._packed.ones[node])
+        return float(batch_scores(*counts)[0][0])
+
+
+def _observed(rows: np.ndarray) -> np.ndarray:
+    """The pattern rows with at least one process — a family's tree."""
+    return rows[rows.any(axis=-1)]
+
+
+def _within_bound(
+    width: int, n_observed: list[int], delta: float, diag: SearchDiagnostics
+) -> np.ndarray:
+    """Which families of ``width`` parents satisfy the Theorem-2 bound,
+    given each one's observed-pattern count; counts the bound hits."""
+    possible = 1 << width
+    allowed = np.array(
+        [width <= size_bound(possible - k, delta) for k in n_observed], dtype=bool
+    )
+    diag.bound_hits += int(allowed.size - np.count_nonzero(allowed))
+    return allowed

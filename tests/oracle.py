@@ -1,17 +1,25 @@
-"""Dense numpy estimators: the differential oracle for the packed kernels.
+"""Dense numpy estimators and a scalar parent search: the differential
+oracle for the packed kernels and the batch scorer.
 
 Production counts with the bit-packed popcount kernels of
 :mod:`repro.core.kernels`.  This module computes the same integers the
 plain way — int64 matrix products and ``np.unique`` grouping over the
 raw ``(β, n)`` status matrix — so tests can prove production
-bit-identical to an independent implementation.  The float pipelines
-(:mod:`repro.core.imi`, :mod:`repro.core.scoring`) are shared.
+bit-identical to an independent implementation.  The IMI float pipeline
+(:mod:`repro.core.imi`) is shared.
+
+Production's parent search scores candidates in batches
+(:func:`repro.core.scoring.batch_scores`); :class:`ScalarParentSearch`
+is the same search with one ``family_counts`` plus ``log_likelihood −
+penalty`` per evaluation, the per-family scalar helpers of
+:mod:`repro.core.scoring`.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator, Sequence
+from itertools import combinations
+from typing import Iterable, Iterator, Sequence
 from unittest import mock
 
 import numpy as np
@@ -22,7 +30,15 @@ from repro.core.imi import (
     mi_terms_from_joint_counts,
     mi_terms_from_pairwise_counts,
 )
-from repro.core.scoring import FamilyCounts, log_likelihood, penalty
+from repro.core.config import TendsConfig
+from repro.core.scoring import (
+    FamilyCounts,
+    delta_i,
+    log_likelihood,
+    penalty,
+    size_bound,
+)
+from repro.core.search import MAX_PARENT_SET_SIZE, SearchDiagnostics
 from repro.core.stats import COUNT_KEYS, SufficientStats
 from repro.core.tends import Tends, TendsResult
 from repro.simulation.statuses import StatusMatrix
@@ -108,16 +124,12 @@ def family_counts(
     statuses: StatusMatrix,
     child: int,
     parents: Sequence[int],
-    *,
-    packed=None,
 ) -> FamilyCounts:
     """``repro.core.scoring.family_counts`` by row grouping.
 
     Rows are grouped with :meth:`StatusMatrix.observed_pattern_counts`
     (over the family-complete rows when entries are missing) and the
-    child's infections summed per group.  ``packed`` is accepted and
-    ignored, so this function can stand in for the production one
-    (see :func:`counting`).
+    child's infections summed per group.
     """
     parent_list = [int(p) for p in parents]
     if statuses.has_missing:
@@ -143,18 +155,124 @@ def local_score(statuses: StatusMatrix, child: int, parents: Sequence[int]) -> f
 
 
 # ----------------------------------------------------------------------
+# parent search
+# ----------------------------------------------------------------------
+
+class ScalarParentSearch:
+    """:class:`repro.core.search.ParentSearch` with one family count
+    (this module's :func:`family_counts`, so no counting code is shared
+    with production) and one scalar score per evaluation.  Parent sets,
+    scores and every :class:`SearchDiagnostics` field must equal
+    production's.
+    """
+
+    def __init__(self, statuses: StatusMatrix, config: TendsConfig) -> None:
+        self.statuses = statuses
+        self.config = config
+
+    def find_parents(
+        self, node: int, candidates: Sequence[int]
+    ) -> tuple[list[int], SearchDiagnostics]:
+        diag = SearchDiagnostics(node=node, n_candidates=len(candidates))
+        pool = [int(c) for c in candidates if int(c) != node]
+        diag.empty_score = self._score(node, [], diag)
+        if not pool:
+            diag.final_score = diag.empty_score
+            return [], diag
+        delta = delta_i(self.statuses, node)
+        if self.config.search_strategy == "ranked-union":
+            parents = self._ranked_union(node, pool, delta, diag)
+        else:
+            parents = self._greedy_rescoring(node, pool, delta, diag)
+        return parents, diag
+
+    def _greedy_rescoring(self, node, pool, delta, diag) -> list[int]:
+        current_parents: list[int] = []
+        current_score = diag.empty_score
+        available = set(pool)
+        while available:
+            best_combo: tuple[int, ...] | None = None
+            best_score = -np.inf
+            for combo in self._combinations(sorted(available)):
+                trial = current_parents + list(combo)
+                if len(trial) > MAX_PARENT_SET_SIZE:
+                    diag.bound_hits += 1
+                    continue
+                counts = family_counts(self.statuses, node, trial)
+                diag.n_evaluations += 1
+                if len(trial) > size_bound(counts.phi, delta):
+                    diag.bound_hits += 1
+                    continue
+                score = log_likelihood(counts) - penalty(counts)
+                if score > best_score:
+                    best_score = score
+                    best_combo = combo
+            if best_combo is None:
+                break
+            if best_score <= current_score + self.config.min_improvement:
+                break
+            diag.iterations += 1
+            current_parents.extend(best_combo)
+            current_score = best_score
+            available.difference_update(best_combo)
+        diag.final_score = current_score
+        return sorted(current_parents)
+
+    def _ranked_union(self, node, pool, delta, diag) -> list[int]:
+        scored: list[tuple[float, tuple[int, ...]]] = []
+        for combo in self._combinations(pool):
+            counts = family_counts(self.statuses, node, list(combo))
+            diag.n_evaluations += 1
+            if len(combo) > size_bound(counts.phi, delta):
+                diag.bound_hits += 1
+                continue
+            scored.append((log_likelihood(counts) - penalty(counts), combo))
+        scored.sort(key=lambda item: (-item[0], item[1]))
+
+        parents: set[int] = set()
+        for _, combo in scored:
+            union = parents | set(combo)
+            if union == parents:
+                continue
+            if len(union) > MAX_PARENT_SET_SIZE:
+                diag.bound_hits += 1
+                continue
+            diag.iterations += 1
+            counts = family_counts(self.statuses, node, sorted(union))
+            diag.n_evaluations += 1
+            if len(union) > size_bound(counts.phi, delta):
+                diag.bound_hits += 1
+                continue
+            parents = union
+        result = sorted(parents)
+        diag.final_score = self._score(node, result, diag)
+        return result
+
+    def _combinations(self, pool: Sequence[int]) -> Iterable[tuple[int, ...]]:
+        top = min(self.config.max_combination_size, len(pool))
+        for size in range(1, top + 1):
+            yield from combinations(pool, size)
+
+    def _score(self, node, parents, diag) -> float:
+        counts = family_counts(self.statuses, node, parents)
+        diag.n_evaluations += 1
+        return log_likelihood(counts) - penalty(counts)
+
+
+# ----------------------------------------------------------------------
 # whole pipelines
 # ----------------------------------------------------------------------
 
 @contextmanager
-def counting() -> Iterator[None]:
-    """Route the parent search's contingency counting through the oracle
-    (in-process only: run the search with the serial executor)."""
-    with mock.patch("repro.core.search.family_counts", family_counts):
+def scalar_search() -> Iterator[None]:
+    """Run every fit's parent search as :class:`ScalarParentSearch` over
+    the oracle counts (in-process only: fit with the serial executor)."""
+    with mock.patch("repro.core.tends.ParentSearch", ScalarParentSearch):
         yield
 
 
 def fit(statuses: StatusMatrix) -> TendsResult:
-    """A serial ``Tends.fit`` whose every count comes from the oracle."""
-    with counting():
+    """A serial ``Tends.fit`` whose every count comes from the oracle and
+    whose parent search scores one family at a time."""
+    with scalar_search():
         return Tends(executor="serial").fit(statuses, stats=sufficient_stats(statuses))

@@ -340,8 +340,10 @@ def test_parent_search_pickle_drops_packed_cache():
     search = ParentSearch(statuses, TendsConfig())
     parents, _ = search.find_parents(0, [1, 2, 3])
     assert search._packed is not None  # cache built on first score
+    assert search._split is not None
     clone = pickle.loads(pickle.dumps(search))
     assert clone._packed is None  # workers re-pack lazily
+    assert clone._split is None
     clone_parents, _ = clone.find_parents(0, [1, 2, 3])
     assert clone_parents == parents
 
@@ -350,10 +352,10 @@ def test_parent_search_backends_agree():
     rng = np.random.default_rng(20)
     statuses = _random_statuses(rng, 80, 8, mask_density=0.85)
     search = ParentSearch(statuses, TendsConfig())
+    reference = oracle.ScalarParentSearch(statuses, TendsConfig())
     for node in range(8):
         candidates = [c for c in range(8) if c != node]
-        with oracle.counting():
-            ref_parents, ref_diag = search.find_parents(node, candidates)
+        ref_parents, ref_diag = reference.find_parents(node, candidates)
         got_parents, got_diag = search.find_parents(node, candidates)
         assert ref_parents == got_parents
-        assert ref_diag.final_score == got_diag.final_score
+        assert ref_diag == got_diag

@@ -7,6 +7,7 @@ from repro.core.config import TendsConfig
 from repro.core.scoring import empty_set_score, local_score
 from repro.core.search import ParentSearch
 from repro.simulation.statuses import StatusMatrix
+from tests import oracle
 
 
 def _copy_noise_statuses(beta: int = 60, seed: int = 0) -> StatusMatrix:
@@ -126,6 +127,26 @@ class TestVacuousBoundSafety:
         search = ParentSearch(statuses, TendsConfig())
         parents, _ = search.find_parents(0, list(range(1, 70)))
         assert len(parents) <= 62
+
+    @pytest.mark.parametrize(
+        "strategy, masked",
+        [("ranked-union", False), ("ranked-union", True), ("greedy-rescoring", True)],
+    )
+    def test_wide_parent_sets_equal_scalar_reference(self, strategy, masked):
+        # Correlated noise grows these parent sets well past 10 parents
+        # (29 for the union, 18 for masked greedy); the search must still
+        # match the oracle's one-family-at-a-time counts and scores.
+        rng = np.random.default_rng(0)
+        base = rng.integers(0, 2, (40, 1))
+        flips = rng.random((40, 30)) < 0.35
+        data = np.where(flips, 1 - base, base).astype(np.uint8)
+        mask = rng.random((40, 30)) < 0.95 if masked else None
+        statuses = StatusMatrix(data, mask)
+        config = TendsConfig(search_strategy=strategy)
+        result = ParentSearch(statuses, config).find_parents(0, list(range(1, 30)))
+        reference = oracle.ScalarParentSearch(statuses, config)
+        assert result == reference.find_parents(0, list(range(1, 30)))
+        assert len(result[0]) > 10
 
 
 class TestStrategyComparison:

@@ -49,9 +49,9 @@ class TestFit:
         # Pin the full key namespace: bare stage names plus one
         # search/<worker> entry per worker, and nothing else.
         assert set(result.stage_seconds) == {
-            "imi", "threshold", "search", "search/serial",
+            "stats", "imi", "threshold", "search", "search/serial",
         }
-        assert set(result.stage_times) == {"imi", "threshold", "search"}
+        assert set(result.stage_times) == {"stats", "imi", "threshold", "search"}
         assert result.worker_seconds == {
             "serial": result.stage_seconds["search/serial"]
         }
