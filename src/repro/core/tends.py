@@ -24,9 +24,10 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import asdict, dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -80,6 +81,55 @@ def _fsync_directory(directory: Path) -> None:
         pass
     finally:
         os.close(fd)
+
+
+def _parent_graph(
+    n: int, parent_sets: Sequence[Sequence[int]]
+) -> DiffusionGraph:
+    """The frozen graph with one edge ``parent → child`` per entry of
+    ``parent_sets[child]``."""
+    graph = DiffusionGraph(n)
+    for child, parents in enumerate(parent_sets):
+        for parent in parents:
+            graph.add_edge(parent, child)
+    return graph.freeze()
+
+
+def _apply_missing_policy(
+    statuses: StatusMatrix, missing: str, what: str
+) -> StatusMatrix:
+    """Apply the ``config.missing`` policy to an input matrix.
+
+    ``"refuse"`` raises on any unobserved entry (``what`` names the input
+    in the message), ``"zero-fill"`` drops the mask, and ``"pairwise"``
+    leaves it in place — imi/scoring then count over pairwise- and
+    family-complete processes with per-pair effective β.
+    """
+    if not statuses.has_missing:
+        return statuses
+    if missing == "refuse":
+        raise DataError(
+            f"{what} {int((~statuses.mask).sum())} unobserved entries "
+            "and missing='refuse' is set"
+        )
+    return statuses.filled(0) if missing == "zero-fill" else statuses
+
+
+def _mask_density(statuses: StatusMatrix) -> float:
+    """Observed share of ``statuses`` (1.0 when unmasked)."""
+    return float(statuses.mask.mean()) if statuses.has_missing else 1.0
+
+
+def _count_pruning(
+    metrics: MetricsRegistry | NullMetrics,
+    n: int,
+    candidates: Sequence[Sequence[int]],
+) -> None:
+    """Record how many of the searched nodes' ``n - 1`` possible parents
+    the pruning kept and how many it dropped."""
+    kept = sum(len(c) for c in candidates)
+    metrics.inc("tends_candidate_pairs_pruned_total", len(candidates) * (n - 1) - kept)
+    metrics.inc("tends_candidate_pairs_kept_total", kept)
 
 
 @dataclass(frozen=True)
@@ -310,16 +360,12 @@ def merge_results(results: Sequence[TendsResult]) -> TendsResult:
         )
     parent_sets = tuple(owner[node].parent_sets[node] for node in range(n))
     diagnostics = tuple(owner[node].diagnostics[node] for node in range(n))
-    graph = DiffusionGraph(n)
-    for node, parents in enumerate(parent_sets):
-        for parent in parents:
-            graph.add_edge(parent, node)
     stage_seconds: dict[str, float] = {}
     for result in results:
         for stage, seconds in result.stage_seconds.items():
             stage_seconds[stage] = stage_seconds.get(stage, 0.0) + seconds
     return TendsResult(
-        graph=graph.freeze(),
+        graph=_parent_graph(n, parent_sets),
         parent_sets=parent_sets,
         mi_matrix=reference.mi_matrix,
         threshold=reference.threshold,
@@ -379,11 +425,7 @@ class TendsModel:
 
     def graph(self) -> DiffusionGraph:
         """The currently-inferred topology (edges parent → child)."""
-        graph = DiffusionGraph(self.n_nodes)
-        for child, parents in enumerate(self.parent_sets):
-            for parent in parents:
-                graph.add_edge(parent, child)
-        return graph.freeze()
+        return _parent_graph(self.n_nodes, self.parent_sets)
 
     def data_fingerprint(self) -> str:
         """SHA-256 over the stored history (statuses bytes + mask).
@@ -593,6 +635,60 @@ class TendsModel:
         return model
 
 
+class _Run:
+    """Observability scaffold of one fit, update or adaptation.
+
+    A traced run records nested spans and algorithm metrics; an untraced
+    one runs through the shared no-op singletons (one attribute lookup
+    per site).  Either way the inference is bit-identical —
+    instrumentation only observes.
+    """
+
+    def __init__(self, config: TendsConfig) -> None:
+        self.tracer: Tracer | NullTracer = (
+            Tracer() if config.trace else NULL_TRACER
+        )
+        self.metrics: MetricsRegistry | NullMetrics = (
+            MetricsRegistry() if config.trace else NULL_METRICS
+        )
+        self.memory: MemoryTracker | NullMemoryTracker = (
+            MemoryTracker() if config.memory else NULL_MEMORY
+        )
+        self.recording = config.trace or self.memory.enabled
+
+    @contextmanager
+    def installed(self) -> Iterator["_Run"]:
+        """Make this run's tracer and memory tracker the ambient ones."""
+        with ambient_tracer(self.tracer), self.memory.activate():
+            yield self
+
+    @contextmanager
+    def stage(self, seconds: dict[str, float], name: str, **attrs) -> Iterator:
+        """One timed pipeline stage: span ``tends.<name>`` (yielded, so the
+        stage can annotate it), memory stage ``name``, and a stopwatch
+        whose reading lands in ``seconds[name]``."""
+        with self.tracer.span(f"tends.{name}", **attrs) as span:
+            with self.memory.measure(name, span), Stopwatch() as watch:
+                yield span
+            seconds[name] = watch.elapsed
+
+    def attach(self, result: TendsResult) -> TendsResult:
+        """``result`` carrying what this run recorded as its
+        :class:`~repro.obs.telemetry.Telemetry` (untouched when tracing
+        and memory attribution are both off)."""
+        if not self.recording:
+            return result
+        return replace(
+            result,
+            telemetry=Telemetry(
+                spans=self.tracer.finished(),
+                metrics=self.metrics.snapshot(),
+                epoch_offset=self.tracer.epoch_offset,
+                memory=self.memory.stages(),
+            ),
+        )
+
+
 class Tends:
     """Statistical estimator of diffusion network topologies.
 
@@ -721,28 +817,9 @@ class Tends:
             raise DataError(
                 f"TENDS needs at least 2 diffusion processes, got {statuses.beta}"
             )
-        if statuses.has_missing:
-            # Missing-data policy (config.missing).  "pairwise" leaves the
-            # mask in place — imi/scoring then count over pairwise- and
-            # family-complete processes with per-pair effective β.
-            if self.config.missing == "refuse":
-                missing_count = int((~statuses.mask).sum())
-                raise DataError(
-                    f"observations contain {missing_count} unobserved entries "
-                    "and missing='refuse' is set"
-                )
-            if self.config.missing == "zero-fill":
-                statuses = statuses.filled(0)
-        if self.config.audit != "ignore":
-            # Degenerate observations (all-zero cascades, constant nodes)
-            # are handled gracefully downstream — the Eq. 16-17 / 24-25
-            # limits contribute their documented values — but they carry
-            # no signal, so surface them instead of silently inferring an
-            # empty neighbourhood.
-            validate_observations(
-                statuses,
-                on_degenerate="strict" if self.config.audit == "strict" else "warn",
-            )
+        statuses = _apply_missing_policy(
+            statuses, self.config.missing, "observations contain"
+        )
         n = statuses.n_nodes
         shard: tuple[int, ...] | None = None
         if nodes is not None:
@@ -767,65 +844,101 @@ class Tends:
                 f"missing={statuses.has_missing}) observations"
             )
 
-        # Observability: a traced fit records nested spans and algorithm
-        # metrics; untraced fits run through the shared no-op singletons
-        # (one attribute lookup per site).  Either way the inference is
-        # bit-identical — instrumentation only observes.
-        trace = self.config.trace
-        tracer: Tracer | NullTracer = Tracer() if trace else NULL_TRACER
-        metrics: MetricsRegistry | NullMetrics = (
-            MetricsRegistry() if trace else NULL_METRICS
-        )
-        memory: MemoryTracker | NullMemoryTracker = (
-            MemoryTracker() if self.config.memory else NULL_MEMORY
-        )
-        if statuses.has_missing:
-            metrics.set_gauge("tends_mask_density", float(statuses.mask.mean()))
-        else:
-            metrics.set_gauge("tends_mask_density", 1.0)
-        with ambient_tracer(tracer), memory.activate():
-            with tracer.span(
-                "tends.fit", n_nodes=n, beta=statuses.beta
-            ) as fit_span, memory.measure("total", fit_span):
-                # Stage seconds in the order partial_fit records them;
-                # supplied statistics were counted elsewhere, so a fit
-                # that takes them has no "stats" stage.
-                stage_seconds: dict[str, float] = {}
-                if stats is None:
-                    with tracer.span("tends.stats", beta=statuses.beta) as span:
-                        with memory.measure("stats", span), Stopwatch() as watch:
-                            stats = self._count_stats(statuses, tracer, metrics)
-                        stage_seconds["stats"] = watch.elapsed
-                result, candidates = self._run_pipeline(
-                    statuses,
-                    stats,
-                    n,
-                    tracer,
-                    metrics,
-                    stage_seconds,
-                    memory,
-                    nodes=shard,
-                )
-        if trace or memory.enabled:
-            result = replace(
-                result,
-                telemetry=Telemetry(
-                    spans=tracer.finished(),
-                    metrics=metrics.snapshot(),
-                    epoch_offset=tracer.epoch_offset,
-                    memory=memory.stages(),
+        run = _Run(self.config)
+        run.metrics.set_gauge("tends_mask_density", _mask_density(statuses))
+        # Stage seconds in pipeline order; supplied statistics were
+        # counted elsewhere, so a fit that takes them has no "stats" stage.
+        seconds: dict[str, float] = {}
+        with run.installed(), run.tracer.span(
+            "tends.fit", n_nodes=n, beta=statuses.beta
+        ) as fit_span, run.memory.measure("total", fit_span):
+            if self.config.audit != "ignore":
+                # Degenerate observations (all-zero cascades, constant
+                # nodes) are handled gracefully downstream — the Eq. 16-17
+                # / 24-25 limits contribute their documented values — but
+                # they carry no signal, so surface them instead of
+                # silently inferring an empty neighbourhood.
+                with run.stage(seconds, "audit"):
+                    validate_observations(
+                        statuses,
+                        on_degenerate=(
+                            "strict" if self.config.audit == "strict" else "warn"
+                        ),
+                    )
+            if stats is None:
+                with run.stage(seconds, "stats", beta=statuses.beta):
+                    stats = self._count_stats(statuses, run.tracer, run.metrics)
+            mi, threshold, clustering = self._mi_and_threshold(run, seconds, stats)
+
+            # Stage 2b (optional): bootstrap the IMI distribution for
+            # per-edge confidence and, in stable mode, CI-based candidate
+            # screening.
+            bootstrap = None
+            stable_pairs: np.ndarray | None = None
+            stable_mode = self.config.threshold == "stable"
+            n_boot = self.config.bootstrap_samples
+            if stable_mode and n_boot is None:
+                n_boot = 100
+            if n_boot:
+                from repro.robustness.bootstrap import bootstrap_imi
+
+                with run.stage(seconds, "bootstrap", samples=n_boot):
+                    bootstrap = bootstrap_imi(
+                        statuses,
+                        n_boot,
+                        seed=self.config.bootstrap_seed,
+                        ci_level=self.config.ci_level,
+                        mi_kind=self.config.mi_kind,
+                    )
+                    if stable_mode:
+                        stable_pairs = bootstrap.stable_above(threshold)
+
+            # Stage 3, pruning included.  Out-of-shard nodes keep the
+            # empty placeholders; a full fit overwrites every slot.
+            parent_sets: list[tuple[int, ...]] = [() for _ in range(n)]
+            diagnostics = [SearchDiagnostics(node=node) for node in range(n)]
+            candidates, worker_stats = self._search(
+                run,
+                seconds,
+                statuses,
+                range(n) if shard is None else shard,
+                lambda node: prune_candidates(
+                    mi, node, threshold, self.config, stable_pairs
                 ),
+                parent_sets,
+                diagnostics,
             )
+        _count_pruning(run.metrics, n, candidates)
+
+        edge_confidence: dict[tuple[int, int], float] | None = None
+        if bootstrap is not None:
+            exceed = bootstrap.exceed_fraction(threshold)
+            edge_confidence = {
+                (parent, child): float(exceed[parent, child])
+                for child, parents in enumerate(parent_sets)
+                for parent in parents
+            }
+        result = run.attach(
+            TendsResult(
+                graph=_parent_graph(n, parent_sets),
+                parent_sets=tuple(parent_sets),
+                mi_matrix=mi,
+                threshold=threshold,
+                clustering=clustering,
+                diagnostics=tuple(diagnostics),
+                stage_seconds=seconds,
+                worker_stats=worker_stats,
+                edge_confidence=edge_confidence,
+                imi_bootstrap=bootstrap,
+                nodes=shard,
+            )
+        )
         # Install the incremental-update state.  Bootstrap-backed configs
         # get none: resampled screening/confidence is a function of the
         # raw history, not of the cached counts, so partial_fit cannot
         # reproduce it and refuses such configs up front.  Shard fits get
         # none either — their parent sets are partial by construction.
-        if (
-            self.config.threshold == "stable"
-            or self.config.bootstrap_samples
-            or shard is not None
-        ):
+        if stable_mode or self.config.bootstrap_samples or shard is not None:
             self._model = None
         else:
             self._model = TendsModel(
@@ -833,20 +946,39 @@ class Tends:
                 stats=stats,
                 statuses=statuses,
                 threshold=result.threshold,
-                candidates=candidates,
+                candidates=tuple(tuple(c) for c in candidates),
                 parent_sets=result.parent_sets,
                 diagnostics=result.diagnostics,
             )
         return result
+
+    def _mi_and_threshold(
+        self,
+        run: _Run,
+        seconds: dict[str, float],
+        stats: SufficientStats | TiledSufficientStats,
+    ) -> tuple[np.ndarray, float, TwoMeansResult | None]:
+        """Stages 1-2 of Algorithm 1: the pairwise MI matrix (lines 2-4)
+        from the additive sufficient statistics — the same floating-point
+        pipeline as estimating straight from the observations — then the
+        pruning threshold ``τ`` (line 5)."""
+        n = stats.n_nodes
+        with run.stage(seconds, "imi", kind=self.config.mi_kind):
+            mi = stats.mi_matrix(self.config.mi_kind)
+        run.metrics.inc("tends_imi_pairs_total", n * (n - 1) // 2)
+        with run.stage(seconds, "threshold") as span:
+            threshold, clustering = self._select_threshold(mi, n)
+            span.set(tau=threshold)
+        run.metrics.set_gauge("tends_threshold_tau", threshold)
+        return mi, threshold, clustering
 
     def _select_threshold(
         self, mi: np.ndarray, n: int
     ) -> tuple[float, TwoMeansResult | None]:
         """Stage 2: the pruning threshold ``τ`` (Algorithm 1 line 5) —
         explicit override, or fixed-zero 2-means over the non-negative
-        off-diagonal MI values (scaled).  Shared by :meth:`fit` and
-        :meth:`partial_fit` so both derive ``τ`` through identical
-        floating-point operations."""
+        off-diagonal MI values (scaled).  Fit, update and adaptation all
+        derive ``τ`` here, through identical floating-point operations."""
         if self.config.threshold is not None and self.config.threshold != "stable":
             return float(self.config.threshold), None
         # Stream the off-diagonal extraction in row bands: concatenating
@@ -872,144 +1004,61 @@ class Tends:
         clustering = fixed_zero_two_means(non_negative)
         return clustering.threshold * self.config.threshold_scale, clustering
 
-    def _run_pipeline(
+    def _search(
         self,
+        run: _Run,
+        seconds: dict[str, float],
         statuses: StatusMatrix,
-        stats: SufficientStats | TiledSufficientStats,
-        n: int,
-        tracer: "Tracer | NullTracer",
-        metrics: "MetricsRegistry | NullMetrics",
-        stage_seconds: dict[str, float],
-        memory: "MemoryTracker | NullMemoryTracker" = NULL_MEMORY,
-        nodes: tuple[int, ...] | None = None,
-    ) -> tuple[TendsResult, tuple[tuple[int, ...], ...]]:
-        """Stages 1-3 of Algorithm 1 (validation already done by
-        :meth:`fit`, which also owns the ambient tracer install and the
-        statistics count, whose time it passes in ``stage_seconds``).
+        nodes: Sequence[int],
+        candidates_of: Callable[[int], Sequence[int]],
+        parent_sets: list[tuple[int, ...]],
+        diagnostics: list[SearchDiagnostics],
+        **attrs,
+    ) -> tuple[list[Sequence[int]], tuple[WorkerStats, ...]]:
+        """Stage 3 (Algorithm 1 lines 6-21): parent search for ``nodes``.
 
-        Returns the result plus the per-node candidate sets, which the
-        caller folds into the incremental-update model."""
-        # Stage 1: pairwise MI matrix (Algorithm 1 lines 2-4), from the
-        # additive sufficient statistics — identical floating-point
-        # pipeline to estimating straight from the observations.
-        with tracer.span("tends.imi", kind=self.config.mi_kind) as imi_span:
-            with memory.measure("imi", imi_span), Stopwatch() as watch:
-                mi = stats.mi_matrix(self.config.mi_kind)
-            stage_seconds["imi"] = watch.elapsed
-        metrics.inc("tends_imi_pairs_total", n * (n - 1) // 2)
-
-        # Stage 2: threshold via fixed-zero 2-means (line 5).
-        stable_mode = self.config.threshold == "stable"
-        with tracer.span("tends.threshold") as threshold_span:
-            with memory.measure("threshold", threshold_span), Stopwatch() as watch:
-                threshold, clustering = self._select_threshold(mi, n)
-            stage_seconds["threshold"] = watch.elapsed
-            threshold_span.set(tau=threshold)
-        metrics.set_gauge("tends_threshold_tau", threshold)
-
-        # Stage 2b (optional): bootstrap the IMI distribution for per-edge
-        # confidence and, in stable mode, CI-based candidate screening.
-        bootstrap = None
-        stable_pairs: np.ndarray | None = None
-        n_boot = self.config.bootstrap_samples
-        if stable_mode and n_boot is None:
-            n_boot = 100
-        if n_boot:
-            from repro.robustness.bootstrap import bootstrap_imi
-
-            with tracer.span("tends.bootstrap", samples=n_boot) as boot_span:
-                with memory.measure("bootstrap", boot_span), Stopwatch() as watch:
-                    bootstrap = bootstrap_imi(
-                        statuses,
-                        n_boot,
-                        seed=self.config.bootstrap_seed,
-                        ci_level=self.config.ci_level,
-                        mi_kind=self.config.mi_kind,
-                    )
-                    if stable_mode:
-                        stable_pairs = bootstrap.stable_above(threshold)
-                stage_seconds["bootstrap"] = watch.elapsed
-
-        # Stage 3: candidate pruning + per-node parent search (lines 6-21).
-        # The local score is decomposable, so the n searches are
-        # independent; the executor backend fans them out and the merge
-        # below reassembles results in node order, keeping the output
-        # bit-identical to the serial loop for every backend/worker count.
-        with tracer.span(
-            "tends.search", strategy=self.config.search_strategy
-        ) as search_span:
-            with memory.measure("search", search_span), Stopwatch() as watch:
+        ``candidates_of(node)`` is the node's pruned candidate set; it is
+        called inside the timed stage, so a fit prunes there.  Each answer
+        overwrites its node's slot in ``parent_sets`` / ``diagnostics``:
+        placeholders for a fit, the previous answers for an update or an
+        adaptation.  The local score is decomposable, so the searches are
+        independent; the executor fans them out and returns the outcomes
+        in node order, bit-identical to the serial loop for every backend
+        and worker count.  Returns the searched candidate sets and the
+        per-worker stats.
+        """
+        candidates: list[Sequence[int]] = []
+        outcomes: list = []
+        worker_stats: list[WorkerStats] = []
+        report = None
+        with run.stage(
+            seconds, "search", strategy=self.config.search_strategy, **attrs
+        ) as span:
+            if nodes:
                 search = ParentSearch(statuses, self.config)
-                searched = range(n) if nodes is None else nodes
-                items = [
-                    (
-                        node,
-                        prune_candidates(
-                            mi, node, threshold, self.config, stable_pairs
-                        ),
-                    )
-                    for node in searched
-                ]
-                kept_pairs = sum(len(candidates) for _, candidates in items)
-                metrics.inc(
-                    "tends_candidate_pairs_pruned_total",
-                    len(items) * (n - 1) - kept_pairs,
-                )
-                metrics.inc("tends_candidate_pairs_kept_total", kept_pairs)
+                candidates = [candidates_of(node) for node in nodes]
                 plan = self._execution_plan()
-                executor = ParallelExecutor(plan, tracer=tracer)
-                outcomes, worker_stats = executor.map(search_chunk, search, items)
-                # Out-of-shard nodes keep empty placeholders; for full
-                # fits every slot is overwritten in node order, so this
-                # is byte-for-byte the previous assembly.
-                parent_sets: list[tuple[int, ...]] = [() for _ in range(n)]
-                diagnostics: list[SearchDiagnostics] = [
-                    SearchDiagnostics(node=node) for node in range(n)
-                ]
-                graph = DiffusionGraph(n)
-                for (node, _), (parents, diag) in zip(items, outcomes):
+                executor = ParallelExecutor(plan, tracer=run.tracer)
+                outcomes, worker_stats = executor.map(
+                    search_chunk, search, list(zip(nodes, candidates))
+                )
+                report = executor.last_report
+                for node, (parents, diag) in zip(nodes, outcomes):
                     parent_sets[node] = tuple(parents)
                     diagnostics[node] = diag
-                    for parent in parents:
-                        graph.add_edge(parent, node)
-            stage_seconds["search"] = watch.elapsed
-            search_span.set(executor=plan.strategy, n_jobs=plan.n_jobs)
-        for stats in worker_stats:
-            stage_seconds[f"search/{stats.worker}"] = stats.seconds
-        for diag in diagnostics:
-            metrics.inc("tends_score_evaluations_total", diag.n_evaluations)
-            metrics.inc("tends_bound_terminations_total", diag.bound_hits)
-            metrics.observe("tends_greedy_iterations", diag.iterations)
-        report = executor.last_report
+                span.set(executor=plan.strategy, n_jobs=plan.n_jobs)
+        for worker in worker_stats:
+            seconds[f"search/{worker.worker}"] = worker.seconds
+        for _, diag in outcomes:
+            run.metrics.inc("tends_score_evaluations_total", diag.n_evaluations)
+            run.metrics.inc("tends_bound_terminations_total", diag.bound_hits)
+            run.metrics.observe("tends_greedy_iterations", diag.iterations)
         if report is not None:
-            metrics.inc("executor_retries_total", report.retries)
-            metrics.inc("executor_timeouts_total", report.timeouts)
-            metrics.inc("executor_pool_rebuilds_total", report.pool_rebuilds)
-            metrics.inc("executor_fallbacks_total", report.fallbacks)
-
-        edge_confidence: dict[tuple[int, int], float] | None = None
-        if bootstrap is not None:
-            exceed = bootstrap.exceed_fraction(threshold)
-            edge_confidence = {
-                (parent, child): float(exceed[parent, child])
-                for child, parents in enumerate(parent_sets)
-                for parent in parents
-            }
-
-        result = TendsResult(
-            graph=graph.freeze(),
-            parent_sets=tuple(parent_sets),
-            mi_matrix=mi,
-            threshold=threshold,
-            clustering=clustering,
-            diagnostics=tuple(diagnostics),
-            stage_seconds=stage_seconds,
-            worker_stats=tuple(worker_stats),
-            edge_confidence=edge_confidence,
-            imi_bootstrap=bootstrap,
-            nodes=nodes,
-        )
-        return result, tuple(tuple(candidates) for _, candidates in items)
+            run.metrics.inc("executor_retries_total", report.retries)
+            run.metrics.inc("executor_timeouts_total", report.timeouts)
+            run.metrics.inc("executor_pool_rebuilds_total", report.pool_rebuilds)
+            run.metrics.inc("executor_fallbacks_total", report.fallbacks)
+        return candidates, tuple(worker_stats)
 
     # ------------------------------------------------------------------
     # incremental updates
@@ -1091,116 +1140,70 @@ class Tends:
                 f"batch covers {new_statuses.n_nodes} nodes, model covers "
                 f"{previous.n_nodes}"
             )
-        if new_statuses.has_missing:
-            if self.config.missing == "refuse":
-                missing_count = int((~new_statuses.mask).sum())
-                raise DataError(
-                    f"batch contains {missing_count} unobserved entries "
-                    "and missing='refuse' is set"
-                )
-            if self.config.missing == "zero-fill":
-                new_statuses = new_statuses.filled(0)
+        new_statuses = _apply_missing_policy(
+            new_statuses, self.config.missing, "batch contains"
+        )
 
-        trace = self.config.trace
-        tracer: Tracer | NullTracer = Tracer() if trace else NULL_TRACER
-        metrics: MetricsRegistry | NullMetrics = (
-            MetricsRegistry() if trace else NULL_METRICS
-        )
-        memory: MemoryTracker | NullMemoryTracker = (
-            MemoryTracker() if self.config.memory else NULL_MEMORY
-        )
-        with ambient_tracer(tracer), memory.activate():
-            with tracer.span(
+        run = _Run(self.config)
+        with run.installed():
+            with run.tracer.span(
                 "tends.update",
                 n_nodes=previous.n_nodes,
                 batch_beta=new_statuses.beta,
                 beta=previous.beta + new_statuses.beta,
-            ) as update_span, memory.measure("total", update_span):
-                result, model = self._run_update(
-                    previous, new_statuses, tracer, metrics, memory
-                )
+            ) as update_span, run.memory.measure("total", update_span):
+                result, model = self._update(run, previous, new_statuses)
             if drift != "ignore" and new_statuses.beta > 0:
                 report = self._detect_drift_on(
                     model,
                     window=drift_window or new_statuses.beta,
                     config=drift_config,
-                    tracer=tracer,
-                    metrics=metrics,
+                    tracer=run.tracer,
+                    metrics=run.metrics,
                 )
                 result = replace(result, drift=report)
                 if drift == "adapt" and report.drifted:
-                    result, model = self._run_adapt(
-                        model, report, report.recent_beta, tracer, metrics, memory
+                    result, model = self._adapt(
+                        run, model, report, report.recent_beta
                     )
-        if trace or memory.enabled:
-            result = replace(
-                result,
-                telemetry=Telemetry(
-                    spans=tracer.finished(),
-                    metrics=metrics.snapshot(),
-                    epoch_offset=tracer.epoch_offset,
-                    memory=memory.stages(),
-                ),
-            )
+        result = run.attach(result)
         # Copy-on-write installation: nothing above mutated the previous
         # model, so any failure before this line leaves it usable.
         self._model = model
         return result
 
-    def _run_update(
-        self,
-        previous: TendsModel,
-        batch: StatusMatrix,
-        tracer: "Tracer | NullTracer",
-        metrics: "MetricsRegistry | NullMetrics",
-        memory: "MemoryTracker | NullMemoryTracker" = NULL_MEMORY,
+    def _update(
+        self, run: _Run, previous: TendsModel, batch: StatusMatrix
     ) -> tuple[TendsResult, TendsModel]:
         """One incremental update (validation already done by
         :meth:`partial_fit`, which also owns the ambient tracer and the
         copy-on-write model installation)."""
         n = previous.n_nodes
-        stage_seconds: dict[str, float] = {}
-        metrics.inc("tends_update_batches_total")
+        seconds: dict[str, float] = {}
+        run.metrics.inc("tends_update_batches_total")
 
         # Sufficient statistics: count the batch, add (integer-exact).
         # Tile-backed models roll a new copy-on-write tile generation;
         # dense models (e.g. loaded from a snapshot) count the batch
         # densely — either way the update is bit-identical to the
         # one-shot dense path.
-        with tracer.span("tends.stats", batch_beta=batch.beta) as stats_span:
-            with memory.measure("stats", stats_span), Stopwatch() as watch:
-                if isinstance(previous.stats, TiledSufficientStats):
-                    stats: SufficientStats | TiledSufficientStats = (
-                        previous.stats.updated(
-                            batch,
-                            plan=self._execution_plan(),
-                            tracer=tracer,
-                            metrics=metrics,
-                        )
+        with run.stage(seconds, "stats", batch_beta=batch.beta):
+            if isinstance(previous.stats, TiledSufficientStats):
+                stats: SufficientStats | TiledSufficientStats = (
+                    previous.stats.updated(
+                        batch,
+                        plan=self._execution_plan(),
+                        tracer=run.tracer,
+                        metrics=run.metrics,
                     )
-                else:
-                    stats = previous.stats.updated(batch)
-                history = previous.statuses.append(batch)
-            stage_seconds["stats"] = watch.elapsed
-        if history.has_missing:
-            metrics.set_gauge("tends_mask_density", float(history.mask.mean()))
-        else:
-            metrics.set_gauge("tends_mask_density", 1.0)
+                )
+            else:
+                stats = previous.stats.updated(batch)
+            history = previous.statuses.append(batch)
+        run.metrics.set_gauge("tends_mask_density", _mask_density(history))
 
-        # Stage 1 from cached counts (O(n²), no pass over the history).
-        with tracer.span("tends.imi", kind=self.config.mi_kind) as imi_span:
-            with memory.measure("imi", imi_span), Stopwatch() as watch:
-                mi = stats.mi_matrix(self.config.mi_kind)
-            stage_seconds["imi"] = watch.elapsed
-        metrics.inc("tends_imi_pairs_total", n * (n - 1) // 2)
-
-        # Stage 2: τ from the updated MI distribution.
-        with tracer.span("tends.threshold") as threshold_span:
-            with memory.measure("threshold", threshold_span), Stopwatch() as watch:
-                threshold, clustering = self._select_threshold(mi, n)
-            stage_seconds["threshold"] = watch.elapsed
-            threshold_span.set(tau=threshold)
-        metrics.set_gauge("tends_threshold_tau", threshold)
+        # Stages 1-2 from cached counts (O(n²), no pass over the history).
+        mi, threshold, clustering = self._mi_and_threshold(run, seconds, stats)
 
         # Diff against the previous fit: a node must be re-searched iff
         # its candidate set changed, or the batch observed it at least
@@ -1208,104 +1211,90 @@ class Tends:
         # both tests provably score every parent set identically to the
         # previous fit — all their counts restrict to rows observing the
         # child — so their previous F_i IS the refit answer.
-        with tracer.span("tends.diff") as diff_span:
-            with memory.measure("diff", diff_span), Stopwatch() as watch:
-                candidates = tuple(
-                    tuple(prune_candidates(mi, node, threshold, self.config))
-                    for node in range(n)
-                )
-                if batch.beta == 0:
-                    touched = np.zeros(n, dtype=np.bool_)
-                elif batch.mask is None:
-                    touched = np.ones(n, dtype=np.bool_)
-                else:
-                    touched = batch.mask.any(axis=0)
-                dirty = [
-                    node
-                    for node in range(n)
-                    if bool(touched[node])
-                    or candidates[node] != previous.candidates[node]
-                ]
-                dirty_set = set(dirty)
-                clean = [node for node in range(n) if node not in dirty_set]
-            stage_seconds["diff"] = watch.elapsed
-            diff_span.set(dirty=len(dirty), clean=len(clean))
-        kept_pairs = sum(len(c) for c in candidates)
-        metrics.inc("tends_candidate_pairs_pruned_total", n * (n - 1) - kept_pairs)
-        metrics.inc("tends_candidate_pairs_kept_total", kept_pairs)
-        metrics.inc("tends_update_nodes_dirty_total", len(dirty))
-        metrics.inc("tends_update_nodes_clean_total", len(clean))
-        metrics.inc("tends_update_searches_skipped_total", len(clean))
+        with run.stage(seconds, "diff") as span:
+            candidates = self._all_candidates(mi, threshold)
+            if batch.beta == 0:
+                touched = np.zeros(n, dtype=np.bool_)
+            elif batch.mask is None:
+                touched = np.ones(n, dtype=np.bool_)
+            else:
+                touched = batch.mask.any(axis=0)
+            dirty = [
+                node
+                for node in range(n)
+                if bool(touched[node])
+                or candidates[node] != previous.candidates[node]
+            ]
+            dirty_set = set(dirty)
+            clean = [node for node in range(n) if node not in dirty_set]
+            span.set(dirty=len(dirty), clean=len(clean))
+        _count_pruning(run.metrics, n, candidates)
+        run.metrics.inc("tends_update_nodes_dirty_total", len(dirty))
+        run.metrics.inc("tends_update_nodes_clean_total", len(clean))
+        run.metrics.inc("tends_update_searches_skipped_total", len(clean))
+        return self._research(
+            run, seconds, previous, history, stats, mi, threshold, clustering,
+            candidates, dirty, clean, batch_beta=batch.beta,
+        )
 
-        # Stage 3 for dirty nodes only, on the concatenated history,
-        # through the same executor machinery as a full fit.
-        with tracer.span(
-            "tends.search",
-            strategy=self.config.search_strategy,
-            dirty=len(dirty),
-        ) as search_span:
-            with memory.measure("search", search_span), Stopwatch() as watch:
-                outcomes: list = []
-                worker_stats: list[WorkerStats] = []
-                report = None
-                if dirty:
-                    search = ParentSearch(history, self.config)
-                    items = [(node, list(candidates[node])) for node in dirty]
-                    plan = ExecutionPlan.resolve(
-                        executor=self.config.executor,
-                        n_jobs=self.config.n_jobs,
-                        chunk_size=self.config.chunk_size,
-                        max_attempts=self.config.max_attempts,
-                        chunk_timeout=self.config.chunk_timeout,
-                        fallback=self.config.executor_fallback,
-                    )
-                    executor = ParallelExecutor(plan, tracer=tracer)
-                    outcomes, worker_stats = executor.map(
-                        search_chunk, search, items
-                    )
-                    report = executor.last_report
-                    search_span.set(executor=plan.strategy, n_jobs=plan.n_jobs)
-            stage_seconds["search"] = watch.elapsed
-        for stats_entry in worker_stats:
-            stage_seconds[f"search/{stats_entry.worker}"] = stats_entry.seconds
-        for _, diag in outcomes:
-            metrics.inc("tends_score_evaluations_total", diag.n_evaluations)
-            metrics.inc("tends_bound_terminations_total", diag.bound_hits)
-            metrics.observe("tends_greedy_iterations", diag.iterations)
-        if report is not None:
-            metrics.inc("executor_retries_total", report.retries)
-            metrics.inc("executor_timeouts_total", report.timeouts)
-            metrics.inc("executor_pool_rebuilds_total", report.pool_rebuilds)
-            metrics.inc("executor_fallbacks_total", report.fallbacks)
+    def _all_candidates(
+        self, mi: np.ndarray, threshold: float
+    ) -> tuple[tuple[int, ...], ...]:
+        """The pruned candidate set ``P_i`` of every node."""
+        return tuple(
+            tuple(prune_candidates(mi, node, threshold, self.config))
+            for node in range(mi.shape[0])
+        )
 
-        # Merge: re-searched answers for dirty nodes, warm-started
-        # previous answers for clean ones, in node order.
+    def _research(
+        self,
+        run: _Run,
+        seconds: dict[str, float],
+        previous: TendsModel,
+        history: StatusMatrix,
+        stats: SufficientStats | TiledSufficientStats,
+        mi: np.ndarray,
+        threshold: float,
+        clustering: TwoMeansResult | None,
+        candidates: tuple[tuple[int, ...], ...],
+        dirty: list[int],
+        clean: list[int],
+        *,
+        batch_beta: int,
+        drift: "DriftReport | None" = None,
+    ) -> tuple[TendsResult, TendsModel]:
+        """Shared tail of an update and an adaptation: stage 3 for the
+        ``dirty`` nodes on ``history``, through the same executor
+        machinery as a full fit, with ``previous``'s answers kept for the
+        clean ones (the warm start); then the result and the new model."""
         parent_sets = list(previous.parent_sets)
         diagnostics = list(previous.diagnostics)
-        for node, (parents, diag) in zip(dirty, outcomes):
-            parent_sets[node] = tuple(parents)
-            diagnostics[node] = diag
-        graph = DiffusionGraph(n)
-        for node, parents in enumerate(parent_sets):
-            for parent in parents:
-                graph.add_edge(parent, node)
-
-        info = UpdateInfo(
-            batch_beta=batch.beta,
-            dirty_nodes=tuple(dirty),
-            clean_nodes=tuple(clean),
-            threshold_changed=threshold != previous.threshold,
+        _, worker_stats = self._search(
+            run,
+            seconds,
+            history,
+            dirty,
+            candidates.__getitem__,
+            parent_sets,
+            diagnostics,
+            dirty=len(dirty),
         )
         result = TendsResult(
-            graph=graph.freeze(),
+            graph=_parent_graph(previous.n_nodes, parent_sets),
             parent_sets=tuple(parent_sets),
             mi_matrix=mi,
             threshold=threshold,
             clustering=clustering,
             diagnostics=tuple(diagnostics),
-            stage_seconds=stage_seconds,
-            worker_stats=tuple(worker_stats),
-            update=info,
+            stage_seconds=seconds,
+            worker_stats=worker_stats,
+            update=UpdateInfo(
+                batch_beta=batch_beta,
+                dirty_nodes=tuple(dirty),
+                clean_nodes=tuple(clean),
+                threshold_changed=threshold != previous.threshold,
+            ),
+            drift=drift,
         )
         model = TendsModel(
             config=self.config,
@@ -1384,28 +1373,10 @@ class Tends:
         window = window or report.recent_beta
         if window < 1:
             raise ConfigurationError(f"adapt window must be >= 1, got {window}")
-        trace = self.config.trace
-        tracer: Tracer | NullTracer = Tracer() if trace else NULL_TRACER
-        metrics: MetricsRegistry | NullMetrics = (
-            MetricsRegistry() if trace else NULL_METRICS
-        )
-        memory: MemoryTracker | NullMemoryTracker = (
-            MemoryTracker() if self.config.memory else NULL_MEMORY
-        )
-        with ambient_tracer(tracer), memory.activate():
-            result, adapted = self._run_adapt(
-                model, report, window, tracer, metrics, memory
-            )
-        if trace or memory.enabled:
-            result = replace(
-                result,
-                telemetry=Telemetry(
-                    spans=tracer.finished(),
-                    metrics=metrics.snapshot(),
-                    epoch_offset=tracer.epoch_offset,
-                    memory=memory.stages(),
-                ),
-            )
+        run = _Run(self.config)
+        with run.installed():
+            result, adapted = self._adapt(run, model, report, window)
+        result = run.attach(result)
         self._model = adapted
         return result
 
@@ -1444,134 +1415,33 @@ class Tends:
         )
         return report
 
-    def _run_adapt(
-        self,
-        model: TendsModel,
-        report: "DriftReport",
-        window: int,
-        tracer: "Tracer | NullTracer",
-        metrics: "MetricsRegistry | NullMetrics",
-        memory: "MemoryTracker | NullMemoryTracker" = NULL_MEMORY,
+    def _adapt(
+        self, run: _Run, model: TendsModel, report: "DriftReport", window: int
     ) -> tuple[TendsResult, TendsModel]:
         """Rebase onto the newest ``window`` processes and re-search the
         report's affected nodes (validation already done by the callers,
         which also own the copy-on-write installation)."""
         n = model.n_nodes
         window = min(window, model.beta)
-        stage_seconds: dict[str, float] = {}
-        metrics.inc("tends_adapt_total")
-        with tracer.span(
+        seconds: dict[str, float] = {}
+        run.metrics.inc("tends_adapt_total")
+        with run.tracer.span(
             "tends.adapt", window=window, nodes=len(report.affected_nodes)
-        ) as adapt_span, memory.measure("adapt", adapt_span):
+        ) as adapt_span, run.memory.measure("adapt", adapt_span):
             # Recent-window statistics and history: the exact inputs a
             # fresh fit on the post-change window would see.
-            with tracer.span("tends.stats", batch_beta=window) as stats_span:
-                with memory.measure("stats", stats_span), Stopwatch() as watch:
-                    history = model.statuses.subset(
-                        range(model.statuses.beta - window, model.statuses.beta)
-                    )
-                    stats = SufficientStats.from_statuses(history)
-                stage_seconds["stats"] = watch.elapsed
-
-            with tracer.span("tends.imi", kind=self.config.mi_kind) as imi_span:
-                with memory.measure("imi", imi_span), Stopwatch() as watch:
-                    mi = stats.mi_matrix(self.config.mi_kind)
-                stage_seconds["imi"] = watch.elapsed
-
-            with tracer.span("tends.threshold") as threshold_span:
-                with memory.measure(
-                    "threshold", threshold_span
-                ), Stopwatch() as watch:
-                    threshold, clustering = self._select_threshold(mi, n)
-                stage_seconds["threshold"] = watch.elapsed
-                threshold_span.set(tau=threshold)
-
-            candidates = tuple(
-                tuple(prune_candidates(mi, node, threshold, self.config))
-                for node in range(n)
-            )
+            with run.stage(seconds, "stats", batch_beta=window):
+                history = model.statuses.subset(
+                    range(model.statuses.beta - window, model.statuses.beta)
+                )
+                stats = SufficientStats.from_statuses(history)
+            mi, threshold, clustering = self._mi_and_threshold(run, seconds, stats)
+            candidates = self._all_candidates(mi, threshold)
             dirty = [node for node in report.affected_nodes if 0 <= node < n]
             dirty_set = set(dirty)
             clean = [node for node in range(n) if node not in dirty_set]
-
-            with tracer.span(
-                "tends.search",
-                strategy=self.config.search_strategy,
-                dirty=len(dirty),
-            ) as search_span:
-                with memory.measure("search", search_span), Stopwatch() as watch:
-                    outcomes: list = []
-                    worker_stats: list[WorkerStats] = []
-                    if dirty:
-                        search = ParentSearch(history, self.config)
-                        items = [(node, list(candidates[node])) for node in dirty]
-                        plan = ExecutionPlan.resolve(
-                            executor=self.config.executor,
-                            n_jobs=self.config.n_jobs,
-                            chunk_size=self.config.chunk_size,
-                            max_attempts=self.config.max_attempts,
-                            chunk_timeout=self.config.chunk_timeout,
-                            fallback=self.config.executor_fallback,
-                        )
-                        executor = ParallelExecutor(plan, tracer=tracer)
-                        outcomes, worker_stats = executor.map(
-                            search_chunk, search, items
-                        )
-                        search_span.set(executor=plan.strategy, n_jobs=plan.n_jobs)
-                stage_seconds["search"] = watch.elapsed
             adapt_span.set(dirty=len(dirty), clean=len(clean))
-        for stats_entry in worker_stats:
-            stage_seconds[f"search/{stats_entry.worker}"] = stats_entry.seconds
-        for _, diag in outcomes:
-            metrics.inc("tends_score_evaluations_total", diag.n_evaluations)
-
-        parent_sets = list(model.parent_sets)
-        diagnostics = list(model.diagnostics)
-        for node, (parents, diag) in zip(dirty, outcomes):
-            parent_sets[node] = tuple(parents)
-            diagnostics[node] = diag
-        graph = DiffusionGraph(n)
-        for node, parents in enumerate(parent_sets):
-            for parent in parents:
-                graph.add_edge(parent, node)
-
-        info = UpdateInfo(
-            batch_beta=0,
-            dirty_nodes=tuple(dirty),
-            clean_nodes=tuple(clean),
-            threshold_changed=threshold != model.threshold,
-        )
-        result = TendsResult(
-            graph=graph.freeze(),
-            parent_sets=tuple(parent_sets),
-            mi_matrix=mi,
-            threshold=threshold,
-            clustering=clustering,
-            diagnostics=tuple(diagnostics),
-            stage_seconds=stage_seconds,
-            worker_stats=tuple(worker_stats),
-            update=info,
-            drift=report,
-        )
-        adapted = TendsModel(
-            config=self.config,
-            stats=stats,
-            statuses=history,
-            threshold=threshold,
-            candidates=candidates,
-            parent_sets=result.parent_sets,
-            diagnostics=result.diagnostics,
-        )
-        return result, adapted
-
-    # ------------------------------------------------------------------
-    def _candidates_for(
-        self,
-        mi: np.ndarray,
-        node: int,
-        threshold: float,
-        stable_pairs: np.ndarray | None = None,
-    ) -> list[int]:
-        """Back-compat alias of :func:`repro.core.search.prune_candidates`
-        bound to this estimator's config."""
-        return prune_candidates(mi, node, threshold, self.config, stable_pairs)
+            return self._research(
+                run, seconds, model, history, stats, mi, threshold, clustering,
+                candidates, dirty, clean, batch_beta=0, drift=report,
+            )

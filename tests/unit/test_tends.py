@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import TendsConfig
+from repro.core.search import prune_candidates
 from repro.core.tends import Tends
 from repro.exceptions import DataError
 from repro.simulation.statuses import StatusMatrix
@@ -49,9 +50,11 @@ class TestFit:
         # Pin the full key namespace: bare stage names plus one
         # search/<worker> entry per worker, and nothing else.
         assert set(result.stage_seconds) == {
-            "stats", "imi", "threshold", "search", "search/serial",
+            "audit", "stats", "imi", "threshold", "search", "search/serial",
         }
-        assert set(result.stage_times) == {"stats", "imi", "threshold", "search"}
+        assert set(result.stage_times) == {
+            "audit", "stats", "imi", "threshold", "search",
+        }
         assert result.worker_seconds == {
             "serial": result.stage_seconds["search/serial"]
         }
@@ -109,7 +112,7 @@ class TestConfigEffects:
         mi[0, 1:] = 0.5           # ten-way tie ...
         mi[0, 7] = 0.9            # ... plus one clear winner
         estimator = Tends(max_candidates=4)
-        capped = estimator._candidates_for(mi, node=0, threshold=0.1)
+        capped = prune_candidates(mi, 0, 0.1, estimator.config)
         assert capped == [1, 2, 3, 7]
 
     def test_max_candidates_all_tied_keeps_lowest_indices(self):
@@ -118,7 +121,7 @@ class TestConfigEffects:
         np.fill_diagonal(mi, 0.0)
         estimator = Tends(max_candidates=3)
         for node in range(n):
-            capped = estimator._candidates_for(mi, node=node, threshold=0.1)
+            capped = prune_candidates(mi, node, 0.1, estimator.config)
             expected = [i for i in range(n) if i != node][:3]
             assert capped == expected
 

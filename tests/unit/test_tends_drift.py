@@ -182,6 +182,37 @@ class TestAdaptMode:
                 continue
             assert after.parent_sets[node] == before.parent_sets[node]
 
+    def test_traced_adaptation_records_the_fit_metrics(self):
+        # The adaptation's stages 1-3 run through the same helpers as fit
+        # and partial_fit, so its telemetry carries the same counters.
+        first, second = _shifted_stream()
+        estimator = Tends(trace=True)
+        estimator.fit(first)
+        estimator.partial_fit(second)
+        n = second.n_nodes
+        report = DriftReport(
+            drifted_pairs=(PairDrift(i=0, j=1, statistic=9.0, p_value=1e-9),),
+            affected_nodes=(0, 1, 5),
+            n_pairs_tested=10,
+            alpha=0.01,
+            correction="bh",
+            statistic="gtest",
+            reference_beta=first.beta,
+            recent_beta=second.beta,
+        )
+        result = estimator.apply_drift_adaptation(report)
+        metrics = result.telemetry.metrics
+        dirty = result.update.dirty_nodes
+        assert dirty == (0, 1, 5)
+        assert metrics["counters"]["tends_bound_terminations_total"] == sum(
+            result.diagnostics[node].bound_hits for node in dirty
+        )
+        assert metrics["histograms"]["tends_greedy_iterations"]["count"] == len(
+            dirty
+        )
+        assert metrics["counters"]["tends_imi_pairs_total"] == n * (n - 1) // 2
+        assert metrics["gauges"]["tends_threshold_tau"] == result.threshold
+
     def test_adaptation_requires_drifted_report(self):
         estimator = Tends()
         estimator.fit(_stream())
