@@ -3,6 +3,7 @@
 These are classic pytest-benchmark measurements (many rounds) of the
 stages the complexity analysis in §IV-D names:
 
+* the O(β n²) all-pairs counts (n=1000, β=500, masked and unmasked),
 * the O(β n²) IMI matrix,
 * the fixed-zero 2-means,
 * one O(β |F|) family-counts + local-score evaluation,
@@ -10,9 +11,10 @@ stages the complexity analysis in §IV-D names:
   evaluation, the stage-3 unit cost),
 * a full TENDS fit on a mid-size LFR observation set.
 
-Counting runs through the bit-packed popcount kernels, the only
-production path; the family-count benches pass the packed statuses
-once.
+Counting runs through the packed kernels, the only production path:
+pair counts are exact float32 products of the unpacked bits, family
+counts popcount pattern-tree words; the family-count benches pass the
+packed statuses once.
 """
 
 import numpy as np
@@ -21,6 +23,7 @@ import pytest
 from repro.core.imi import infection_mi_matrix
 from repro.core.kernels import (
     PackedStatuses,
+    packed_pairwise_complete_counts,
     packed_pattern_counts,
     packed_split_words,
     refine_patterns,
@@ -30,6 +33,7 @@ from repro.core.scoring import batch_scores, family_counts, local_score
 from repro.core.tends import Tends
 from repro.graphs.generators.lfr import LFRParams, lfr_benchmark_graph
 from repro.simulation.engine import DiffusionSimulator
+from repro.simulation.statuses import StatusMatrix
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +45,22 @@ def observations():
 @pytest.fixture(scope="module")
 def packed_observations(observations):
     return PackedStatuses.from_statuses(observations.statuses)
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+def test_pair_counts_1000_nodes_500_processes(benchmark, masked):
+    """All-pairs counts at the ``lfr1000-fit`` shape (n=1000, β=500):
+    one float32 product unmasked, three with a 90%-observed mask.
+    ``ns_per_pair`` is the cost per node pair."""
+    rng = np.random.default_rng(0)
+    data = (rng.random((500, 1000)) < 0.1).astype(np.uint8)
+    mask = rng.random((500, 1000)) < 0.9 if masked else None
+    packed = PackedStatuses.from_statuses(StatusMatrix(data, mask))
+    counts = benchmark(packed_pairwise_complete_counts, packed)
+    assert counts["11"].shape == (1000, 1000)
+    if benchmark.stats is not None:  # None under --benchmark-disable
+        pairs = counts["11"].size
+        benchmark.extra_info["ns_per_pair"] = benchmark.stats.stats.mean / pairs * 1e9
 
 
 def test_imi_matrix_200_nodes(benchmark, observations):

@@ -18,9 +18,9 @@ outcomes over-represented) score high, while anti-correlated pairs go
 negative and independent pairs sit near zero.
 
 All functions here are fully vectorised over the ``n × n`` pair matrix;
-the cost is one bit-packed all-pairs popcount pass
-(:mod:`repro.core.kernels`) — the ``O(β n²)`` stage of the complexity
-analysis (§IV-D).
+the cost is one exact all-pairs count product (:mod:`repro.core.kernels`)
+— the ``O(β n²)`` stage of the complexity analysis (§IV-D) — plus
+elementwise log passes over the pair matrix.
 
 >>> from repro.simulation.statuses import StatusMatrix
 >>> coupled = StatusMatrix([[1, 1], [0, 0]] * 5)     # always agree
@@ -81,16 +81,39 @@ def pointwise_mi_terms(statuses: StatusMatrix) -> dict[str, np.ndarray]:
     :func:`mi_terms_from_pairwise_counts` expose the count-based cores so
     cached counts (:class:`repro.core.stats.SufficientStats`) run the
     exact same floating-point pipeline.  The integer counts come from the
-    bit-packed popcount kernels (:mod:`repro.core.kernels`).
+    exact pair-count products of :mod:`repro.core.kernels`.  ``"01"`` is a
+    transposed view of ``"10"`` (see :func:`mi_terms_from_joint_counts`).
     """
     if statuses.beta == 0:
         raise DataError("cannot estimate MI from zero diffusion processes")
     packed = PackedStatuses.from_statuses(statuses)
     if statuses.has_missing:
-        return mi_terms_from_pairwise_counts(packed_pairwise_complete_counts(packed))
+        return mi_terms_from_pairwise_counts(
+            packed_pairwise_complete_counts(packed), square=True
+        )
     return mi_terms_from_joint_counts(
         packed_joint_counts(packed), packed_infection_counts(packed), statuses.beta
     )
+
+
+def _pointwise_term(p_joint: np.ndarray, ratio: np.ndarray) -> np.ndarray:
+    """``p · log2(p / d)`` where ``p`` and the ratio are positive, else
+    ``p · 0`` — the ``0 · log 0 = 0`` convention, and 0 for a degenerate
+    marginal.
+
+    ``ratio`` holds the denominators ``d`` on entry and is overwritten;
+    ``p_joint`` is overwritten with the term and returned.  ``log2``
+    runs over the whole contiguous array (1.0 where the term is 0), so
+    every value is the one a plain full-array pass gives.  The caller
+    holds the ``errstate``.
+    """
+    np.divide(p_joint, ratio, out=ratio, where=ratio > 0)
+    invalid = p_joint > 0
+    invalid &= ratio > 0
+    np.logical_not(invalid, out=invalid)
+    np.copyto(ratio, 1.0, where=invalid)
+    np.log2(ratio, out=ratio)
+    return np.multiply(p_joint, ratio, out=p_joint)
 
 
 def mi_terms_from_joint_counts(
@@ -111,35 +134,41 @@ def mi_terms_from_joint_counts(
 
     For one block of the pair space (a tile), ``infection_counts`` holds
     the totals of the block's row nodes and ``column_counts`` those of
-    its column nodes; omitted, the columns are the rows (the full
-    ``n × n`` matrix).  Every operation is elementwise, so a block's
-    terms equal the same slice of the full terms bit for bit.
+    its column nodes; omitted, the columns are the rows — the full
+    ``n × n`` matrix or a diagonal tile.  Every operation is elementwise,
+    so a block's terms equal the same slice of the full terms bit for bit.
+
+    Without ``column_counts`` the block is square and its counts are
+    symmetric (``n01 = n10ᵀ``), so ``term["01"]`` is ``term["10"]ᵀ``:
+    the same products of the same factors (float multiplication
+    commutes), hence equal bit for bit, and not computed twice.
     """
     if beta == 0:
         raise DataError("cannot estimate MI from zero diffusion processes")
     p1 = infection_counts / beta
-    p0 = 1.0 - p1
-    row = {"1": p1, "0": p0}
+    row = {"1": p1, "0": 1.0 - p1}
     if column_counts is None:
         column = row
+        keys = ("11", "10", "00")
     else:
         q1 = column_counts / beta
         column = {"1": q1, "0": 1.0 - q1}
+        keys = ("11", "10", "01", "00")
 
     terms: dict[str, np.ndarray] = {}
-    for key in ("11", "10", "01", "00"):
-        a, b = key[0], key[1]
-        p_joint = joints[key] / float(beta)
-        denominator = np.outer(row[a], column[b])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(denominator > 0, p_joint / denominator, 1.0)
-            logs = np.where((p_joint > 0) & (ratio > 0), np.log2(ratio), 0.0)
-        terms[key] = p_joint * logs
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for key in keys:
+            a, b = key[0], key[1]
+            p_joint = joints[key] / float(beta)
+            ratio = np.multiply.outer(row[a], column[b])
+            terms[key] = _pointwise_term(p_joint, ratio)
+    if column_counts is None:
+        terms["01"] = terms["10"].T
     return terms
 
 
 def mi_terms_from_pairwise_counts(
-    counts: Mapping[str, np.ndarray],
+    counts: Mapping[str, np.ndarray], *, square: bool = False
 ) -> dict[str, np.ndarray]:
     """Pointwise MI terms over pairwise-complete counts (masked data).
 
@@ -152,24 +181,39 @@ def mi_terms_from_pairwise_counts(
     (``P̂^{(ij)}(X_i = 1) = (n11 + n10) / β_ij``), so joint and marginal
     estimates always refer to the same sample.  Purely elementwise on the
     five count planes, so it applies to one block of the pair space as is.
+
+    ``square`` says the block's rows are its columns (the full matrix or
+    a diagonal tile), so the counts are symmetric and, as in
+    :func:`mi_terms_from_joint_counts`, ``term["01"]`` is taken as
+    ``term["10"]ᵀ`` bit for bit.
     """
     beta_ij = counts["obs"].astype(np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p1_row = np.where(beta_ij > 0, (counts["11"] + counts["10"]) / beta_ij, 0.0)
-        p1_col = np.where(beta_ij > 0, (counts["11"] + counts["01"]) / beta_ij, 0.0)
-    marginal_row = {"1": p1_row, "0": np.where(beta_ij > 0, 1.0 - p1_row, 0.0)}
-    marginal_col = {"1": p1_col, "0": np.where(beta_ij > 0, 1.0 - p1_col, 0.0)}
+    shape = beta_ij.shape
+    observed = beta_ij > 0
+    keys = ("11", "10", "00") if square else ("11", "10", "01", "00")
 
+    def share(numerator: np.ndarray) -> np.ndarray:
+        """``numerator / β_ij`` where some process was observed, else 0."""
+        return np.divide(numerator, beta_ij, out=np.zeros(shape), where=observed)
+
+    p1_row = share(counts["11"] + counts["10"])
+    p1_col = share(counts["11"] + counts["01"])
+    marginal_row = {
+        "1": p1_row,
+        "0": np.subtract(1.0, p1_row, out=np.zeros(shape), where=observed),
+    }
+    marginal_col = {
+        "1": p1_col,
+        "0": np.subtract(1.0, p1_col, out=np.zeros(shape), where=observed),
+    }
     terms: dict[str, np.ndarray] = {}
-    for key in ("11", "10", "01", "00"):
-        a, b = key[0], key[1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            p_joint = np.where(beta_ij > 0, counts[key] / beta_ij, 0.0)
-        denominator = marginal_row[a] * marginal_col[b]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(denominator > 0, p_joint / denominator, 1.0)
-            logs = np.where((p_joint > 0) & (ratio > 0), np.log2(ratio), 0.0)
-        terms[key] = p_joint * logs
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for key in keys:
+            a, b = key[0], key[1]
+            ratio = np.multiply(marginal_row[a], marginal_col[b])
+            terms[key] = _pointwise_term(share(counts[key]), ratio)
+    if square:
+        terms["01"] = terms["10"].T
     return terms
 
 

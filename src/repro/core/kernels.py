@@ -1,12 +1,20 @@
-"""Bit-packed popcount kernels for the two counting hot paths.
+"""Bit-packed counting kernels for the two counting hot paths.
 
 The complexity analysis (paper §IV-D) puts the cost of TENDS in the
 ``O(β n²)`` pairwise-count stage behind Eq. 24–25 and the ``O(β |F|)``
 contingency counting inside the parent search.  Both reduce to counting
 set bits in ANDs of binary columns, so this module packs every status
 column (and observation-mask column) into uint64 words — 64 processes
-per word — and counts set bits with blocked popcount kernels.  These
-kernels are the only production counting path.
+per word.  These kernels are the only production counting path.
+
+* **Pair counts** (``n11 = XᵀX`` and its masked relatives) are one
+  float32 matrix product of the unpacked {0, 1} columns.  Every partial
+  sum is an integer no larger than the number of processes summed, and
+  float32 holds every integer up to 2^24 exactly, so whatever order or
+  thread count BLAS sums in, the product is the exact count; more
+  processes than that are split into chunks whose counts add in int64.
+* **Per-node totals and family counts** popcount the packed words: the
+  parent search's pattern trees AND-refine word rows and count them.
 
 Layout: a ``(β, n)`` status matrix becomes an ``(n, W)`` uint64 array
 with ``W = ceil(β / 64)``; bit ``ℓ`` of word ``w`` of row ``j`` holds the
@@ -70,9 +78,10 @@ MAX_PACK_COLUMNS = 62
 #: per-row code extraction + ``np.unique``, which is O(β) in memory.
 _PATTERN_TREE_MAX_PARENTS = 10
 
-#: Word budget per temporary block in the all-pairs kernel (uint64 words,
-#: so ~16 MiB of AND scratch per block at the default).
-_BLOCK_WORD_BUDGET = 1 << 21
+#: Most processes one float32 pair-count product sums over: float32
+#: holds every integer up to 2^24 exactly.  A multiple of
+#: :data:`WORD_BITS`, so chunks split on word boundaries.
+_MAX_PRODUCT_BITS = 1 << 24
 
 
 # ----------------------------------------------------------------------
@@ -294,24 +303,40 @@ class PackedStatuses:
 # all-pairs counting
 # ----------------------------------------------------------------------
 
-def _pairwise_popcount(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``out[i, j] = popcount(a[i] & b[j])`` for packed word matrices.
+def _bit_columns(words: np.ndarray, n_bits: int) -> np.ndarray:
+    """``(rows, n_bits)`` float32 {0, 1}: the first ``n_bits`` bits of
+    each packed word row, one column per process."""
+    bits = np.unpackbits(
+        np.ascontiguousarray(words).view(np.uint8),
+        axis=1,
+        bitorder="little",
+        count=n_bits,
+    )
+    return bits.astype(np.float32)
 
-    Blocked over rows of ``a`` so the ``(block, n_b, W)`` AND temporary
-    stays within :data:`_BLOCK_WORD_BUDGET` words regardless of ``n``.
+
+def _pairwise_counts(a: np.ndarray, b: np.ndarray, n_bits: int) -> np.ndarray:
+    """``out[i, j] = popcount(a[i] & b[j])`` as int64, for packed word
+    matrices holding ``n_bits`` processes.
+
+    One float32 matrix product of the unpacked {0, 1} columns, exact in
+    any BLAS summation order (module docstring).  Beyond
+    :data:`_MAX_PRODUCT_BITS` processes the words are split into chunks
+    whose counts add in int64.  Passing the same array as ``a`` and ``b``
+    unpacks it once, and BLAS computes the symmetric product's one
+    triangle.
     """
-    n_a, n_words = a.shape
-    n_b = b.shape[0]
-    out = np.empty((n_a, n_b), dtype=np.int64)
-    if n_words == 0 or n_b == 0:
-        out[:] = 0
-        return out
-    block = max(1, _BLOCK_WORD_BUDGET // (n_b * n_words))
-    for start in range(0, n_a, block):
-        chunk = a[start : start + block]
-        out[start : start + block] = _popcount_sum(
-            chunk[:, None, :] & b[None, :, :]
+    out = np.zeros((a.shape[0], b.shape[0]), dtype=np.int64)
+    step = max(1, _MAX_PRODUCT_BITS // WORD_BITS)
+    for start in range(0, _n_words(n_bits), step):
+        stop = start + step
+        chunk_bits = min(n_bits, stop * WORD_BITS) - start * WORD_BITS
+        columns_a = _bit_columns(a[:, start:stop], chunk_bits)
+        columns_b = (
+            columns_a if b is a else _bit_columns(b[:, start:stop], chunk_bits)
         )
+        counts = (columns_a @ columns_b.T).astype(np.int64)
+        out = counts if start == 0 else out + counts
     return out
 
 
@@ -352,9 +377,9 @@ def packed_joint_counts(
     result to one pair block (default: every node); a block's counts
     equal the same slice of the full matrices exactly.
 
-    Only the ``(i=1, j=1)`` matrix needs an all-pairs popcount pass; the
-    other three follow exactly from the per-node marginals, which is what
-    turns the dense ``O(β n²)`` matmuls into ``O(β n² / 64)`` word ops.
+    Only the ``(i=1, j=1)`` matrix needs an all-pairs product; the other
+    three follow exactly from the per-node marginals (popcounts of the
+    packed rows).
     """
     row_slice, col_slice, square = _block_slices(packed, rows, cols)
     ones_a = packed.ones[row_slice]
@@ -365,7 +390,7 @@ def packed_joint_counts(
         n_nodes=packed.n_nodes,
         words=packed.n_words,
     ):
-        n11 = _pairwise_popcount(ones_a, ones_b)
+        n11 = _pairwise_counts(ones_a, ones_b, packed.n_bits)
         counts_a = _popcount_sum(ones_a)
         counts_b = counts_a if square else _popcount_sum(ones_b)
     n10 = counts_a[:, None] - n11
@@ -388,12 +413,12 @@ def packed_pairwise_complete_counts(
     as in :func:`packed_joint_counts`.
 
     A square block (rows equal to columns, the whole matrix included)
-    takes three popcount passes: observed ones against observed ones
-    (``n11``), observed ones against the mask (the ``x_i = 1 ∧ obs_i ∧
-    obs_j`` marginal, whose transpose is the column marginal), and mask
-    against mask (``β_ij``).  Any other block has no transpose to reuse,
-    so the column marginal takes a fourth pass (mask against observed
-    ones).  The remaining cells are integer-exact differences.
+    takes three products: observed ones against observed ones (``n11``),
+    observed ones against the mask (the ``x_i = 1 ∧ obs_i ∧ obs_j``
+    marginal, whose transpose is the column marginal), and mask against
+    mask (``β_ij``).  Any other block has no transpose to reuse, so the
+    column marginal takes a fourth product (mask against observed ones).
+    The remaining cells are integer-exact differences.
     """
     if packed.mask is None:
         counts = packed_joint_counts(packed, rows, cols)
@@ -410,13 +435,13 @@ def packed_pairwise_complete_counts(
     ):
         observed_a = packed.ones[row_slice] & mask_a
         observed_b = observed_a if square else packed.ones[col_slice] & mask_b
-        n11 = _pairwise_popcount(observed_a, observed_b)
-        ones_mask = _pairwise_popcount(observed_a, mask_b)
+        n11 = _pairwise_counts(observed_a, observed_b, packed.n_bits)
+        ones_mask = _pairwise_counts(observed_a, mask_b, packed.n_bits)
         if square:
-            mask_ones = np.ascontiguousarray(ones_mask.T)
+            mask_ones = ones_mask.T
         else:
-            mask_ones = _pairwise_popcount(mask_a, observed_b)
-        obs = _pairwise_popcount(mask_a, mask_b)
+            mask_ones = _pairwise_counts(mask_a, observed_b, packed.n_bits)
+        obs = _pairwise_counts(mask_a, mask_b, packed.n_bits)
     n10 = ones_mask - n11
     n01 = mask_ones - n11
     n00 = obs - n11 - n10 - n01

@@ -103,7 +103,7 @@ class SufficientStats:
     def from_statuses(cls, statuses: StatusMatrix) -> "SufficientStats":
         """Count one status matrix (a whole history or a single batch).
 
-        The counts come from the bit-packed popcount kernels
+        The counts come from the packed kernels
         (:mod:`repro.core.kernels`).
         """
         if not isinstance(statuses, StatusMatrix):
@@ -298,7 +298,7 @@ class SufficientStats:
         if self.beta == 0:
             raise DataError("cannot estimate MI from zero diffusion processes")
         if self.has_missing:
-            return mi_terms_from_pairwise_counts(dict(self.counts))
+            return mi_terms_from_pairwise_counts(dict(self.counts), square=True)
         joints = {key: self.counts[key] for key in ("11", "10", "01", "00")}
         return mi_terms_from_joint_counts(joints, self.infected, self.beta)
 

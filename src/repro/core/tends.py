@@ -154,8 +154,10 @@ class TendsResult:
     stage_seconds:
         Wall-clock per pipeline stage: ``stats`` (when the fit counted
         its own sufficient statistics), ``imi``, ``threshold``,
-        ``search``, plus one ``search/<worker>`` entry per stage-3
-        worker (e.g. ``search/serial``, ``search/process-0``) holding the
+        ``search``, ``drift`` (the drift check of
+        ``partial_fit(drift="detect"|"adapt")``), plus one
+        ``search/<worker>`` entry per stage-3 worker (e.g.
+        ``search/serial``, ``search/process-0``) holding the
         time that worker spent inside the parent searches.  The flat
         ``search/<worker>`` keys are kept for backwards compatibility;
         prefer :attr:`stage_times` (stage names only) and
@@ -864,6 +866,8 @@ class Tends:
                         on_degenerate=(
                             "strict" if self.config.audit == "strict" else "warn"
                         ),
+                        # Name the caller's fit(...) line, not this one.
+                        stacklevel=3,
                     )
             if stats is None:
                 with run.stage(seconds, "stats", beta=statuses.beta):
@@ -1103,7 +1107,8 @@ class Tends:
           ``drift_window`` processes (default: the batch) against the
           rest of the history per node pair and attach the
           :class:`~repro.core.drift.DriftReport` as ``result.drift``; the
-          model still accumulates everything.
+          model still accumulates everything.  The check is timed as
+          ``stage_seconds["drift"]``.
         * ``"adapt"`` — additionally, when the report flags drift, rebase
           the model onto the recent window and re-search **only the
           affected nodes** against it (quiescent nodes keep their parent
@@ -1154,17 +1159,23 @@ class Tends:
             ) as update_span, run.memory.measure("total", update_span):
                 result, model = self._update(run, previous, new_statuses)
             if drift != "ignore" and new_statuses.beta > 0:
-                report = self._detect_drift_on(
-                    model,
-                    window=drift_window or new_statuses.beta,
-                    config=drift_config,
-                    tracer=run.tracer,
-                    metrics=run.metrics,
+                window = min(drift_window or new_statuses.beta, model.beta)
+                check: dict[str, float] = {}
+                with run.stage(check, "drift", window=window):
+                    report = self._detect_drift_on(
+                        model, window=window, config=drift_config, metrics=run.metrics
+                    )
+                result = replace(
+                    result,
+                    drift=report,
+                    stage_seconds={**result.stage_seconds, **check},
                 )
-                result = replace(result, drift=report)
                 if drift == "adapt" and report.drifted:
                     result, model = self._adapt(
                         run, model, report, report.recent_beta
+                    )
+                    result = replace(
+                        result, stage_seconds={**check, **result.stage_seconds}
                     )
         result = run.attach(result)
         # Copy-on-write installation: nothing above mutated the previous
@@ -1332,9 +1343,8 @@ class Tends:
             raise ConfigurationError(f"drift window must be >= 1, got {window}")
         return self._detect_drift_on(
             model,
-            window=window or max(model.beta // 2, 1),
+            window=min(window or max(model.beta // 2, 1), model.beta),
             config=config,
-            tracer=NULL_TRACER,
             metrics=NULL_METRICS,
         )
 
@@ -1386,10 +1396,10 @@ class Tends:
         *,
         window: int,
         config: "DriftConfig | None",
-        tracer: "Tracer | NullTracer",
         metrics: "MetricsRegistry | NullMetrics",
     ) -> "DriftReport":
-        """Reference-vs-recent check over ``model``'s counts.
+        """Reference-vs-recent check over ``model``'s counts, with the
+        newest ``window`` (at most ``model.beta``) processes as recent.
 
         The recent window is counted from the history tail (``O(W·n²)``);
         the reference is recovered in ``O(n²)`` as ``total − recent`` —
@@ -1398,14 +1408,12 @@ class Tends:
         """
         from repro.core.drift import detect_drift
 
-        window = min(window, model.beta)
-        with tracer.span("tends.drift", window=window):
-            recent_statuses = model.statuses.subset(
-                range(model.statuses.beta - window, model.statuses.beta)
-            )
-            recent = SufficientStats.from_statuses(recent_statuses)
-            reference = model.stats.subtracted(recent)
-            report = detect_drift(reference, recent, config)
+        recent_statuses = model.statuses.subset(
+            range(model.statuses.beta - window, model.statuses.beta)
+        )
+        recent = SufficientStats.from_statuses(recent_statuses)
+        reference = model.stats.subtracted(recent)
+        report = detect_drift(reference, recent, config)
         metrics.inc("tends_drift_checks_total")
         if report.drifted:
             metrics.inc("tends_drift_detections_total")

@@ -3,7 +3,7 @@
 TENDS' stage 1 needs five ``(n, n)`` int64 count matrices and an
 ``(n, n)`` float64 IMI matrix — ~80 n² bytes resident with the dense
 pipeline, which caps single-machine fits around a few thousand nodes
-even after the packed popcount kernels made them fast.  Every one of
+even after the packed kernels made them fast.  Every one of
 those matrices is *blockwise computable*: the counts of the pair block
 ``(A, B)`` depend only on the status rows of ``A`` and ``B``, and the
 MI float pipeline is purely elementwise on top of the counts and the
@@ -39,12 +39,13 @@ tile's row and column spans, and a tile's MI is
 marginals of the two spans — the single statistics pipeline the dense
 path runs too.
 
-**Bit-identity.**  Tile counts are integer popcounts over row and column
-slices, so they equal the corresponding dense-matrix slices exactly; the
-MI pipeline is elementwise, so per tile it runs the identical float
-operations on identical inputs, and the assembled IMI matrix, the
-2-means threshold, and everything downstream are bit-identical to the
-dense path (held by ``tests/property/test_prop_tiles.py``).
+**Bit-identity.**  Tile counts are exact integer counts over row and
+column slices, so they equal the corresponding dense-matrix slices
+exactly; the MI pipeline is elementwise, so per tile it runs the
+identical float operations on identical inputs, and the assembled IMI
+matrix, the 2-means threshold, and everything downstream are
+bit-identical to the dense path (held by
+``tests/property/test_prop_tiles.py``).
 
 **Memory model.**  Peak residency of the counting stage is
 O(n·tile) packed words + O(tile²) per in-flight tile, instead of
@@ -696,16 +697,17 @@ class TiledSufficientStats:
             for bj in range(self.grid.n_blocks):
                 b0, b1 = self.grid.span(bj)
                 counts = self.store.counts(bi, bj)
+                diagonal = bi == bj
                 if self.has_missing:
-                    terms = mi_terms_from_pairwise_counts(counts)
+                    terms = mi_terms_from_pairwise_counts(counts, square=diagonal)
                 else:
                     terms = mi_terms_from_joint_counts(
                         counts,
                         self.infected[a0:a1],
                         self.beta,
-                        column_counts=self.infected[b0:b1],
+                        column_counts=None if diagonal else self.infected[b0:b1],
                     )
-                out[a0:a1, b0:b1] = combine(terms, zero_diagonal=(bi == bj))
+                out[a0:a1, b0:b1] = combine(terms, zero_diagonal=diagonal)
         out.flush()
         return out
 

@@ -119,7 +119,7 @@ class StatusAudit:
 
 
 def validate_observations(
-    statuses: "StatusMatrix", *, on_degenerate: str = "warn"
+    statuses: "StatusMatrix", *, on_degenerate: str = "warn", stacklevel: int = 2
 ) -> StatusAudit:
     """Audit a status matrix for degenerate-but-valid observations.
 
@@ -139,6 +139,11 @@ def validate_observations(
         :class:`~repro.exceptions.DataQualityWarning` summarising all
         findings; ``"strict"`` raises :class:`~repro.exceptions.DataError`
         instead; ``"ignore"`` only returns the audit.
+    stacklevel:
+        Passed to :func:`warnings.warn`, counted from this function: the
+        default 2 attributes the warning to the line that called it, and
+        a library wrapper adds one per frame of its own so that the
+        warning names its user's line.
     """
     if on_degenerate not in ("warn", "strict", "ignore"):
         raise DataError(f"unknown on_degenerate policy: {on_degenerate!r}")
@@ -178,7 +183,7 @@ def validate_observations(
         )
         if on_degenerate == "strict":
             raise DataError(message)
-        warnings.warn(message, DataQualityWarning, stacklevel=2)
+        warnings.warn(message, DataQualityWarning, stacklevel=stacklevel)
     return audit
 
 

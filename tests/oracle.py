@@ -1,12 +1,15 @@
 """Dense numpy estimators and a scalar parent search: the differential
-oracle for the packed kernels and the batch scorer.
+oracle for the packed kernels, the MI term pipeline and the batch scorer.
 
-Production counts with the bit-packed popcount kernels of
-:mod:`repro.core.kernels`.  This module computes the same integers the
-plain way — int64 matrix products and ``np.unique`` grouping over the
-raw ``(β, n)`` status matrix — so tests can prove production
-bit-identical to an independent implementation.  The IMI float pipeline
-(:mod:`repro.core.imi`) is shared.
+Production counts with the packed kernels of :mod:`repro.core.kernels`
+(float32 products of unpacked bits, popcounts for per-node totals).
+This module computes the same integers the plain way — int64 matrix
+products and ``np.unique`` grouping over the raw ``(β, n)`` status
+matrix — so tests can prove production bit-identical to an independent
+implementation.  The MI terms are the plain four-term loop, one full
+pass per term with no reuse of the ``"01" = "10"ᵀ`` symmetry and no
+in-place buffers, which the in-place pipeline of :mod:`repro.core.imi`
+must match bit for bit.
 
 Production's parent search scores candidates in batches
 (:func:`repro.core.scoring.batch_scores`); :class:`ScalarParentSearch`
@@ -19,17 +22,11 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 from unittest import mock
 
 import numpy as np
 
-from repro.core.imi import (
-    imi_from_terms,
-    mi_from_terms,
-    mi_terms_from_joint_counts,
-    mi_terms_from_pairwise_counts,
-)
 from repro.core.config import TendsConfig
 from repro.core.scoring import (
     FamilyCounts,
@@ -97,6 +94,85 @@ def sufficient_stats(statuses: StatusMatrix) -> SufficientStats:
         beta=statuses.beta,
         has_missing=statuses.has_missing,
     )
+
+
+# ----------------------------------------------------------------------
+# pointwise MI terms
+# ----------------------------------------------------------------------
+
+def mi_terms_from_joint_counts(
+    joints: Mapping[str, np.ndarray],
+    infection_counts: np.ndarray,
+    beta: int,
+    column_counts: np.ndarray | None = None,
+) -> dict[str, np.ndarray]:
+    """``repro.core.imi.mi_terms_from_joint_counts``, one full pass per
+    term; ``column_counts`` are the column nodes' totals of a block
+    (omitted: the rows')."""
+    p1 = infection_counts / beta
+    p0 = 1.0 - p1
+    row = {"1": p1, "0": p0}
+    if column_counts is None:
+        column = row
+    else:
+        q1 = column_counts / beta
+        column = {"1": q1, "0": 1.0 - q1}
+
+    terms: dict[str, np.ndarray] = {}
+    for key in ("11", "10", "01", "00"):
+        a, b = key[0], key[1]
+        p_joint = joints[key] / float(beta)
+        denominator = np.outer(row[a], column[b])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(denominator > 0, p_joint / denominator, 1.0)
+            logs = np.where((p_joint > 0) & (ratio > 0), np.log2(ratio), 0.0)
+        terms[key] = p_joint * logs
+    return terms
+
+
+def mi_terms_from_pairwise_counts(
+    counts: Mapping[str, np.ndarray],
+) -> dict[str, np.ndarray]:
+    """``repro.core.imi.mi_terms_from_pairwise_counts``, one full pass
+    per term, over any block of the pair space."""
+    beta_ij = counts["obs"].astype(np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p1_row = np.where(beta_ij > 0, (counts["11"] + counts["10"]) / beta_ij, 0.0)
+        p1_col = np.where(beta_ij > 0, (counts["11"] + counts["01"]) / beta_ij, 0.0)
+    marginal_row = {"1": p1_row, "0": np.where(beta_ij > 0, 1.0 - p1_row, 0.0)}
+    marginal_col = {"1": p1_col, "0": np.where(beta_ij > 0, 1.0 - p1_col, 0.0)}
+
+    terms: dict[str, np.ndarray] = {}
+    for key in ("11", "10", "01", "00"):
+        a, b = key[0], key[1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p_joint = np.where(beta_ij > 0, counts[key] / beta_ij, 0.0)
+        denominator = marginal_row[a] * marginal_col[b]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(denominator > 0, p_joint / denominator, 1.0)
+            logs = np.where((p_joint > 0) & (ratio > 0), np.log2(ratio), 0.0)
+        terms[key] = p_joint * logs
+    return terms
+
+
+def imi_from_terms(
+    terms: Mapping[str, np.ndarray], *, zero_diagonal: bool = True
+) -> np.ndarray:
+    """Eq. 25 in ``repro.core.imi.imi_from_terms``'s summation order."""
+    imi = terms["11"] + terms["00"] - np.abs(terms["10"]) - np.abs(terms["01"])
+    if zero_diagonal:
+        np.fill_diagonal(imi, 0.0)
+    return imi
+
+
+def mi_from_terms(
+    terms: Mapping[str, np.ndarray], *, zero_diagonal: bool = True
+) -> np.ndarray:
+    """Traditional MI in ``repro.core.imi.mi_from_terms``'s order."""
+    mi = terms["11"] + terms["00"] + terms["10"] + terms["01"]
+    if zero_diagonal:
+        np.fill_diagonal(mi, 0.0)
+    return np.maximum(mi, 0.0)
 
 
 def pointwise_mi_terms(statuses: StatusMatrix) -> dict[str, np.ndarray]:

@@ -3,8 +3,8 @@
 The differential battery (``tests/property/test_prop_kernels.py``) proves
 the packed kernels bit-identical to the numpy oracle (``tests/oracle.py``);
 these tests pin the packing mechanics that proof rests on — word layout,
-tail-bit masking, the popcount fallback, the 62-column cap, and the NPZ
-round-trip of packed arrays.
+tail-bit masking, the popcount fallback, the chunked pair-count
+products, the 62-column cap, and the NPZ round-trip of packed arrays.
 """
 
 from __future__ import annotations
@@ -206,17 +206,23 @@ def test_mismatched_mask_shape_raises():
 # pairwise kernels
 # ----------------------------------------------------------------------
 
-def test_block_boundaries_do_not_change_counts(monkeypatch):
-    # Shrink the block budget so the all-pairs kernel runs many blocks;
-    # the counts must not depend on the blocking.
+@pytest.mark.parametrize("mask_density", [None, 0.8])
+@pytest.mark.parametrize("rows, cols", [(None, None), ((2, 9), (11, 20))])
+def test_chunked_products_equal_oracle_counts(monkeypatch, mask_density, rows, cols):
+    # Shrink the per-product limit to two words, so β=300 (five words,
+    # the last one partial) is counted in three chunks summed in int64;
+    # the counts must equal the oracle's, for the whole matrix and for
+    # an off-diagonal block.
     rng = np.random.default_rng(13)
-    statuses = _random_statuses(rng, 150, 20, mask_density=0.8)
+    statuses = _random_statuses(rng, 300, 20, mask_density=mask_density)
     packed = PackedStatuses.from_statuses(statuses)
-    reference = packed_pairwise_complete_counts(packed)
-    monkeypatch.setattr(kernels, "_BLOCK_WORD_BUDGET", 4)
-    blocked = packed_pairwise_complete_counts(packed)
+    reference = oracle.pairwise_complete_counts(statuses)
+    monkeypatch.setattr(kernels, "_MAX_PRODUCT_BITS", 2 * WORD_BITS)
+    chunked = packed_pairwise_complete_counts(packed, rows, cols)
+    block = (slice(*(rows or (0, 20))), slice(*(cols or (0, 20))))
     for key in ("11", "10", "01", "00", "obs"):
-        assert np.array_equal(reference[key], blocked[key]), key
+        assert chunked[key].dtype == np.int64, key
+        assert np.array_equal(reference[key][block], chunked[key]), key
 
 
 def test_unmasked_pairwise_complete_equals_joint_plus_beta():
@@ -239,7 +245,7 @@ BLOCKS = [((0, 11), (0, 11)), ((3, 7), (3, 7)), ((0, 4), (4, 11)), ((6, 11), (2,
 @pytest.mark.parametrize("rows, cols", BLOCKS)
 def test_block_counts_equal_dense_slices(mask_density, rows, cols):
     # The block form tiles count through: square blocks reuse the
-    # transpose, other blocks take a fourth popcount — same integers.
+    # transpose, other blocks take a fourth product — same integers.
     rng = np.random.default_rng(16)
     statuses = _random_statuses(rng, 140, 11, mask_density)
     packed = PackedStatuses.from_statuses(statuses)

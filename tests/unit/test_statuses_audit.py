@@ -150,6 +150,16 @@ class TestGracefulDegradationInEstimators:
         # No pairwise signal — the only defensible topology is empty.
         assert result.n_edges == 0
 
+    def test_fit_warning_names_the_callers_line(self, all_zero):
+        # The audit runs inside Tends.fit, but the warning must point at
+        # the line that called fit, here in this file.
+        with pytest.warns(DataQualityWarning) as record:
+            Tends().fit(all_zero)
+        filenames = {
+            w.filename for w in record if issubclass(w.category, DataQualityWarning)
+        }
+        assert filenames == {__file__}
+
     def test_fit_strict_audit_refuses_degenerate_data(self, all_zero):
         with pytest.raises(DataError, match="degenerate observations"):
             Tends(audit="strict").fit(all_zero)

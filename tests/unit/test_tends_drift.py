@@ -124,6 +124,24 @@ class TestDetectMode:
             Tends().detect_drift()
 
 
+class TestDriftStage:
+    @pytest.mark.parametrize("mode", ["detect", "adapt"])
+    def test_drift_check_is_a_timed_stage(self, mode):
+        # The check is a stage of its own in the detect result and in the
+        # adaptation's result, under the one tends.drift span.
+        first, second = _shifted_stream()
+        estimator = Tends(trace=True)
+        estimator.fit(first)
+        result = estimator.partial_fit(
+            second, drift=mode, drift_config=DriftConfig(min_pair_obs=1)
+        )
+        assert result.drift.drifted
+        assert result.update.batch_beta == (0 if mode == "adapt" else second.beta)
+        assert result.stage_seconds["drift"] > 0
+        spans = [s for s in result.telemetry.spans if s.name == "tends.drift"]
+        assert len(spans) == 1
+
+
 class TestAdaptMode:
     def test_all_flagged_adaptation_matches_fresh_fit_on_window(self):
         first, second = _shifted_stream()
