@@ -144,6 +144,11 @@ ENV_CHUNK_TIMEOUT = "REPRO_CHUNK_TIMEOUT"
 #: amortise per-task overhead, large enough to rebalance uneven nodes.
 _OVERSUBSCRIPTION = 4
 
+#: Shared grace period for terminated pool workers to exit before the
+#: kill path escalates to SIGKILL, and the bound on joining a killed one.
+_REAP_SECONDS = 1.0
+_KILLED_JOIN_SECONDS = 10.0
+
 #: Recovery events (retries, backoff sleeps, pool rebuilds, fallbacks,
 #: timeouts) log here at WARNING — degraded-mode runs must be visible.
 _LOGGER = get_logger("core.executor")
@@ -737,26 +742,45 @@ class ParallelExecutor:
         signal.  The ordering matters: terminating before shutdown can
         wedge the executor's manager thread on its queues.
         """
-        # Snapshot before shutdown: the pool clears its bookkeeping.
-        processes = list((getattr(pool, "_processes", None) or {}).values())
+        # The pool drops its references to the worker table and to its
+        # manager thread on shutdown, but both live on: the table is
+        # shared with the thread, so a worker spawned after the first
+        # snapshot still shows up in the second.  Reap the union.
+        table = getattr(pool, "_processes", None) or {}
+        manager = getattr(pool, "_executor_manager_thread", None)
+        before = list(table.values())
         try:
             pool.shutdown(wait=not kill, cancel_futures=True)
         except Exception:
             pass
-        if kill:
-            for process in processes:
-                try:
-                    process.terminate()
-                except Exception:
-                    pass
-            for process in processes:
-                try:
-                    process.join(timeout=1.0)
-                    if process.is_alive():
-                        process.kill()
-                        process.join(timeout=1.0)
-                except Exception:
-                    pass
+        if not kill:
+            return
+        processes = before + [p for p in table.values() if p not in before]
+        for process in processes:
+            try:
+                process.terminate()
+            except Exception:
+                pass
+        # One shared deadline for the polite round, then SIGKILL whatever
+        # is left (it may ignore SIGTERM).
+        deadline = time.monotonic() + _REAP_SECONDS
+        for process in processes:
+            try:
+                process.join(timeout=max(0.0, deadline - time.monotonic()))
+                if process.is_alive():
+                    process.kill()
+            except Exception:
+                pass
+        # The manager thread joins the same workers.  A worker it reaps
+        # first looks alive to our own ``waitpid`` (ECHILD reads as "still
+        # running"), so let it finish before the final join.
+        if manager is not None:
+            manager.join(timeout=_KILLED_JOIN_SECONDS)
+        for process in processes:
+            try:
+                process.join(timeout=_KILLED_JOIN_SECONDS)
+            except Exception:
+                pass
 
     def _submit(self, pool, strategy: str, chunk_fn: ChunkFn,
                 context: ContextT, chunk: list[ItemT], index: int) -> Future:

@@ -54,6 +54,8 @@ __all__ = [
     "mi_terms_from_pairwise_counts",
     "imi_from_terms",
     "mi_from_terms",
+    "transposed_terms",
+    "append_threshold_sample",
     "infection_mi_matrix",
     "traditional_mi_matrix",
 ]
@@ -244,6 +246,57 @@ def mi_from_terms(
     if zero_diagonal:
         np.fill_diagonal(mi, 0.0)
     return np.maximum(mi, 0.0)
+
+
+def transposed_terms(terms: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """The terms of the mirrored pair block: ``(B, A)`` from ``(A, B)``.
+
+    ``MI(X_j = a, X_i = b)`` is ``MI(X_i = b, X_j = a)`` bit for bit —
+    the same counts over the same sample size, and marginal products
+    that differ only in factor order (float multiplication commutes) —
+    so each term is the transpose of its partner, with ``"10"`` and
+    ``"01"`` swapped.  Combine the result with :func:`imi_from_terms`
+    or :func:`mi_from_terms` as usual: that sums in the mirrored block's
+    own order, which is what makes it equal to the dense matrix there
+    (the combined matrix is not float-symmetric).
+    """
+    return {
+        "11": terms["11"].T,
+        "10": terms["01"].T,
+        "01": terms["10"].T,
+        "00": terms["00"].T,
+    }
+
+
+#: Row-band budget of :func:`append_threshold_sample`: bands of ~8 MB of
+#: float64 MI values, so the scan's boolean mask stays band-sized.
+_SAMPLE_BAND_BYTES = 8 * 1024 * 1024
+
+
+def append_threshold_sample(
+    sample: list[np.ndarray], rows: np.ndarray, start: int
+) -> None:
+    """Append the non-negative off-diagonal values of ``rows`` to ``sample``.
+
+    ``rows`` are the complete rows ``start, start + 1, ...`` of a square
+    MI matrix.  Their non-negative entries off the diagonal are
+    appended in row-major order, one array per band of rows, so
+    concatenating what successive row bands append gives the values of
+    ``mi[~np.eye(n)]`` that are ``>= 0``, element for element — the
+    sample the stage-2 threshold clusters (Algorithm 1 line 5).  MI
+    passes call this as each row band of their output completes, so
+    nothing scans the matrix a second time.
+    """
+    height, n = rows.shape
+    band = max(1, _SAMPLE_BAND_BYTES // max(8 * n, 1))
+    for low in range(0, height, band):
+        high = min(low + band, height)
+        block = np.asarray(rows[low:high], dtype=np.float64)
+        keep = block >= 0.0
+        keep[np.arange(high - low), np.arange(start + low, start + high)] = False
+        # compress over the flat rows: the same values, in the same
+        # order, as block[keep], in about half the time.
+        sample.append(np.compress(keep.ravel(), block.ravel()))
 
 
 def infection_mi_matrix(statuses: StatusMatrix) -> np.ndarray:

@@ -32,6 +32,7 @@ from typing import Mapping
 import numpy as np
 
 from repro.core.imi import (
+    append_threshold_sample,
     imi_from_terms,
     mi_from_terms,
     mi_terms_from_joint_counts,
@@ -302,15 +303,28 @@ class SufficientStats:
         joints = {key: self.counts[key] for key in ("11", "10", "01", "00")}
         return mi_terms_from_joint_counts(joints, self.infected, self.beta)
 
-    def mi_matrix(self, kind: str = "infection") -> np.ndarray:
+    def mi_matrix(
+        self, kind: str = "infection", sample: list[np.ndarray] | None = None
+    ) -> np.ndarray:
         """The pairwise MI matrix (``"infection"`` or ``"traditional"``)
-        from the cached counts, bit-identical to the from-scratch one."""
-        terms = self.mi_terms()
+        from the cached counts, bit-identical to the from-scratch one.
+
+        With ``sample`` given, the matrix's non-negative off-diagonal
+        values are appended to it in row-major order
+        (:func:`~repro.core.imi.append_threshold_sample`) — the stage-2
+        threshold's input, collected here so no later pass rescans the
+        matrix.
+        """
         if kind == "infection":
-            return imi_from_terms(terms)
-        if kind == "traditional":
-            return mi_from_terms(terms)
-        raise DataError(f"unknown MI kind: {kind!r}")
+            combine = imi_from_terms
+        elif kind == "traditional":
+            combine = mi_from_terms
+        else:
+            raise DataError(f"unknown MI kind: {kind!r}")
+        matrix = combine(self.mi_terms())
+        if sample is not None:
+            append_threshold_sample(sample, matrix, 0)
+        return matrix
 
     # ------------------------------------------------------------------
     # integrity

@@ -62,11 +62,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (robustness → imi)
 
 __all__ = ["Tends", "TendsResult", "TendsModel", "UpdateInfo", "merge_results"]
 
-#: Row-band budget for the streaming off-diagonal scan in stage 2: bands
-#: of ~8 MB of float64 MI values, so the threshold stage never holds a
-#: second full O(n²) copy alongside the matrix it scans.
-_THRESHOLD_BAND_BYTES = 8 * 1024 * 1024
-
 
 def _fsync_directory(directory: Path) -> None:
     """Best-effort fsync of the directory entry, so the ``os.replace``
@@ -965,46 +960,41 @@ class Tends:
         """Stages 1-2 of Algorithm 1: the pairwise MI matrix (lines 2-4)
         from the additive sufficient statistics — the same floating-point
         pipeline as estimating straight from the observations — then the
-        pruning threshold ``τ`` (line 5)."""
+        pruning threshold ``τ`` (line 5).  When ``τ`` comes from 2-means,
+        the MI pass also collects the values it clusters."""
         n = stats.n_nodes
+        clustered = (
+            self.config.threshold is None or self.config.threshold == "stable"
+        )
+        sample: list[np.ndarray] | None = [] if clustered else None
         with run.stage(seconds, "imi", kind=self.config.mi_kind):
-            mi = stats.mi_matrix(self.config.mi_kind)
+            mi = stats.mi_matrix(self.config.mi_kind, sample)
         run.metrics.inc("tends_imi_pairs_total", n * (n - 1) // 2)
         with run.stage(seconds, "threshold") as span:
-            threshold, clustering = self._select_threshold(mi, n)
+            threshold, clustering = self._select_threshold(sample)
             span.set(tau=threshold)
         run.metrics.set_gauge("tends_threshold_tau", threshold)
         return mi, threshold, clustering
 
     def _select_threshold(
-        self, mi: np.ndarray, n: int
+        self, sample: list[np.ndarray] | None
     ) -> tuple[float, TwoMeansResult | None]:
         """Stage 2: the pruning threshold ``τ`` (Algorithm 1 line 5) —
-        explicit override, or fixed-zero 2-means over the non-negative
-        off-diagonal MI values (scaled).  Fit, update and adaptation all
-        derive ``τ`` here, through identical floating-point operations."""
-        if self.config.threshold is not None and self.config.threshold != "stable":
+        the explicit override when ``sample`` is ``None``, else fixed-zero
+        2-means over the non-negative off-diagonal MI values the MI pass
+        collected into ``sample`` (scaled).  Fit, update and adaptation
+        all derive ``τ`` here, through identical floating-point
+        operations."""
+        if sample is None:
             return float(self.config.threshold), None
-        # Stream the off-diagonal extraction in row bands: concatenating
-        # per-band row-major values reproduces the non-negative entries
-        # of ``mi[~np.eye(n)]`` element for element (so τ is
-        # bit-identical), without materialising the n×n boolean mask or
-        # a second full O(n²) copy — the peak this stage adds is one
-        # band's mask plus the final non-negative vector, which keeps
-        # memmapped MI matrices (tiled fits) cheap to scan.
-        band = max(1, _THRESHOLD_BAND_BYTES // max(8 * n, 1))
-        chunks: list[np.ndarray] = []
-        for start in range(0, n, band):
-            stop = min(start + band, n)
-            block = np.asarray(mi[start:stop], dtype=np.float64)
-            keep = block >= 0.0
-            keep[np.arange(stop - start), np.arange(start, stop)] = False
-            # compress over the flat rows: the same values, in the same
-            # order, as block[keep], in about half the time.
-            chunks.append(np.compress(keep.ravel(), block.ravel()))
-        non_negative = (
-            np.concatenate(chunks) if chunks else np.empty(0, dtype=np.float64)
-        )
+        if len(sample) == 1:
+            # One band (a dense matrix up to ~1000 nodes) is the whole
+            # sample; a concatenated copy would only add its size to RSS.
+            non_negative = sample[0]
+        elif sample:
+            non_negative = np.concatenate(sample)
+        else:
+            non_negative = np.empty(0, dtype=np.float64)
         clustering = fixed_zero_two_means(non_negative)
         return clustering.threshold * self.config.threshold_scale, clustering
 

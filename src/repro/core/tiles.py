@@ -13,6 +13,11 @@ per-node marginals.  This module exploits that:
   square tiles; only the upper triangle of blocks is computed (the
   counts obey ``n11 = n11ᵀ``, ``n10 = n01ᵀ``, ``obs = obsᵀ``), and the
   lower triangle is derived by exact integer transposition.
+* A tile stores only its independent count planes
+  (:func:`stored_count_keys`): ``11`` for fully observed data, and
+  ``11``/``10``/``01``/``obs`` for masked data.  :func:`derive_counts`
+  rebuilds the rest on read, exactly, from the generation's per-node
+  infected totals and β.
 * :func:`count_tile_chunk` is a module-level executor chunk function —
   each tile is a retryable unit under the *same*
   :class:`~repro.core.executor.ParallelExecutor` backoff / fallback /
@@ -25,7 +30,8 @@ per-node marginals.  This module exploits that:
 * :class:`TiledSufficientStats` duck-types
   :class:`~repro.core.stats.SufficientStats` for everything the
   pipeline consumes — :meth:`~TiledSufficientStats.mi_matrix`
-  assembles the IMI into a float64 memory-map tile by tile,
+  assembles the IMI into a float64 memory-map from the upper-triangle
+  tiles' terms, each off-diagonal tile also writing its mirror,
   :meth:`~TiledSufficientStats.checksum` streams the count bytes in
   dense row-major order so the digest is *equal* to the dense one, and
   :meth:`~TiledSufficientStats.updated` rolls a new copy-on-write
@@ -49,22 +55,25 @@ bit-identical to the dense path (held by
 
 **Memory model.**  Peak residency of the counting stage is
 O(n·tile) packed words + O(tile²) per in-flight tile, instead of
-O(n²); the IMI lives in a spill-directory memory-map.  The 2-means
-threshold stage still extracts the off-diagonal value vector (one
-float64 O(n²) term — the algorithm sorts the full vector), which is
-~10× below the dense pipeline's peak.  See docs/SCALING.md.
+O(n²); the IMI lives in a spill-directory memory-map.  The MI pass
+collects the 2-means threshold's off-diagonal value vector as its row
+bands complete (one float64 O(n²) term — the algorithm sorts the full
+vector), which is ~10× below the dense pipeline's peak.  See
+docs/SCALING.md.
 
 **Spill format.**  A spill root holds one generation directory per
 copy-on-write update (``gen-00000000`` for the fit, ``gen-00000001``
 after the first ``updated`` batch, ...).  Each generation contains a
 ``spill-meta.json`` identity header (node count, tile size, β, missing
 flag, and a source digest chained over the absorbed batches) plus one
-``tile-<bi>-<bj>.npy`` per upper-triangle block — a ``(5, h, w)`` int64
-stack in :data:`~repro.core.stats.COUNT_KEYS` order — with a
-``.npy.crc`` JSON sidecar recording the CRC-32 and shape.  Tiles whose
-file, CRC, and shape all validate are *reused* on resume; anything
-missing, truncated, or corrupted is recomputed (held by
-``tests/faults/test_tile_recovery.py``).
+``tile-<bi>-<bj>.npy`` per upper-triangle block — a ``(k, h, w)`` int64
+stack of the generation's :func:`stored_count_keys` (``k`` is 1 for
+fully observed data, 4 for masked data) — with a ``.npy.crc`` JSON
+sidecar recording the CRC-32 and shape.  Tiles whose file, CRC, and
+shape (plane count included) all validate are *reused* on resume;
+anything missing, truncated, or corrupted is recomputed (held by
+``tests/faults/test_tile_recovery.py``).  A directory written under an
+older layout carries an older meta version and is wiped.
 """
 
 from __future__ import annotations
@@ -85,10 +94,12 @@ import numpy as np
 
 from repro.core.executor import ExecutionPlan, ParallelExecutor
 from repro.core.imi import (
+    append_threshold_sample,
     imi_from_terms,
     mi_from_terms,
     mi_terms_from_joint_counts,
     mi_terms_from_pairwise_counts,
+    transposed_terms,
 )
 from repro.core.kernels import PackedStatuses, packed_pairwise_complete_counts
 from repro.core.stats import COUNT_KEYS, SufficientStats
@@ -103,6 +114,8 @@ __all__ = [
     "TileStore",
     "TiledSufficientStats",
     "count_tile_chunk",
+    "derive_counts",
+    "stored_count_keys",
     "write_tile",
     "read_tile",
     "validate_tile",
@@ -112,7 +125,12 @@ __all__ = [
 DEFAULT_MAX_RESIDENT_TILES = 16
 
 _META_NAME = "spill-meta.json"
-_META_VERSION = 1
+#: Version 2: tiles hold only the independent planes of
+#: :func:`stored_count_keys` (version 1 stored all five).
+_META_VERSION = 2
+
+#: A lower-triangle block's plane and the upper-mirror plane it transposes.
+_MIRRORED_KEY = {"10": "01", "01": "10"}
 
 
 # ----------------------------------------------------------------------
@@ -203,7 +221,8 @@ def _write_atomic(path: Path, payload: bytes) -> None:
 
 
 def write_tile(directory: Path | str, block: tuple[int, int], stack: np.ndarray) -> int:
-    """Persist one ``(5, h, w)`` int64 tile stack crash-atomically.
+    """Persist one ``(k, h, w)`` int64 tile stack crash-atomically (``k``
+    stored count planes, see :func:`stored_count_keys`).
 
     The ``.npy`` payload is serialised in memory first so its CRC-32 is
     computed over exactly the bytes that land on disk; the CRC and shape
@@ -326,6 +345,60 @@ def _statuses_digest(statuses: StatusMatrix) -> str:
 
 
 # ----------------------------------------------------------------------
+# stored planes and their derivation
+# ----------------------------------------------------------------------
+
+def stored_count_keys(has_missing: bool) -> tuple[str, ...]:
+    """The count planes a tile stores, in stack order.
+
+    Fully observed data needs only ``11``: ``n10``, ``n01``, ``n00`` and
+    ``obs`` follow from the per-node infected totals and β.  Masked data
+    stores ``11``, ``10``, ``01`` and ``obs``; ``n00`` is their
+    difference.
+    """
+    return ("11", "10", "01", "obs") if has_missing else ("11",)
+
+
+def derive_counts(
+    stored: np.ndarray,
+    *,
+    has_missing: bool,
+    row_infected: np.ndarray,
+    col_infected: np.ndarray,
+    beta: int,
+    keys: Sequence[str] = COUNT_KEYS,
+) -> dict[str, np.ndarray]:
+    """The count planes ``keys`` of one block, rebuilt from its stored stack.
+
+    ``stored`` holds the planes of :func:`stored_count_keys`;
+    ``row_infected``/``col_infected`` are the infected totals of the
+    block's row and column nodes and ``beta`` the process count of the
+    generation it belongs to.  Every derived plane is an exact integer
+    difference — the identities of
+    :func:`~repro.core.kernels.packed_joint_counts` and
+    :func:`~repro.core.kernels.packed_pairwise_complete_counts` — so it
+    equals the plane a full count would have spilled.  Only the planes
+    ``keys`` needs are computed.
+    """
+    planes = dict(zip(stored_count_keys(has_missing), stored))
+    wanted = set(keys)
+    if has_missing:
+        if "00" in wanted:
+            planes["00"] = planes["obs"] - planes["11"] - planes["10"] - planes["01"]
+    else:
+        n11 = planes["11"]
+        if wanted & {"10", "00"}:
+            planes["10"] = row_infected[:, None] - n11
+        if wanted & {"01", "00"}:
+            planes["01"] = col_infected[None, :] - n11
+        if "00" in wanted:
+            planes["00"] = beta - n11 - planes["10"] - planes["01"]
+        if "obs" in wanted:
+            planes["obs"] = np.full(n11.shape, beta, dtype=np.int64)
+    return {key: planes[key] for key in keys}
+
+
+# ----------------------------------------------------------------------
 # per-tile counting (runs inside executor workers)
 # ----------------------------------------------------------------------
 
@@ -334,25 +407,46 @@ class TileContext:
     """Picklable per-fan-out context shipped once per worker.
 
     ``packed`` is the counted batch in bit-packed form, ``directory`` the
-    spill target.  When ``base_directory`` is set each computed batch
-    tile is added to the previous generation's tile before spilling —
-    the copy-on-write update step.
+    spill target and ``has_missing`` the flag of the generation written
+    there (it fixes the stored planes).  When ``base_directory`` is set
+    each computed batch tile is added to the previous generation's tile
+    before spilling — the copy-on-write update step; ``base_infected``,
+    ``base_beta`` and ``base_has_missing`` are that generation's
+    marginals, which rebuild its derived planes.
     """
 
     grid: TileGrid
     packed: PackedStatuses
     directory: str
+    has_missing: bool
     base_directory: str | None = None
+    base_infected: np.ndarray | None = None
+    base_beta: int = 0
+    base_has_missing: bool = False
 
 
 def _tile_stack(context: TileContext, block: tuple[int, int]) -> np.ndarray:
-    """The ``(5, h, w)`` int64 count stack of one upper-triangle block:
-    the block form of the dense counting kernel, so exactly equal to
-    slicing the dense count matrices."""
+    """The stored ``(k, h, w)`` int64 stack of one upper-triangle block.
+
+    The batch's planes are the block form of the dense counting kernel,
+    so exactly equal to slicing the dense count matrices.  An update
+    adds the base generation's full planes first, so a generation may
+    switch layout (an unmasked history absorbing a masked batch, or the
+    reverse) and still store exact sums.
+    """
     counts = packed_pairwise_complete_counts(
         context.packed, context.grid.span(block[0]), context.grid.span(block[1])
     )
-    return np.stack([counts[key] for key in COUNT_KEYS])
+    if context.base_directory is not None:
+        base = TileStore(
+            context.base_directory,
+            context.grid,
+            infected=context.base_infected,
+            beta=context.base_beta,
+            has_missing=context.base_has_missing,
+        ).counts(*block)
+        counts = {key: counts[key] + base[key] for key in COUNT_KEYS}
+    return np.stack([counts[key] for key in stored_count_keys(context.has_missing)])
 
 
 def count_tile_chunk(
@@ -370,10 +464,6 @@ def count_tile_chunk(
     for block in blocks:
         block = (int(block[0]), int(block[1]))
         stack = _tile_stack(context, block)
-        if context.base_directory is not None:
-            expected = (len(COUNT_KEYS),) + context.grid.block_shape(*block)
-            base = read_tile(context.base_directory, block, expected)
-            stack = stack + base
         results.append((block, write_tile(context.directory, block, stack)))
     return results
 
@@ -383,13 +473,22 @@ def _build_context(
     grid: TileGrid,
     *,
     directory: str,
-    base_directory: str | None = None,
+    base: "TiledSufficientStats | None" = None,
 ) -> TileContext:
+    """The fan-out context counting ``statuses`` into ``directory``,
+    on top of the ``base`` generation when one is given."""
+    packed = PackedStatuses.from_statuses(statuses)
+    if base is None:
+        return TileContext(grid, packed, directory, statuses.has_missing)
     return TileContext(
-        grid=grid,
-        packed=PackedStatuses.from_statuses(statuses),
-        directory=directory,
-        base_directory=base_directory,
+        grid,
+        packed,
+        directory,
+        has_missing=statuses.has_missing or base.has_missing,
+        base_directory=str(base.store.directory),
+        base_infected=base.infected,
+        base_beta=base.beta,
+        base_has_missing=base.has_missing,
     )
 
 
@@ -400,12 +499,14 @@ def _build_context(
 class TileStore:
     """Memory-mapped reads of one generation's spilled tiles, LRU-capped.
 
-    :meth:`counts` serves *any* block — lower-triangle requests load the
-    mirrored upper-triangle tile and return transposed views (with the
-    ``"10"``/``"01"`` planes swapped), so consumers never notice that
-    only half the grid exists on disk.  At most ``max_resident`` tiles
-    stay mapped at once; eviction is LRU and the ``tiles_resident``
-    gauge tracks the live count.
+    :meth:`counts` serves *any* block with all five count planes — the
+    derived ones rebuilt by :func:`derive_counts` from the generation's
+    ``infected`` totals and ``beta``, and lower-triangle requests served
+    from the mirrored upper-triangle tile as transposed views (with the
+    ``"10"``/``"01"`` planes swapped) — so consumers never notice that
+    only half the grid and only the independent planes exist on disk.
+    At most ``max_resident`` tiles stay mapped at once; eviction is LRU
+    and the ``tiles_resident`` gauge tracks the live count.
     """
 
     def __init__(
@@ -413,11 +514,17 @@ class TileStore:
         directory: Path | str,
         grid: TileGrid,
         *,
+        infected: np.ndarray,
+        beta: int,
+        has_missing: bool,
         max_resident: int | None = None,
         metrics=NULL_METRICS,
     ) -> None:
         self.directory = Path(directory)
         self.grid = grid
+        self.infected = infected
+        self.beta = beta
+        self.has_missing = has_missing
         self.max_resident = (
             DEFAULT_MAX_RESIDENT_TILES if max_resident is None else int(max_resident)
         )
@@ -429,13 +536,16 @@ class TileStore:
         self._resident: OrderedDict[tuple[int, int], np.ndarray] = OrderedDict()
 
     def stack_shape(self, bi: int, bj: int) -> tuple[int, int, int]:
-        return (len(COUNT_KEYS),) + self.grid.block_shape(bi, bj)
+        """Shape of block ``(bi, bj)``'s stored stack: one plane per
+        :func:`stored_count_keys` entry of this generation."""
+        planes = len(stored_count_keys(self.has_missing))
+        return (planes,) + self.grid.block_shape(bi, bj)
 
     def is_valid(self, block: tuple[int, int]) -> bool:
         return validate_tile(self.directory, block, self.stack_shape(*block))
 
     def load(self, block: tuple[int, int]) -> np.ndarray:
-        """The ``(5, h, w)`` stack of one *upper-triangle* block, mmapped."""
+        """The stored stack of one *upper-triangle* block, mmapped."""
         bi, bj = block
         if bi > bj:
             raise DataError(
@@ -453,19 +563,28 @@ class TileStore:
         self._metrics.set_gauge("tiles_resident", len(self._resident))
         return array
 
-    def counts(self, bi: int, bj: int) -> dict[str, np.ndarray]:
-        """The five count planes of block ``(bi, bj)``, either triangle."""
-        if bi <= bj:
-            stack = self.load((bi, bj))
-            return {key: stack[index] for index, key in enumerate(COUNT_KEYS)}
-        stack = self.load((bj, bi))
-        return {
-            "11": stack[0].T,
-            "10": stack[2].T,
-            "01": stack[1].T,
-            "00": stack[3].T,
-            "obs": stack[4].T,
-        }
+    def counts(
+        self, bi: int, bj: int, keys: Sequence[str] = COUNT_KEYS
+    ) -> dict[str, np.ndarray]:
+        """The count planes ``keys`` (default: all five) of block
+        ``(bi, bj)``, either triangle."""
+        upper = (min(bi, bj), max(bi, bj))
+        mirrored = bi > bj
+        if mirrored:
+            keys = [_MIRRORED_KEY.get(key, key) for key in keys]
+        a0, a1 = self.grid.span(upper[0])
+        b0, b1 = self.grid.span(upper[1])
+        planes = derive_counts(
+            self.load(upper),
+            has_missing=self.has_missing,
+            row_infected=self.infected[a0:a1],
+            col_infected=self.infected[b0:b1],
+            beta=self.beta,
+            keys=keys,
+        )
+        if not mirrored:
+            return planes
+        return {_MIRRORED_KEY.get(key, key): plane.T for key, plane in planes.items()}
 
     @property
     def resident_tiles(self) -> int:
@@ -493,9 +612,10 @@ class TiledSufficientStats:
     Drop-in for :class:`~repro.core.stats.SufficientStats` wherever the
     pipeline consumes statistics — ``beta`` / ``n_nodes`` /
     ``has_missing`` / :meth:`mi_matrix` / :meth:`updated` /
-    :meth:`checksum` — but the five ``(n, n)`` count matrices live as
-    tiles on disk and the IMI matrix is assembled into a float64
-    memory-map, so nothing O(n²·10) ever materialises.
+    :meth:`checksum` — but the ``(n, n)`` count matrices live on disk
+    as tiles of their independent planes and the IMI matrix is
+    assembled into a float64 memory-map, so nothing O(n²·10) ever
+    materialises.
     :meth:`checksum` streams the tile bytes in dense row-major order and
     therefore returns the *same* digest as the dense statistics, which
     is what keeps model fingerprints identical across the two paths.
@@ -568,17 +688,24 @@ class TiledSufficientStats:
         }
         directory = root / _generation_name(0)
         _prepare_directory(directory, meta)
+        infected = statuses.infection_counts()
+        store = TileStore(
+            directory,
+            grid,
+            infected=infected,
+            beta=statuses.beta,
+            has_missing=statuses.has_missing,
+            max_resident=max_resident_tiles,
+            metrics=metrics,
+        )
         context = _build_context(statuses, grid, directory=str(directory))
         _compute_missing_tiles(
-            context, grid, directory, plan=plan, tracer=tracer, metrics=metrics
-        )
-        store = TileStore(
-            directory, grid, max_resident=max_resident_tiles, metrics=metrics
+            context, store, plan=plan, tracer=tracer, metrics=metrics
         )
         return cls(
             grid=grid,
             store=store,
-            infected=statuses.infection_counts(),
+            infected=infected,
             observed=statuses.observed_counts(),
             beta=statuses.beta,
             has_missing=statuses.has_missing,
@@ -620,38 +747,41 @@ class TiledSufficientStats:
         chain = hashlib.sha256(
             f"{self.source}:{_statuses_digest(batch)}".encode()
         ).hexdigest()
+        beta = self.beta + batch.beta
+        has_missing = self.has_missing or batch.has_missing
         meta = {
             "version": _META_VERSION,
             "n_nodes": self.n_nodes,
             "tile_size": self.grid.tile_size,
-            "beta": self.beta + batch.beta,
-            "has_missing": self.has_missing or batch.has_missing,
+            "beta": beta,
+            "has_missing": has_missing,
             "source": chain,
         }
         _prepare_directory(directory, meta)
-        context = _build_context(
-            batch,
-            self.grid,
-            directory=str(directory),
-            base_directory=str(self.store.directory),
-        )
-        _compute_missing_tiles(
-            context, self.grid, directory, plan=plan, tracer=tracer, metrics=metrics
-        )
+        infected = self.infected + batch.infection_counts()
         store = TileStore(
             directory,
             self.grid,
+            infected=infected,
+            beta=beta,
+            has_missing=has_missing,
             max_resident=self.store.max_resident,
             metrics=metrics,
+        )
+        context = _build_context(
+            batch, self.grid, directory=str(directory), base=self
+        )
+        _compute_missing_tiles(
+            context, store, plan=plan, tracer=tracer, metrics=metrics
         )
         self._prune_generations(keep=(self.generation, generation))
         return TiledSufficientStats(
             grid=self.grid,
             store=store,
-            infected=self.infected + batch.infection_counts(),
+            infected=infected,
             observed=self.observed + batch.observed_counts(),
-            beta=self.beta + batch.beta,
-            has_missing=self.has_missing or batch.has_missing,
+            beta=beta,
+            has_missing=has_missing,
             root=self.root,
             generation=generation,
             source=chain,
@@ -671,13 +801,24 @@ class TiledSufficientStats:
     # ------------------------------------------------------------------
     # derived estimates (assembled tile by tile)
     # ------------------------------------------------------------------
-    def mi_matrix(self, kind: str = "infection") -> np.ndarray:
+    def mi_matrix(
+        self, kind: str = "infection", sample: list[np.ndarray] | None = None
+    ) -> np.ndarray:
         """The MI matrix assembled into a spill-directory memory-map.
 
-        Per tile, :mod:`repro.core.imi` runs its elementwise float
-        pipeline on the tile's counts and the marginals of the tile's
-        row and column nodes, so every entry is bit-identical to the
-        dense matrix; only one tile's terms are resident at a time.
+        Per upper-triangle tile, :mod:`repro.core.imi` runs its
+        elementwise float pipeline on the tile's counts and the marginals
+        of the tile's row and column nodes, so every entry is
+        bit-identical to the dense matrix; an off-diagonal tile also
+        writes its mirror from the same terms
+        (:func:`~repro.core.imi.transposed_terms`).  Only one tile's
+        terms are resident at a time.
+
+        With ``sample`` given, each row band's non-negative off-diagonal
+        values are appended to it as soon as the band is complete
+        (:func:`~repro.core.imi.append_threshold_sample`, the same
+        values in the same order as the dense matrix's), so the stage-2
+        threshold never rescans the memory-map.
         """
         if kind == "infection":
             combine = imi_from_terms
@@ -694,7 +835,9 @@ class TiledSufficientStats:
         )
         for bi in range(self.grid.n_blocks):
             a0, a1 = self.grid.span(bi)
-            for bj in range(self.grid.n_blocks):
+            # Row band bi left of the diagonal was written as mirrors of
+            # earlier bands' tiles; the loop completes the rest of it.
+            for bj in range(bi, self.grid.n_blocks):
                 b0, b1 = self.grid.span(bj)
                 counts = self.store.counts(bi, bj)
                 diagonal = bi == bj
@@ -708,7 +851,14 @@ class TiledSufficientStats:
                         column_counts=None if diagonal else self.infected[b0:b1],
                     )
                 out[a0:a1, b0:b1] = combine(terms, zero_diagonal=diagonal)
-        out.flush()
+                if not diagonal:
+                    out[b0:b1, a0:a1] = combine(
+                        transposed_terms(terms), zero_diagonal=False
+                    )
+            if sample is not None:
+                append_threshold_sample(sample, out[a0:a1], a0)
+        # No flush: the memory-map is a scratch output read back through
+        # this mapping and rewritten by every call, never a resume point.
         return out
 
     # ------------------------------------------------------------------
@@ -726,7 +876,7 @@ class TiledSufficientStats:
             a0, a1 = self.grid.span(bi)
             for bj in range(self.grid.n_blocks):
                 b0, b1 = self.grid.span(bj)
-                dense[a0:a1, b0:b1] = self.store.counts(bi, bj)[key]
+                dense[a0:a1, b0:b1] = self.store.counts(bi, bj, (key,))[key]
         return dense
 
     def to_dense(self) -> SufficientStats:
@@ -766,7 +916,7 @@ class TiledSufficientStats:
                 band = np.concatenate(
                     [
                         np.ascontiguousarray(
-                            self.store.counts(bi, bj)[key], dtype=np.int64
+                            self.store.counts(bi, bj, (key,))[key], dtype=np.int64
                         )
                         for bj in range(self.grid.n_blocks)
                     ],
@@ -794,28 +944,23 @@ class TiledSufficientStats:
 
 def _compute_missing_tiles(
     context: TileContext,
-    grid: TileGrid,
-    directory: Path,
+    store: TileStore,
     *,
     plan: ExecutionPlan | None,
     tracer=NULL_TRACER,
     metrics=NULL_METRICS,
 ) -> None:
-    """Fan out every not-yet-valid tile, then verify the full grid.
+    """Fan out every not-yet-valid tile of ``store``'s generation, then
+    verify the tiles the fan-out wrote.
 
     The validity scan *is* the checkpoint-resume step: tiles spilled by
-    an earlier (possibly crashed) run with matching metadata and CRC are
-    kept, everything else is recomputed.  A tile still invalid after the
-    fan-out (e.g. a worker ran out of disk) fails loudly here rather
-    than downstream.
+    an earlier (possibly crashed) run with matching metadata, CRC and
+    stored layout are kept, everything else is recomputed.  A tile still
+    invalid after the fan-out (e.g. a worker ran out of disk) fails
+    loudly here rather than downstream.
     """
-    blocks = grid.blocks()
-    expected = {
-        block: (len(COUNT_KEYS),) + grid.block_shape(*block) for block in blocks
-    }
-    todo = [
-        block for block in blocks if not validate_tile(directory, block, expected[block])
-    ]
+    blocks = store.grid.blocks()
+    todo = [block for block in blocks if not store.is_valid(block)]
     reused = len(blocks) - len(todo)
     with tracer.span(
         "tiles.compute",
@@ -829,15 +974,13 @@ def _compute_missing_tiles(
             # backoff, process → thread → serial fallback, chunk timeouts.
             executor = ParallelExecutor(plan or ExecutionPlan.resolve(), tracer)
             executor.map(count_tile_chunk, context, todo)
-    invalid = [
-        block for block in blocks if not validate_tile(directory, block, expected[block])
-    ]
+    invalid = [block for block in todo if not store.is_valid(block)]
     if invalid:
         raise DataError(
-            f"{len(invalid)} tile(s) failed to spill under {directory} "
+            f"{len(invalid)} tile(s) failed to spill under {store.directory} "
             f"(first: {invalid[0]})"
         )
     if reused:
         metrics.inc("tiles_reused_total", reused)
     metrics.inc("tiles_computed_total", len(todo))
-    metrics.set_gauge("tiles_spilled_bytes", _spilled_bytes(directory))
+    metrics.set_gauge("tiles_spilled_bytes", store.spilled_bytes())

@@ -10,6 +10,10 @@ Three guarantees under fault:
   missing tiles, flipped bytes, truncated payloads, or garbage CRC
   sidecars recomputes exactly the invalid tiles and completes to the
   same checksum as an uninterrupted dense run.
+* **Old or mismatched layouts** — a spill directory from the earlier
+  five-plane format is wiped by its meta version and recounted, and a
+  tile whose plane count does not fit its generation's missing flag
+  fails validation.
 * **Serve under tiling** — ``kill -9`` an ingest service running with
   ``tile_size``/``spill_dir`` overrides; the recovered model's
   fingerprint equals an uninterrupted *dense* reference over the same
@@ -18,6 +22,7 @@ Three guarantees under fault:
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -35,13 +40,18 @@ from repro.core.tiles import (
     TileGrid,
     TiledSufficientStats,
     _build_context,
+    _statuses_digest,
+    read_tile,
+    stored_count_keys,
     validate_tile,
+    write_tile,
 )
 from repro.graphs.generators.random_graphs import erdos_renyi_digraph
 from repro.obs.metrics import MetricsRegistry
 from repro.serve import IngestJournal, IngestService, QuarantineStore
 from repro.simulation import io as sim_io
 from repro.simulation.engine import DiffusionSimulator
+from repro.simulation.statuses import StatusMatrix
 from tests.faults import tile_fault_lib
 
 WAIT = 60.0
@@ -132,15 +142,14 @@ class TestWorkerCrashMidTile:
         assert (tmp_path / "crashed").exists(), "fault never fired"
 
         dense = SufficientStats.from_statuses(statuses)
-        from repro.core.tiles import read_tile
-
+        stored = stored_count_keys(statuses.has_missing)
         for block in grid.blocks():
-            shape = (len(COUNT_KEYS),) + grid.block_shape(*block)
+            shape = (len(stored),) + grid.block_shape(*block)
             assert validate_tile(spill, block, shape), block
             stack = read_tile(spill, block, shape)
             a0, a1 = grid.span(block[0])
             b0, b1 = grid.span(block[1])
-            for index, key in enumerate(COUNT_KEYS):
+            for index, key in enumerate(stored):
                 assert np.array_equal(
                     stack[index], dense.counts[key][a0:a1, b0:b1]
                 ), (block, key)
@@ -230,6 +239,82 @@ class TestTornSpillRecovery:
         assert counters["tiles_computed_total"] == len(
             stats.grid.blocks()
         )
+
+
+def _masked(statuses, seed=5):
+    mask = np.random.default_rng(seed).random(statuses.values.shape) > 0.2
+    return StatusMatrix(statuses.values, mask)
+
+
+class TestSpillLayout:
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_five_plane_spill_of_old_version_is_wiped(self, tmp_path, masked):
+        """A version-1 directory of five-plane tiles, one of them posing
+        as a valid current-layout tile with wrong counts, is wiped and
+        recounted; the fit equals the dense fit."""
+        statuses = _observations()
+        if masked:
+            statuses = _masked(statuses)
+        grid = TileGrid(statuses.n_nodes, 5)
+        gen = tmp_path / "gen-00000000"
+        gen.mkdir()
+        meta = {
+            "version": 1,
+            "n_nodes": statuses.n_nodes,
+            "tile_size": 5,
+            "beta": statuses.beta,
+            "has_missing": statuses.has_missing,
+            "source": _statuses_digest(statuses),
+        }
+        (gen / "spill-meta.json").write_text(
+            json.dumps(meta, sort_keys=True, separators=(",", ":"))
+        )
+        dense = SufficientStats.from_statuses(statuses)
+        for bi, bj in grid.blocks():
+            a0, a1 = grid.span(bi)
+            b0, b1 = grid.span(bj)
+            write_tile(
+                gen,
+                (bi, bj),
+                np.stack([dense.counts[key][a0:a1, b0:b1] for key in COUNT_KEYS]),
+            )
+        planes = len(stored_count_keys(statuses.has_missing))
+        write_tile(gen, (0, 1), np.full((planes, 5, 5), 7, dtype=np.int64))
+
+        metrics = MetricsRegistry()
+        stats = TiledSufficientStats.from_statuses(
+            statuses, tile_size=5, spill_dir=tmp_path, metrics=metrics
+        )
+        assert metrics.snapshot()["counters"]["tiles_computed_total"] == len(
+            grid.blocks()
+        )
+        assert json.loads((gen / "spill-meta.json").read_text())["version"] != 1
+        assert stats.checksum() == dense.checksum()
+        fitted = Tends(tile_size=5, spill_dir=str(tmp_path)).fit(statuses)
+        assert fitted.fingerprint() == Tends().fit(statuses).fingerprint()
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_plane_count_must_match_the_missing_flag(self, tmp_path, masked):
+        statuses = _observations()
+        if masked:
+            statuses = _masked(statuses)
+        stats = TiledSufficientStats.from_statuses(
+            statuses, tile_size=5, spill_dir=tmp_path
+        )
+        gen = tmp_path / "gen-00000000"
+        block = (0, 1)
+        shape = stats.store.stack_shape(*block)
+        assert shape[0] == len(stored_count_keys(masked))
+        assert validate_tile(gen, block, shape)
+        # The other layout's stack, CRC-valid in itself.
+        other = len(stored_count_keys(not masked))
+        write_tile(gen, block, np.zeros((other,) + shape[1:], dtype=np.int64))
+        assert not validate_tile(gen, block, shape)
+        resumed = TiledSufficientStats.from_statuses(
+            statuses, tile_size=5, spill_dir=tmp_path
+        )
+        assert validate_tile(gen, block, shape)
+        assert resumed.checksum() == SufficientStats.from_statuses(statuses).checksum()
 
 
 #: Ingest service child identical to the test_serve_crash one, except the

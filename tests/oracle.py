@@ -192,6 +192,23 @@ def traditional_mi_matrix(statuses: StatusMatrix) -> np.ndarray:
     return mi_from_terms(pointwise_mi_terms(statuses))
 
 
+def threshold_sample(mi: np.ndarray, band_bytes: int = 8 * 1024 * 1024) -> np.ndarray:
+    """The stage-2 2-means input as a separate scan of a finished MI
+    matrix (how ``Tends`` extracted it before the MI passes collected
+    it): the non-negative values of ``mi[~np.eye(n)]``, streamed in row
+    bands of ``band_bytes`` and concatenated in row-major order."""
+    n = mi.shape[0]
+    band = max(1, band_bytes // max(8 * n, 1))
+    chunks = []
+    for start in range(0, n, band):
+        stop = min(start + band, n)
+        block = np.asarray(mi[start:stop], dtype=np.float64)
+        keep = block >= 0.0
+        keep[np.arange(stop - start), np.arange(start, stop)] = False
+        chunks.append(np.compress(keep.ravel(), block.ravel()))
+    return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.float64)
+
+
 # ----------------------------------------------------------------------
 # family contingency counts
 # ----------------------------------------------------------------------

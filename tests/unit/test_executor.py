@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import signal
+import time
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -22,6 +26,13 @@ from repro.exceptions import ConfigurationError
 def _square_chunk(offset: int, items: list[int]) -> list[int]:
     """Module-level so the process backend can pickle it by reference."""
     return [offset + item * item for item in items]
+
+
+def _ignore_sigterm(started) -> None:
+    """Pool initializer: a worker deaf to SIGTERM, so only SIGKILL can
+    stop it; the barrier tells the test every worker is."""
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)
+    started.wait()
 
 
 class TestExecutionPlan:
@@ -223,3 +234,22 @@ class TestRetryPolicyJitter:
             RetryPolicy(jitter=1.5)
         with pytest.raises(ConfigurationError, match="jitter"):
             RetryPolicy(jitter=-0.1)
+
+
+class TestShutdownPoolKill:
+    def test_hung_workers_ignoring_sigterm_are_killed_and_reaped(self):
+        started = multiprocessing.Barrier(3)
+        pool = ProcessPoolExecutor(
+            max_workers=2, initializer=_ignore_sigterm, initargs=(started,)
+        )
+        # One task per worker that never returns on its own.
+        for _ in range(2):
+            pool.submit(time.sleep, 60)
+        started.wait(timeout=30)
+        workers = list(pool._processes.values())
+        assert len(workers) == 2
+
+        ParallelExecutor._shutdown_pool(pool, kill=True)
+
+        assert [worker.exitcode for worker in workers] == [-signal.SIGKILL] * 2
+        assert multiprocessing.active_children() == []
