@@ -22,8 +22,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -42,6 +40,7 @@ from repro.core.search import (
 )
 from repro.core.stats import COUNT_KEYS, SufficientStats
 from repro.core.tiles import TiledSufficientStats
+from repro.durable import atomic_write
 from repro.exceptions import (
     CheckpointError,
     ConfigurationError,
@@ -61,21 +60,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (robustness → imi)
     from repro.robustness.bootstrap import ImiBootstrap
 
 __all__ = ["Tends", "TendsResult", "TendsModel", "UpdateInfo", "merge_results"]
-
-
-def _fsync_directory(directory: Path) -> None:
-    """Best-effort fsync of the directory entry, so the ``os.replace``
-    rename itself is durable (not just the file contents)."""
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform without directory open
-        return
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover - fsync unsupported on directories
-        pass
-    finally:
-        os.close(fd)
 
 
 def _parent_graph(
@@ -467,14 +451,13 @@ class TendsModel:
     def save(self, path: str | Path) -> Path:
         """Write the model to ``path`` as a single NPZ snapshot.
 
-        The write is **crash-atomic**: the archive is written to a
-        temporary file in the same directory, flushed and fsynced, then
-        :func:`os.replace`-d over ``path`` — a kill at any instant leaves
-        either the previous snapshot or the new one, never a truncated
-        hybrid (``tests/faults/test_model_snapshot_atomic.py`` interrupts
-        the write at every stage to hold this).
+        The write is **crash-atomic** (:func:`repro.durable.atomic_write`):
+        the archive streams into a same-directory temp file that is
+        fsynced and :func:`os.replace`-d over ``path`` — a kill at any
+        instant leaves either the previous snapshot or the new one, never
+        a truncated hybrid (``tests/faults/test_model_snapshot_atomic.py``
+        interrupts the write at every stage to hold this).
         """
-        path = Path(path)
         meta = {
             "format": "tends-model",
             "version": self.SNAPSHOT_VERSION,
@@ -504,23 +487,9 @@ class TendsModel:
             # count_matrix densifies one plane at a time, so tile-backed
             # statistics snapshot without materialising all five at once.
             arrays[f"counts_{key}"] = self.stats.count_matrix(key)
-        # Same-directory temp + os.replace: readers (and a restart after
-        # a kill mid-save) only ever see a complete snapshot.
-        fd, temp_name = tempfile.mkstemp(
-            prefix=f".{path.name}.", suffix=".tmp", dir=path.parent or "."
+        return atomic_write(
+            path, lambda handle: np.savez_compressed(handle, **arrays)
         )
-        temp_path = Path(temp_name)
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                np.savez_compressed(handle, **arrays)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(temp_path, path)
-        except BaseException:
-            temp_path.unlink(missing_ok=True)
-            raise
-        _fsync_directory(path.parent)
-        return path
 
     @classmethod
     def load(cls, path: str | Path) -> "TendsModel":

@@ -81,7 +81,6 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-import os
 import shutil
 import tempfile
 import zlib
@@ -103,6 +102,7 @@ from repro.core.imi import (
 )
 from repro.core.kernels import PackedStatuses, packed_pairwise_complete_counts
 from repro.core.stats import COUNT_KEYS, SufficientStats
+from repro.durable import atomic_write
 from repro.exceptions import DataError
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.trace import NULL_TRACER
@@ -196,33 +196,10 @@ def _tile_name(block: tuple[int, int]) -> str:
     return f"tile-{block[0]:05d}-{block[1]:05d}.npy"
 
 
-def _write_atomic(path: Path, payload: bytes) -> None:
-    """Same-directory temp file + fsync + rename, so a crash at any
-    instruction leaves either the old file or the new file — never a
-    torn one (the same discipline as ``TendsModel.save``)."""
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=path.name + ".", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(payload)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_name, path)
-    except BaseException:
-        if os.path.exists(tmp_name):  # pragma: no cover - cleanup path
-            os.unlink(tmp_name)
-        raise
-    dir_fd = os.open(path.parent, os.O_RDONLY)
-    try:
-        os.fsync(dir_fd)
-    finally:
-        os.close(dir_fd)
-
-
 def write_tile(directory: Path | str, block: tuple[int, int], stack: np.ndarray) -> int:
     """Persist one ``(k, h, w)`` int64 tile stack crash-atomically (``k``
-    stored count planes, see :func:`stored_count_keys`).
+    stored count planes, see :func:`stored_count_keys`) — two
+    :func:`repro.durable.atomic_write` calls, four fsyncs.
 
     The ``.npy`` payload is serialised in memory first so its CRC-32 is
     computed over exactly the bytes that land on disk; the CRC and shape
@@ -238,9 +215,9 @@ def write_tile(directory: Path | str, block: tuple[int, int], stack: np.ndarray)
     payload = buffer.getvalue()
     crc = zlib.crc32(payload) & 0xFFFFFFFF
     tile_path = directory / _tile_name(block)
-    _write_atomic(tile_path, payload)
+    atomic_write(tile_path, lambda handle: handle.write(payload))
     sidecar = json.dumps({"crc32": crc, "shape": list(stack.shape)}).encode()
-    _write_atomic(Path(str(tile_path) + ".crc"), sidecar)
+    atomic_write(Path(str(tile_path) + ".crc"), lambda handle: handle.write(sidecar))
     return crc
 
 
@@ -327,10 +304,8 @@ def _prepare_directory(directory: Path, meta: dict) -> None:
             return
         shutil.rmtree(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    _write_atomic(
-        directory / _META_NAME,
-        json.dumps(meta, sort_keys=True, separators=(",", ":")).encode(),
-    )
+    encoded = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
+    atomic_write(directory / _META_NAME, lambda handle: handle.write(encoded))
 
 
 def _statuses_digest(statuses: StatusMatrix) -> str:

@@ -25,25 +25,18 @@ Design constraints the format serves:
   against the wrong experiment fails loudly instead of silently mixing
   sweeps.
 
-The durable-line primitives (:class:`DurableJsonlWriter`,
-:func:`scan_journal`, :func:`with_crc` / :func:`crc_of_document`) are
-shared with the streaming ingest write-ahead journal in
-:mod:`repro.serve.journal`, which layers sequence numbers and batch
-payloads on the same fsync + CRC contract.
+The fsync + CRC line format and its corruption policy live in
+:mod:`repro.durable`, shared with the serve ingest journal, the
+quarantine store and the perf trend ledger.
 """
 
 from __future__ import annotations
 
-import io
-import json
-import os
-import warnings
-import zlib
-from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, Union
+from typing import IO, TYPE_CHECKING, Mapping, Union
 
-from repro.exceptions import CheckpointError, JournalCorruptionWarning
+from repro.durable import DurableJsonlWriter, crc_of, read_jsonl, warn_damaged
+from repro.exceptions import CheckpointError
 from repro.obs.metrics import NULL_METRICS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -53,16 +46,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 __all__ = [
     "CellKey",
     "CheckpointJournal",
-    "DurableJsonlWriter",
-    "JournalLine",
     "cell_key",
     "checkpoint_path_for",
-    "crc_of_document",
     "load_checkpoint",
     "method_result_to_json",
     "method_result_from_json",
-    "scan_journal",
-    "with_crc",
 ]
 
 PathLike = Union[str, Path]
@@ -71,164 +59,6 @@ PathLike = Union[str, Path]
 CellKey = tuple[str, int, str]
 
 _FORMAT = "repro.method_result"
-
-#: Record key holding the integrity checksum; excluded from the checksum
-#: itself so a record can be verified from its parsed form.
-CRC_KEY = "crc"
-
-
-# ----------------------------------------------------------------------
-# durable JSONL primitives (shared with the serve ingest journal)
-# ----------------------------------------------------------------------
-
-def crc_of_document(document: Mapping) -> int:
-    """CRC32 of a record's canonical JSON payload (``crc`` key excluded).
-
-    Canonical form is compact separators + sorted keys, so the checksum
-    is stable across writer and reader regardless of key order, and a
-    parsed record can be re-verified without keeping the raw line.
-    """
-    payload = {key: value for key, value in document.items() if key != CRC_KEY}
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return zlib.crc32(canonical.encode("utf-8")) & 0xFFFFFFFF
-
-
-def with_crc(document: Mapping) -> dict:
-    """A copy of ``document`` carrying its :func:`crc_of_document`."""
-    record = dict(document)
-    record[CRC_KEY] = crc_of_document(document)
-    return record
-
-
-@dataclass(frozen=True)
-class JournalLine:
-    """One scanned journal line: its parse/verify outcome.
-
-    Attributes
-    ----------
-    number:
-        1-based line number in the file.
-    document:
-        The parsed record, or ``None`` when the line is damaged.
-    error:
-        Why the line was rejected (``None`` for a good line).
-    torn:
-        True when the damage is on the final line — the partial-write
-        signature of a crash, tolerated rather than corruption.
-    """
-
-    number: int
-    document: dict | None
-    error: str | None
-    torn: bool = False
-
-    @property
-    def ok(self) -> bool:
-        return self.document is not None
-
-
-def scan_journal(path: PathLike, *, verify_crc: bool = True) -> list[JournalLine]:
-    """Parse and integrity-check every non-blank line of a JSONL journal.
-
-    Returns one :class:`JournalLine` per line, in file order.  A line
-    fails when it is not valid JSON, not a JSON object, or (with
-    ``verify_crc``) carries a ``crc`` field that does not match its
-    payload.  Records without a ``crc`` field are accepted — journals
-    written before the checksum existed stay loadable.  A missing file
-    scans as empty.  Unreadable files raise :class:`CheckpointError`.
-    """
-    path = Path(path)
-    if not path.exists():
-        return []
-    try:
-        raw_lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise CheckpointError(f"cannot read journal {path}: {exc}") from exc
-    entries = [(i + 1, line) for i, line in enumerate(raw_lines) if line.strip()]
-    scanned: list[JournalLine] = []
-    for position, (number, line) in enumerate(entries):
-        final = position == len(entries) - 1
-        try:
-            document = json.loads(line)
-        except json.JSONDecodeError as exc:
-            scanned.append(
-                JournalLine(number, None, f"not valid JSON: {exc}", torn=final)
-            )
-            continue
-        if not isinstance(document, dict):
-            scanned.append(
-                JournalLine(
-                    number, None, "not a JSON object", torn=final
-                )
-            )
-            continue
-        if verify_crc and CRC_KEY in document:
-            stored = document[CRC_KEY]
-            expected = crc_of_document(document)
-            if stored != expected:
-                scanned.append(
-                    JournalLine(
-                        number,
-                        None,
-                        f"CRC mismatch (stored {stored!r}, payload {expected})",
-                        torn=final,
-                    )
-                )
-                continue
-        scanned.append(JournalLine(number, document, None))
-    return scanned
-
-
-class DurableJsonlWriter:
-    """Append-only fsynced JSONL writer with per-record CRC32.
-
-    Opens lazily on the first :meth:`append` (parent directories are
-    created), writes one compact JSON line per record with a ``crc``
-    field added, and flushes + fsyncs after every line, so a crash loses
-    at most the line in flight and every line that *did* land verifies.
-    Usable as a context manager.
-    """
-
-    def __init__(self, path: PathLike, *, crc: bool = True) -> None:
-        self.path = Path(path)
-        self._crc = crc
-        self._handle: io.TextIOWrapper | None = None
-
-    def append(self, document: Mapping) -> dict:
-        """Write one record durably; returns the record as written
-        (including its ``crc``)."""
-        record = with_crc(document) if self._crc else dict(document)
-        if self._handle is None:
-            try:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                self._handle = self.path.open("a", encoding="utf-8")
-            except OSError as exc:
-                raise CheckpointError(
-                    f"cannot open journal {self.path}: {exc}"
-                ) from exc
-        line = json.dumps(record, separators=(",", ":"))
-        try:
-            self._handle.write(line + "\n")
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
-        except OSError as exc:
-            raise CheckpointError(
-                f"cannot append to journal {self.path}: {exc}"
-            ) from exc
-        return record
-
-    def close(self) -> None:
-        if self._handle is not None:
-            try:
-                self._handle.close()
-            finally:
-                self._handle = None
-
-    def __enter__(self) -> "DurableJsonlWriter":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 def cell_key(point_label: str, replicate: int, method: str) -> CellKey:
@@ -322,7 +152,7 @@ class CheckpointJournal:
         self._metrics = metrics
 
     @property
-    def _handle(self) -> io.TextIOWrapper | None:
+    def _handle(self) -> IO[bytes] | None:
         """Back-compat view of the underlying file handle (tests assert
         on close semantics through it)."""
         return self._writer._handle
@@ -345,67 +175,46 @@ class CheckpointJournal:
         self.close()
 
 
-def _warn_corrupt(path: Path, detail: str) -> None:
-    warnings.warn(
-        f"{path}: {detail}", JournalCorruptionWarning, stacklevel=3
-    )
-
-
 def load_checkpoint(
     path: PathLike, *, experiment_id: str | None = None
 ) -> dict[CellKey, "MethodResult"]:
     """Load a journal into ``{cell key: MethodResult}``.
 
-    A missing file is an empty checkpoint (first run).  A truncated or
-    corrupt **final** line — the partial-write signature of a crash — is
-    dropped silently.  A damaged record anywhere *else* (bit flip, bad
-    CRC, malformed payload) is detected, skipped, and reported with a
+    A missing file is an empty checkpoint (first run).  Damage follows
+    the :func:`repro.durable.read_jsonl` policy: a torn **final** line —
+    the partial-write signature of a crash — is dropped silently, and a
+    damaged record anywhere *else* (bit flip, bad CRC, malformed
+    payload) is skipped with a
     :class:`~repro.exceptions.JournalCorruptionWarning`; the surviving
     records still load, so a resume recomputes the damaged cells instead
-    of refusing the whole journal.  Duplicate cells keep the last
-    occurrence; a byte-identical replay of an already-loaded record is
-    flagged as a duplicate.  When ``experiment_id`` is given, a record
-    from a different experiment raises :class:`CheckpointError` instead
-    of contaminating the resume.
+    of refusing the whole journal.  Lines written before the checksum
+    existed carry no ``crc`` and still load.  Duplicate cells keep the
+    last occurrence; a byte-identical replay of an already-loaded record
+    is flagged as a duplicate.  When ``experiment_id`` is given, a
+    record from a different experiment raises :class:`CheckpointError`
+    instead of contaminating the resume.
     """
     path = Path(path)
     cells: dict[CellKey, "MethodResult"] = {}
     payloads: dict[CellKey, int] = {}
-    scanned = scan_journal(path)
-    final_number = scanned[-1].number if scanned else 0
-    for line in scanned:
-        if not line.ok:
-            if line.torn:
-                # Partial write of the line in flight when the run died.
-                continue
-            _warn_corrupt(
-                path,
-                f"line {line.number}: corrupt checkpoint record skipped "
-                f"({line.error})",
-            )
-            continue
+    for number, document in read_jsonl(path, "checkpoint"):
         try:
-            result = method_result_from_json(line.document)
+            result = method_result_from_json(document)
         except CheckpointError as exc:
-            if line.number == final_number:
-                continue
-            _warn_corrupt(
-                path,
-                f"line {line.number}: corrupt checkpoint record skipped ({exc})",
-            )
+            warn_damaged(path, number, f"corrupt checkpoint record skipped ({exc})")
             continue
         if experiment_id is not None and result.experiment_id != experiment_id:
             raise CheckpointError(
-                f"{path}:{line.number}: record belongs to experiment "
+                f"{path}:{number}: record belongs to experiment "
                 f"{result.experiment_id!r}, expected {experiment_id!r}"
             )
         key = cell_key(result.point_label, result.replicate, result.method)
-        payload_crc = crc_of_document(line.document)
-        if key in payloads and payloads[key] == payload_crc:
-            _warn_corrupt(
+        payload_crc = crc_of(document)
+        if payloads.get(key) == payload_crc:
+            warn_damaged(
                 path,
-                f"line {line.number}: duplicate record for cell {key} skipped "
-                "(byte-identical replay)",
+                number,
+                f"duplicate record for cell {key} skipped (byte-identical replay)",
             )
             continue
         payloads[key] = payload_crc

@@ -15,12 +15,14 @@ The observability layer of the reproduction (see docs/OBSERVABILITY.md):
   profiler with collapsed-stack and SVG flamegraph output;
 * :mod:`repro.obs.memory` — tracemalloc/RSS per-span memory
   attribution with a zero-cost disabled path (:data:`NULL_MEMORY`);
-* :mod:`repro.obs.trend` — CRC-checked JSONL perf trend ledger and the
-  rolling-baseline check behind ``repro perf-check --trend``.
+* :mod:`repro.obs.trend` — perf trend ledger (CRC-checked JSONL via
+  :mod:`repro.durable`) and the rolling-baseline check behind
+  ``repro perf-check --trend``.
 
-This package is a leaf: it never imports ``repro.core`` or
-``repro.evaluation``, so every layer of the library can instrument
-itself without import cycles.
+This package is a leaf: outside itself it imports only the leaf modules
+:mod:`repro.durable` and :mod:`repro.exceptions` — never ``repro.core``
+or ``repro.evaluation`` — so every layer of the library can instrument
+itself without import cycles (``tests/unit/test_layering.py``).
 """
 
 from repro.obs.export import (

@@ -11,27 +11,23 @@ is the repo's performance trajectory across PRs:
   *k* entries) with separate time and memory tolerances — the CI gate;
 * ``repro figure trend`` renders the trajectory as SVG charts.
 
-Each line carries a CRC32 over its canonical JSON (the same
-sorted-keys/compact contract the serve journal and the checkpoint
-journal use), so at-rest corruption and torn tails are detected and
-skipped with a :class:`~repro.exceptions.JournalCorruptionWarning`
-instead of silently poisoning the baseline.  The tiny CRC helpers are
-local: ``repro.obs`` is a leaf package and must not import
-``repro.evaluation.checkpoint`` (which itself imports ``repro.obs``).
+The ledger is CRC-checked JSONL written through :mod:`repro.durable`
+(the serve journal and the sweep checkpoints use the same format), so
+at-rest corruption is detected and skipped with a
+:class:`~repro.exceptions.JournalCorruptionWarning` instead of silently
+poisoning the baseline, and a torn final line from a crashed append is
+dropped.  Unlike checkpoints, every ledger line must carry its ``crc``.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import statistics
 import time
-import warnings
-import zlib
 from pathlib import Path
 from typing import Mapping, Sequence, Union
 
-from repro.exceptions import DataError, JournalCorruptionWarning
+from repro.durable import DurableJsonlWriter, read_jsonl, warn_damaged, with_crc
+from repro.exceptions import CheckpointError, DataError
 from repro.obs.perfcheck import PerfCheckReport, compare_profiles, timing_profile
 
 __all__ = [
@@ -48,27 +44,10 @@ PathLike = Union[str, Path]
 
 TREND_FORMAT = "repro.perf_trend"
 _VERSION = 1
-_CRC_KEY = "crc"
 
 #: Memory entries below this are skipped by the trend check — a few
 #: hundred kB of interpreter noise dwarfs any real signal.
 DEFAULT_MIN_BYTES = float(1 << 20)
-
-
-# ----------------------------------------------------------------------
-# CRC'd JSONL primitives (local: obs is a leaf package)
-# ----------------------------------------------------------------------
-
-def _crc_of(document: Mapping) -> int:
-    payload = {k: v for k, v in document.items() if k != _CRC_KEY}
-    encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return zlib.crc32(encoded.encode("utf-8")) & 0xFFFFFFFF
-
-
-def _with_crc(document: Mapping) -> dict:
-    stamped = dict(document)
-    stamped[_CRC_KEY] = _crc_of(document)
-    return stamped
 
 
 # ----------------------------------------------------------------------
@@ -117,7 +96,7 @@ def build_entry(
     }
     if extra:
         entry["meta"] = dict(extra)
-    return _with_crc(entry)
+    return with_crc(entry)
 
 
 def append_trend(
@@ -127,59 +106,30 @@ def append_trend(
     label: str | None = None,
     extra: Mapping | None = None,
 ) -> dict:
-    """Append one run manifest's profile to the ledger, fsynced like the
-    other JSONL writers; returns the entry as written."""
-    entry = build_entry(manifest, label=label, extra=extra)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("a", encoding="utf-8") as handle:
-        handle.write(json.dumps(entry, separators=(",", ":")) + "\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-    return entry
+    """Append one run manifest's profile to the ledger (one fsync, like
+    the other JSONL writers); returns the entry as written."""
+    with DurableJsonlWriter(path) as writer:
+        return writer.append(build_entry(manifest, label=label, extra=extra))
 
 
 def load_trend(path: PathLike, *, verify_crc: bool = True) -> list[dict]:
     """Read a ledger, oldest first.
 
-    Corrupt lines (invalid JSON, wrong format, CRC mismatch) are skipped
-    with a :class:`~repro.exceptions.JournalCorruptionWarning` — one bad
-    line must not disqualify the whole trajectory.  A missing file is an
+    Damage follows :func:`repro.durable.read_jsonl`: a torn final line
+    is dropped silently; any other line that is invalid JSON, lacks or
+    fails its CRC, or is not a ledger entry is skipped with a
+    :class:`~repro.exceptions.JournalCorruptionWarning` — one bad line
+    must not disqualify the whole trajectory.  A missing file is an
     empty ledger.
     """
-    path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        return []
-    except OSError as exc:
-        raise DataError(f"cannot read trend ledger {path}: {exc}") from exc
+        lines = read_jsonl(path, "trend", verify_crc=verify_crc, require_crc=True)
+    except CheckpointError as exc:
+        raise DataError(str(exc)) from exc
     entries: list[dict] = []
-    for number, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            document = json.loads(line)
-        except json.JSONDecodeError:
-            warnings.warn(
-                f"{path}:{number}: invalid JSON in trend ledger; skipped",
-                JournalCorruptionWarning,
-                stacklevel=2,
-            )
-            continue
-        if not isinstance(document, dict) or document.get("format") != TREND_FORMAT:
-            warnings.warn(
-                f"{path}:{number}: not a {TREND_FORMAT} entry; skipped",
-                JournalCorruptionWarning,
-                stacklevel=2,
-            )
-            continue
-        if verify_crc and document.get(_CRC_KEY) != _crc_of(document):
-            warnings.warn(
-                f"{path}:{number}: CRC mismatch in trend ledger; skipped",
-                JournalCorruptionWarning,
-                stacklevel=2,
-            )
+    for number, document in lines:
+        if document.get("format") != TREND_FORMAT:
+            warn_damaged(path, number, f"not a {TREND_FORMAT} entry; skipped")
             continue
         entries.append(document)
     return entries

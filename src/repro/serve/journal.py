@@ -11,10 +11,11 @@ on the concatenated history (docs/INCREMENTAL.md), the replayed model is
 bit-identical to the uninterrupted one regardless of how the live run
 grouped batches.
 
-Journal damage follows the :mod:`repro.evaluation.checkpoint` contract:
-a torn final line is the partial-write signature of a crash and is
-dropped silently; damage anywhere else (bit flips caught by CRC,
-malformed payloads, duplicated sequence numbers) is skipped with a
+Both files are CRC-checked JSONL written through :mod:`repro.durable`,
+so damage follows its one policy: a torn final line is the
+partial-write signature of a crash and is dropped silently; damage
+anywhere else (bit flips caught by CRC, malformed payloads, duplicated
+sequence numbers) is skipped with a
 :class:`~repro.exceptions.JournalCorruptionWarning` and the surviving
 records still replay deterministically.
 
@@ -26,16 +27,14 @@ and round-trips the matrix (and its observation mask) bit-exactly.
 from __future__ import annotations
 
 import base64
-import os
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Union
+from typing import Iterator, Mapping, Union
 
 import numpy as np
 
-from repro.evaluation.checkpoint import DurableJsonlWriter, scan_journal
-from repro.exceptions import CheckpointError, JournalCorruptionWarning
+from repro.durable import DurableJsonlWriter, read_jsonl, rewrite_jsonl, warn_damaged
+from repro.exceptions import CheckpointError
 from repro.simulation.statuses import StatusMatrix
 
 __all__ = [
@@ -129,9 +128,9 @@ class IngestJournal:
     """Durable, append-only WAL of acknowledged cascade batches.
 
     :meth:`append` assigns the next sequence number, writes the record
-    through :class:`~repro.evaluation.checkpoint.DurableJsonlWriter`
-    (fsync + CRC), and only then returns — the acknowledgement *is* the
-    durability guarantee.  Usable as a context manager.
+    through :class:`~repro.durable.DurableJsonlWriter` (fsync + CRC),
+    and only then returns — the acknowledgement *is* the durability
+    guarantee.  Usable as a context manager.
     """
 
     def __init__(self, path: PathLike) -> None:
@@ -140,11 +139,8 @@ class IngestJournal:
         self._next_seq = self._scan_next_seq()
 
     def _scan_next_seq(self) -> int:
-        highest = 0
-        for record, _damage in _iter_records(self.path, warn=False):
-            if record is not None:
-                highest = max(highest, record.seq)
-        return highest + 1
+        seqs = [record.seq for _, record in _iter_records(self.path, warn=False)]
+        return max(seqs, default=0) + 1
 
     @property
     def next_seq(self) -> int:
@@ -178,67 +174,32 @@ class IngestJournal:
         number journaled twice keeps its first occurrence and warns.
         """
         records: dict[int, IngestRecord] = {}
-        for record, _damage in _iter_records(Path(path), warn=True):
-            if record is None:
-                continue
+        for number, record in _iter_records(Path(path), warn=True):
             if record.seq in records:
-                warnings.warn(
-                    f"{path}: duplicate ingest record for seq {record.seq} "
-                    "skipped (crash between fsync and acknowledgement)",
-                    JournalCorruptionWarning,
-                    stacklevel=2,
+                warn_damaged(
+                    path,
+                    number,
+                    f"duplicate ingest record for seq {record.seq} skipped "
+                    "(crash between fsync and acknowledgement)",
                 )
                 continue
             records[record.seq] = record
         return [records[seq] for seq in sorted(records) if seq > after_seq]
 
 
-def _iter_records(
-    path: Path, *, warn: bool
-) -> Iterable[tuple[IngestRecord | None, str | None]]:
-    """Yield ``(record, damage)`` per journal line; exactly one is None."""
-    for line in scan_journal(path):
-        if not line.ok:
-            if not line.torn and warn:
-                warnings.warn(
-                    f"{path}: line {line.number}: corrupt ingest record "
-                    f"skipped ({line.error})",
-                    JournalCorruptionWarning,
-                    stacklevel=3,
-                )
-            yield None, line.error
-            continue
+def _iter_records(path: Path, *, warn: bool) -> Iterator[tuple[int, IngestRecord]]:
+    """``(line number, record)`` of every replayable journal line."""
+    for number, document in read_jsonl(path, "ingest", warn=warn):
         try:
-            yield IngestRecord.from_json(line.document), None
+            yield number, IngestRecord.from_json(document)
         except CheckpointError as exc:
             if warn:
-                warnings.warn(
-                    f"{path}: line {line.number}: corrupt ingest record "
-                    f"skipped ({exc})",
-                    JournalCorruptionWarning,
-                    stacklevel=3,
-                )
-            yield None, str(exc)
+                warn_damaged(path, number, f"corrupt ingest record skipped ({exc})")
 
 
 # ----------------------------------------------------------------------
 # quarantine store
 # ----------------------------------------------------------------------
-
-def _fsync_directory(directory: Path) -> None:
-    """Best-effort fsync of the directory entry, so an ``os.replace``
-    rename itself is durable (not just the file contents)."""
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform without directory open
-        return
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover - fsync unsupported on directories
-        pass
-    finally:
-        os.close(fd)
-
 
 class QuarantineStore:
     """Durable record of batches the service gave up on.
@@ -254,8 +215,8 @@ class QuarantineStore:
 
     On a poisoned or overloaded feed the file would otherwise grow one
     line per rejected batch forever; :meth:`compact` bounds it to the
-    newest ``max_entries`` verdicts with the same durable
-    temp + fsync + replace dance the model snapshots use.  Eviction is
+    newest ``max_entries`` verdicts with one
+    :func:`~repro.durable.atomic_write`, like the model snapshots.  Eviction is
     only safe for sequences recovery can no longer replay — pass the
     oldest retained snapshot's watermark as ``protect_after_seq`` so a
     verdict is never dropped while some snapshot still needs it to skip
@@ -265,9 +226,7 @@ class QuarantineStore:
     def __init__(self, path: PathLike) -> None:
         self.path = Path(path)
         self._writer = DurableJsonlWriter(path)
-        self._entries: dict[int, dict] = (
-            self.load(self.path) if self.path.exists() else {}
-        )
+        self._entries: dict[int, dict] = self.load(self.path)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -305,10 +264,9 @@ class QuarantineStore:
         over the cap: recovery replays the journal from the oldest
         retained snapshot, and dropping a verdict it still consults
         would resurrect the very batch the service gave up on.  The
-        rewrite is crash-atomic — the new file is written to a
-        temporary sibling, fsynced, and ``os.replace``d over the old
-        one; a crash at any point leaves either the full old file or
-        the full new file.
+        rewrite is one :func:`~repro.durable.rewrite_jsonl` (two fsyncs):
+        a crash at any point leaves either the full old file or the full
+        new file, and a failed rewrite leaves the store unchanged.
         """
         if max_entries < 1:
             raise CheckpointError(
@@ -325,19 +283,16 @@ class QuarantineStore:
         evicted = evictable[:excess]
         if not evicted:
             return []
-        for seq in evicted:
-            del self._entries[seq]
-        # Rewrite through a temp sibling so the store is never torn.
+        gone = set(evicted)
+        retained = {
+            seq: entry
+            for seq, entry in sorted(self._entries.items())
+            if seq not in gone
+        }
+        rewrite_jsonl(self.path, retained.values())
+        # The next add reopens the new file, not the replaced inode.
         self._writer.close()
-        tmp_path = self.path.with_name(self.path.name + ".compact.tmp")
-        with DurableJsonlWriter(tmp_path) as writer:
-            for seq in sorted(self._entries):
-                entry = dict(self._entries[seq])
-                entry.pop("crc", None)
-                writer.append(entry)
-        os.replace(tmp_path, self.path)
-        _fsync_directory(self.path.parent)
-        self._writer = DurableJsonlWriter(self.path)
+        self._entries = retained
         return evicted
 
     def close(self) -> None:
@@ -354,17 +309,7 @@ class QuarantineStore:
         """``{seq: entry}`` of every quarantined sequence (damaged lines
         skipped per the journal contract; last verdict wins)."""
         entries: dict[int, dict] = {}
-        for line in scan_journal(Path(path)):
-            if not line.ok:
-                if not line.torn:
-                    warnings.warn(
-                        f"{path}: line {line.number}: corrupt quarantine "
-                        f"record skipped ({line.error})",
-                        JournalCorruptionWarning,
-                        stacklevel=2,
-                    )
-                continue
-            document = line.document
+        for _, document in read_jsonl(path, "quarantine"):
             if document.get("format") != QUARANTINE_FORMAT:
                 continue
             try:

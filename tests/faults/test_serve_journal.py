@@ -10,6 +10,7 @@ deterministic.
 from __future__ import annotations
 
 import json
+import os
 import warnings
 
 import numpy as np
@@ -156,7 +157,7 @@ class TestJournalDamage:
 
     def test_wrong_format_line_is_skipped_with_warning(self, tmp_path):
         path = self._journal(tmp_path, n=2)
-        from repro.evaluation.checkpoint import DurableJsonlWriter
+        from repro.durable import DurableJsonlWriter
 
         with DurableJsonlWriter(path) as writer:
             writer.append({"format": "repro.other_thing", "seq": 99})
@@ -192,3 +193,48 @@ class TestQuarantineStore:
         with pytest.warns(JournalCorruptionWarning):
             entries = QuarantineStore.load(path)
         assert set(entries) == {2}
+
+    def test_compaction_ignores_a_stale_temp_from_a_crashed_compaction(
+        self, tmp_path
+    ):
+        path = tmp_path / "quarantine.jsonl"
+        # An earlier compaction died mid-write: its temp file holds two
+        # old verdicts and a torn line.
+        stale = tmp_path / "quarantine.jsonl.compact.tmp"
+        with QuarantineStore(stale) as old:
+            old.add(2, reason="shed")
+            old.add(3, reason="shed")
+        with stale.open("a") as handle:
+            handle.write('{"format":"repro.ingest_quar')
+        with QuarantineStore(path) as store:
+            for seq in range(1, 11):
+                store.add(seq, reason="shed")
+            assert store.compact(5) == [1, 2, 3, 4, 5]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            entries = QuarantineStore.load(path)
+        assert set(entries) == {6, 7, 8, 9, 10}
+        assert [str(w.message) for w in caught] == []
+
+    def test_failed_compaction_leaves_no_temp_and_keeps_the_store(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "quarantine.jsonl"
+        store = QuarantineStore(path)
+        for seq in range(1, 11):
+            store.add(seq, reason="shed")
+        before = path.read_bytes()
+
+        def exploding_replace(src, dst):
+            raise OSError("disk vanished between write and rename")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", exploding_replace)
+            with pytest.raises(OSError):
+                store.compact(5)
+        assert [p.name for p in tmp_path.iterdir()] == ["quarantine.jsonl"]
+        assert path.read_bytes() == before
+        assert len(store) == 10
+        assert store.compact(5) == [1, 2, 3, 4, 5]
+        store.close()
+        assert set(QuarantineStore.load(path)) == {6, 7, 8, 9, 10}

@@ -227,7 +227,7 @@ class TestTrendWorkflow:
     ):
         ledger = self._grow_ledger(tmp_path, statuses_file)
         entries = [json.loads(l) for l in ledger.read_text().splitlines()]
-        from repro.obs.trend import _with_crc
+        from repro.durable import with_crc as _with_crc
 
         slow = dict(entries[-1])
         slow["timings"] = {
