@@ -13,8 +13,9 @@ stages the complexity analysis in §IV-D names:
 
 Counting runs through the packed kernels, the only production path:
 pair counts are exact float32 products of the unpacked bits, family
-counts popcount pattern-tree words; the family-count benches pass the
-packed statuses once.
+counts popcount the words of one pattern tree (``kernels.pattern_tree``,
+shared by ``scoring.family_counts`` and the parent search); the
+family-count benches pass the packed statuses once.
 """
 
 import numpy as np
@@ -26,6 +27,7 @@ from repro.core.kernels import (
     packed_pairwise_complete_counts,
     packed_pattern_counts,
     packed_split_words,
+    pattern_tree,
     refine_patterns,
 )
 from repro.core.kmeans import fixed_zero_two_means
@@ -103,10 +105,8 @@ def test_batch_scores_three_parents_32_candidates(
     scored in one batch.  ``us_per_family`` is the per-evaluation cost."""
     packed = packed_observations
     zeros, ones = packed_split_words(packed)
-    tree = (zeros[0] | ones[0])[None, :]
-    for parent in (1, 2, 3):
-        tree = refine_patterns(tree, zeros[parent], ones[parent])
-    tree = tree[tree.any(axis=1)]
+    parents = [1, 2, 3]
+    tree = pattern_tree((zeros[0] | ones[0])[None], zeros[parents], ones[parents])
     candidates = np.arange(4, 36)
 
     def score_batch():

@@ -26,7 +26,6 @@ from repro.core.imi import (
 from repro.core.kernels import (
     PackedStatuses,
     pack_bits,
-    packed_family_counts,
     packed_joint_counts,
     packed_pairwise_complete_counts,
     popcount_words,
@@ -86,7 +85,6 @@ __all__ = [
     "popcount_words",
     "packed_joint_counts",
     "packed_pairwise_complete_counts",
-    "packed_family_counts",
     "fixed_zero_two_means",
     "FamilyCounts",
     "family_counts",

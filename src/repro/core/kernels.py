@@ -13,8 +13,11 @@ per word.  These kernels are the only production counting path.
   float32 holds every integer up to 2^24 exactly, so whatever order or
   thread count BLAS sums in, the product is the exact count; more
   processes than that are split into chunks whose counts add in int64.
-* **Per-node totals and family counts** popcount the packed words: the
-  parent search's pattern trees AND-refine word rows and count them.
+* **Per-node totals and family counts** popcount the packed words.  A
+  family is counted on its pattern tree (:func:`pattern_tree`): the
+  child's observed processes AND-refined by each parent's split words,
+  one word row per observed parent pattern.  The parent search and
+  :func:`repro.core.scoring.family_counts` both build trees with it.
 
 Layout: a ``(β, n)`` status matrix becomes an ``(n, W)`` uint64 array
 with ``W = ceil(β / 64)``; bit ``ℓ`` of word ``w`` of row ``j`` holds the
@@ -37,7 +40,7 @@ fallback path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -57,26 +60,21 @@ __all__ = [
     "packed_pairwise_complete_counts",
     "packed_infection_counts",
     "packed_observed_counts",
-    "packed_family_counts",
     "packed_split_words",
     "refine_patterns",
+    "pattern_tree",
     "packed_pattern_counts",
 ]
 
 #: Bits per packed word.
 WORD_BITS = 64
 
-#: Hard cap on the number of columns a contingency grouping may pack:
-#: pattern codes are built as ``Σ bit_j << j`` in int64, and 62 bits keep
-#: every code positive with headroom — the same constant behind
-#: ``StatusMatrix.observed_pattern_counts`` and the parent-set cap
+#: Hard cap on the number of parents a family may have: a pattern code
+#: ``Σ bit_j << j`` stays a positive int64 with headroom up to 62 bits —
+#: the same constant behind ``StatusMatrix.observed_pattern_counts``,
+#: :func:`repro.core.scoring.family_counts` and the parent-set cap
 #: ``MAX_PARENT_SET_SIZE`` in ``repro.core.search``.
 MAX_PACK_COLUMNS = 62
-
-#: Parent-set sizes up to this bound use the pattern-tree family counter
-#: (2^k AND-refinements of the base word row); wider sets fall back to
-#: per-row code extraction + ``np.unique``, which is O(β) in memory.
-_PATTERN_TREE_MAX_PARENTS = 10
 
 #: Most processes one float32 pair-count product sums over: float32
 #: holds every integer up to 2^24 exactly.  A multiple of
@@ -177,7 +175,7 @@ def unpack_bits(words: np.ndarray, n_bits: int) -> np.ndarray:
 
 def _full_words(n_bits: int) -> np.ndarray:
     """One packed row with every bit below ``n_bits`` set (tail zeroed) —
-    the \"all processes\" base mask of the unmasked family counter."""
+    the observed processes of every node of an unmasked matrix."""
     words = np.full(_n_words(n_bits), np.uint64(0xFFFFFFFFFFFFFFFF), dtype=np.uint64)
     tail = n_bits % WORD_BITS
     if words.size and tail:
@@ -461,9 +459,7 @@ def packed_split_words(packed: PackedStatuses) -> tuple[np.ndarray, np.ndarray]:
     refined by them stays family-complete.  ``zeros | ones`` is the
     node's observed processes, and tail bits are zero in both.
     """
-    observed = packed.mask
-    if observed is None:
-        observed = np.broadcast_to(_full_words(packed.n_bits), packed.ones.shape)
+    observed = _full_words(packed.n_bits) if packed.mask is None else packed.mask
     return observed & ~packed.ones, observed & packed.ones
 
 
@@ -485,6 +481,26 @@ def refine_patterns(
     )
 
 
+def pattern_tree(
+    rows: np.ndarray, zeros: np.ndarray, ones: np.ndarray
+) -> np.ndarray:
+    """A family's pattern tree: its observed pattern word-rows ``(R, W)``
+    in ascending code order, first parent least significant.
+
+    ``rows`` is the tree to start from — a child's observed processes,
+    ``(zeros[c] | ones[c])[None]`` of its split words, for a new family,
+    or a family's tree to extend — and ``zeros``/``ones`` are the
+    ``(k, W)`` split words of the parents to add, in order.  Empty rows
+    are dropped after every level, so a tree holds at most ``β`` rows
+    for any number of parents.
+    """
+    rows = rows[rows.any(axis=-1)]
+    for zero, one in zip(zeros, ones):
+        rows = refine_patterns(rows, zero, one)
+        rows = rows[rows.any(axis=-1)]
+    return rows
+
+
 def packed_pattern_counts(
     rows: np.ndarray, child_words: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -493,76 +509,3 @@ def packed_pattern_counts(
     last (word) axis as int64."""
     rows = np.ascontiguousarray(rows, dtype=np.uint64)
     return _popcount_sum(rows), _popcount_sum(rows & child_words)
-
-
-def packed_family_counts(
-    packed: PackedStatuses, child: int, parents: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """``(totals, infected, beta)`` of one (child, parent-set) family.
-
-    The contingency core of :func:`repro.core.scoring.family_counts`:
-    totals are the observed patterns' counts in ascending pattern-code
-    order (first parent = least-significant bit), zero-count patterns
-    dropped, and a family with no (complete) rows degrades to
-    ``([0], [0])`` — the ``StatusMatrix.observed_pattern_counts``
-    grouping, bit for bit.
-
-    Small parent sets use a pattern tree — the family-complete base row
-    is AND-refined (:func:`refine_patterns`) into ``2^|F|`` pattern
-    word-rows, in ascending code order, and popcounted.  Wide sets
-    (beyond :data:`_PATTERN_TREE_MAX_PARENTS`) extract per-row codes and
-    group them with ``np.unique`` like ``observed_pattern_counts``, which
-    keeps the memory O(β) all the way to the :data:`MAX_PACK_COLUMNS` cap.
-
-    Kept span-free on purpose: it counts one family per call, and a
-    caller that counts many (the whole-topology
-    :func:`~repro.core.scoring.global_score`) would otherwise flood
-    traced runs with spans.  The parent search does not call it: it
-    holds its own pattern trees, which drop empty rows after every
-    level and so need no width limit.
-    """
-    parent_list = [int(p) for p in parents]
-    if len(parent_list) > MAX_PACK_COLUMNS:
-        raise DataError(f"too many columns for bit-packing: {len(parent_list)}")
-    n_bits = packed.n_bits
-    if packed.mask is None:
-        base = _full_words(n_bits)
-        beta = n_bits
-    else:
-        base = packed.mask[child].copy()
-        for parent in parent_list:
-            base &= packed.mask[parent]
-        beta = int(_popcount_sum(base))
-    child_words = packed.ones[child]
-    if not parent_list:
-        infected = int(_popcount_sum(child_words & base))
-        return (
-            np.array([beta], dtype=np.int64),
-            np.array([infected], dtype=np.int64),
-            beta,
-        )
-    if beta == 0:
-        return np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64), 0
-    if len(parent_list) <= _PATTERN_TREE_MAX_PARENTS:
-        words = base[None, :]
-        for parent in parent_list:
-            column = packed.ones[parent]
-            words = refine_patterns(words, ~column, column)
-        totals, infected = packed_pattern_counts(words, child_words)
-        observed = totals > 0
-        return totals[observed], infected[observed], beta
-    # Wide parent sets: per-row codes + np.unique, the observed-pattern
-    # grouping.
-    row_mask = unpack_bits(base[None, :], n_bits).reshape(-1).astype(np.bool_)
-    columns = np.asarray(parent_list, dtype=np.int64)
-    parent_bits = unpack_bits(packed.ones[columns], n_bits)
-    weights = 1 << np.arange(len(parent_list), dtype=np.int64)
-    codes = parent_bits[row_mask].astype(np.int64) @ weights
-    _, inverse, totals = np.unique(codes, return_inverse=True, return_counts=True)
-    child_bits = (
-        unpack_bits(child_words[None, :], n_bits).reshape(-1)[row_mask]
-    ).astype(np.float64)
-    infected = np.bincount(
-        inverse.reshape(-1), weights=child_bits, minlength=totals.shape[0]
-    ).astype(np.int64)
-    return totals.astype(np.int64), infected, beta

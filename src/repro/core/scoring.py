@@ -23,12 +23,14 @@ Theorem 2 bounds how large a useful parent set can be:
 with ``N₁``/``N₂`` the child's uninfected/infected process counts (terms
 with ``N = 0`` vanish under the same convention).
 
-Everything here is computed from bit-packed parent patterns, giving
-``O(β · |F_i|)`` per evaluation as the complexity analysis (§IV-D)
-requires.  :func:`family_counts`, :func:`log_likelihood` and
-:func:`penalty` score one family per call; :func:`batch_scores` scores a
-whole batch of families from their count arrays, bit for bit equal to
-the one-family helpers, and is what the parent search runs.
+Every family is counted on its pattern tree
+(:func:`repro.core.kernels.pattern_tree`, the parent search's counter
+too), giving ``O(β · |F_i|)`` per evaluation as the complexity analysis
+(§IV-D) requires, and scored by one float pipeline: :func:`batch_scores`
+scores a batch of families from their count arrays, and the one-family
+helpers :func:`log_likelihood`, :func:`penalty`, :func:`local_score` and
+:func:`global_score` are rows of the same pipeline.  The scalar
+reference they are tested against lives in ``tests/oracle.py``.
 
 >>> from repro.simulation.statuses import StatusMatrix
 >>> statuses = StatusMatrix([[1, 1], [1, 1], [0, 0], [0, 0], [1, 0], [0, 1]])
@@ -51,7 +53,13 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.kernels import PackedStatuses, packed_family_counts
+from repro.core.kernels import (
+    MAX_PACK_COLUMNS,
+    PackedStatuses,
+    packed_pattern_counts,
+    packed_split_words,
+    pattern_tree,
+)
 from repro.exceptions import DataError
 from repro.simulation.statuses import StatusMatrix
 
@@ -66,7 +74,6 @@ __all__ = [
     "global_score",
     "delta_i",
     "size_bound",
-    "phi_from_counts",
 ]
 
 
@@ -126,6 +133,15 @@ class FamilyCounts:
         return self.n_possible - self.n_observed
 
 
+def _node(node: int, n_nodes: int) -> int:
+    """``node`` as an index into ``n_nodes`` nodes; anything out of range
+    — a negative index included, which numpy would wrap — raises."""
+    index = int(node)
+    if not 0 <= index < n_nodes:
+        raise DataError(f"node index {node} out of range for {n_nodes} nodes")
+    return index
+
+
 def family_counts(
     statuses: StatusMatrix,
     child: int,
@@ -135,9 +151,11 @@ def family_counts(
 ) -> FamilyCounts:
     """Count ``N_ij`` / ``N_ijk`` for ``child`` given ``parents``.
 
-    Parent patterns are bit-packed (first parent = least-significant bit);
-    only the observed patterns are materialised (see
-    :class:`FamilyCounts`).
+    Counts come off the family's pattern tree
+    (:func:`repro.core.kernels.pattern_tree`), built from the split words
+    of the family's own columns only: observed patterns in ascending code
+    order (first parent = least-significant bit), nothing else
+    materialised (see :class:`FamilyCounts`).
 
     When the matrix carries an observation mask with missing entries, the
     counts run over the *family-complete* processes only — the rows in
@@ -146,25 +164,44 @@ def family_counts(
     complete rows degrades to all-zero counts (score 0, like an empty
     observation set) rather than raising.
 
-    Counting runs through the bit-packed kernel
-    (:func:`repro.core.kernels.packed_family_counts`, 64 processes per
-    word).  ``packed`` is the bit-packed form of the same matrix; callers
-    that score many families pass it once, otherwise ``statuses`` is
-    packed here.
+    ``packed`` is the bit-packed form of the same matrix; callers that
+    score many families pass it once, otherwise ``statuses`` is packed
+    here.  Node indices outside ``[0, n)``, a child among its parents,
+    repeated parents, more than 62 parents and a ``packed`` of another
+    shape raise :class:`~repro.exceptions.DataError`.
     """
-    parent_list = [int(p) for p in parents]
+    n_nodes = statuses.n_nodes
+    child = _node(child, n_nodes)
+    parent_list = [_node(p, n_nodes) for p in parents]
     if child in parent_list:
         raise DataError(f"node {child} cannot be its own parent")
     if len(set(parent_list)) != len(parent_list):
         raise DataError(f"duplicate parents in {parent_list}")
+    if len(parent_list) > MAX_PACK_COLUMNS:
+        raise DataError(f"too many columns for bit-packing: {len(parent_list)}")
     if packed is None:
         packed = PackedStatuses.from_statuses(statuses)
-    totals, infected, beta = packed_family_counts(packed, child, parent_list)
+    elif (packed.n_nodes, packed.n_bits) != (n_nodes, statuses.beta):
+        raise DataError(
+            f"packed statuses hold {packed.n_nodes} nodes x {packed.n_bits} "
+            f"processes, not the {n_nodes} x {statuses.beta} matrix"
+        )
+    columns = [child, *parent_list]
+    family = PackedStatuses(
+        ones=packed.ones[columns],
+        mask=None if packed.mask is None else packed.mask[columns],
+        n_bits=packed.n_bits,
+    )
+    zeros, ones = packed_split_words(family)
+    rows = pattern_tree((zeros[0] | ones[0])[None], zeros[1:], ones[1:])
+    totals, infected = packed_pattern_counts(rows, ones[0])
+    if not totals.size:  # no family-complete process
+        totals = infected = np.zeros(1, dtype=np.int64)
     return FamilyCounts(
         n_parents=len(parent_list),
         totals=totals,
         infected=infected,
-        beta=beta,
+        beta=int(totals.sum()),
     )
 
 
@@ -174,20 +211,12 @@ def log_likelihood(counts: FamilyCounts) -> float:
     Always ≤ 0; equals 0 only when every observed combination determines
     the child's status exactly.
     """
-    total = 0.0
-    for group in (counts.infected, counts.uninfected):
-        mask = group > 0
-        if mask.any():
-            n_ijk = group[mask].astype(np.float64)
-            n_ij = counts.totals[mask].astype(np.float64)
-            total += float(np.sum(n_ijk * (np.log2(n_ijk) - np.log2(n_ij))))
-    return total
+    return float(_score_terms(counts.totals[None], counts.infected[None])[0][0])
 
 
 def penalty(counts: FamilyCounts) -> float:
     """The statistical-error penalty ``½ Σ_j log2(N_ij + 1)`` (Eq. 12-13)."""
-    observed = counts.totals[counts.totals > 0].astype(np.float64)
-    return 0.5 * float(np.sum(np.log2(observed + 1.0)))
+    return float(_score_terms(counts.totals[None], counts.infected[None])[1][0])
 
 
 def batch_scores(
@@ -203,11 +232,22 @@ def batch_scores(
     patterns, and ``n_observed[r]`` equals ``c.n_observed``; a row with
     no observed pattern scores ``0.0``, like a family with no complete
     rows.
+    """
+    likelihood, penalty_term, n_observed = _score_terms(totals, infected)
+    return likelihood - penalty_term, n_observed
 
-    Every term is the scalar path's float expression on the same
-    integers, so the only thing to match is summation order: each row's
-    terms are summed over its compacted observed entries exactly as
-    ``np.sum`` sums that 1-D array (see :func:`_row_sums`).
+
+def _score_terms(
+    totals: np.ndarray, infected: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(log_likelihood, penalty, n_observed)`` per row of a batch of
+    families laid out as in :func:`batch_scores` — the one place the
+    scores' float expressions live.
+
+    Each row's terms are summed over its compacted observed entries
+    exactly as ``np.sum`` sums that 1-D array (see :func:`_row_sums`),
+    so a row's sums do not depend on where its zero-total patterns sit
+    or on which other rows share the batch.
     """
     totals = np.asarray(totals, dtype=np.int64)
     infected = np.asarray(infected, dtype=np.int64)
@@ -227,7 +267,7 @@ def batch_scores(
     )
     sums = _row_sums(terms, np.concatenate((keep.sum(axis=1), n_observed)))
     infected_sum, uninfected_sum, penalty_sum = sums.reshape(3, -1)
-    return (infected_sum + uninfected_sum) - 0.5 * penalty_sum, n_observed
+    return infected_sum + uninfected_sum, 0.5 * penalty_sum, n_observed
 
 
 def _row_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -269,7 +309,7 @@ def local_score(
     (see :func:`family_counts`).
     """
     counts = family_counts(statuses, child, parents, packed=packed)
-    return log_likelihood(counts) - penalty(counts)
+    return float(batch_scores(counts.totals[None], counts.infected[None])[0][0])
 
 
 def empty_set_score(statuses: StatusMatrix, child: int) -> float:
@@ -286,16 +326,27 @@ def global_score(
     scores — which is what turns the reconstruction into ``n`` independent
     parent-set searches.  Provided for whole-topology comparisons (e.g.
     scoring a baseline's output under TENDS's own criterion).
+
+    Every node's family is one row of a single zero-padded
+    :func:`batch_scores` batch; the per-node scores are added in node
+    order, so the result equals the sum of the :func:`local_score` values.
     """
     if len(parent_sets) != statuses.n_nodes:
         raise DataError(
             f"{len(parent_sets)} parent sets for {statuses.n_nodes} nodes"
         )
     packed = PackedStatuses.from_statuses(statuses)
-    return sum(
-        local_score(statuses, child, parents, packed=packed)
+    families = [
+        family_counts(statuses, child, parents, packed=packed)
         for child, parents in enumerate(parent_sets)
-    )
+    ]
+    width = max((counts.totals.size for counts in families), default=0)
+    totals = np.zeros((len(families), width), dtype=np.int64)
+    infected = np.zeros_like(totals)
+    for row, counts in enumerate(families):
+        totals[row, : counts.totals.size] = counts.totals
+        infected[row, : counts.infected.size] = counts.infected
+    return sum(batch_scores(totals, infected)[0].tolist())
 
 
 def delta_i(statuses: StatusMatrix, child: int) -> float:
@@ -310,6 +361,7 @@ def delta_i(statuses: StatusMatrix, child: int) -> float:
     gets ``δ_i = log2(0 + 1) = 0`` (no parents allowed) rather than an
     error — missing data degrades the bound, it does not abort inference.
     """
+    child = _node(child, statuses.n_nodes)
     beta = statuses.beta
     if beta == 0:
         raise DataError("delta_i undefined for zero processes")
@@ -339,8 +391,3 @@ def size_bound(phi: int, delta: float) -> float:
     if argument < 1.0:
         return 0.0
     return math.log2(argument)
-
-
-def phi_from_counts(counts: FamilyCounts) -> int:
-    """Convenience alias matching the paper's symbol ``φ_{F_i}``."""
-    return counts.phi

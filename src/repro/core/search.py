@@ -19,14 +19,18 @@ Two strategies are implemented (see DESIGN.md §1 for why both exist):
     that order while the bound admits them.
 
 Candidates are scored in batches.  A node's search holds the current
-parent set's *pattern tree*: its family-complete processes split into
-one bit-packed word row per observed parent pattern, in ascending code
-order.  Every remaining combination of one size refines that tree by
-its columns (:func:`~repro.core.kernels.refine_patterns`), one popcount
-pass counts all of them, and :func:`~repro.core.scoring.batch_scores`
-turns the counts into Eq. 13 scores that equal the scalar
-``log_likelihood − penalty`` bit for bit.  The accepted combination's
-rows become the next iteration's tree, so no tree is rebuilt.  An
+parent set's *pattern tree* (:func:`~repro.core.kernels.pattern_tree`,
+the one family counter, shared with
+:func:`~repro.core.scoring.family_counts`): its family-complete
+processes split into one bit-packed word row per observed parent
+pattern, in ascending code order.  Every remaining combination of one
+size refines that tree by its columns
+(:func:`~repro.core.kernels.refine_patterns`), one popcount pass counts
+all of them, and :func:`~repro.core.scoring.batch_scores` turns the
+counts into Eq. 13 scores — bit for bit the scalar
+``log_likelihood − penalty`` of the oracle in ``tests/oracle.py``.  The
+accepted combination's rows become the next iteration's tree, so no
+tree is rebuilt.  An
 iteration costs ``O(|combinations| · R · 2^η · β / 64)`` word operations
 for ``R ≤ min(2^{|F_i|}, β)`` observed patterns, in a fixed number of
 numpy calls per combination size rather than per candidate; the
@@ -40,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -49,13 +53,14 @@ from repro.core.kernels import (
     PackedStatuses,
     packed_pattern_counts,
     packed_split_words,
+    pattern_tree,
     refine_patterns,
 )
 from repro.core.scoring import batch_scores, delta_i, size_bound
 
-# Not called here: the search scores through batch_scores alone.  The
-# one-family scorers stay importable from this module because the
-# benchmark's layer tracer (benchmarks/e2e/trace.py) wraps them here.
+# Re-exported, never called here: benchmarks/e2e/trace.py wraps these
+# names at this module, so dropping one breaks every traced run.  They
+# go once the tracer's targets move to repro.core.scoring.
 from repro.core.scoring import family_counts, log_likelihood, penalty  # noqa: F401
 from repro.obs.trace import current_tracer
 from repro.simulation.statuses import StatusMatrix
@@ -330,19 +335,16 @@ class ParentSearch:
     # ------------------------------------------------------------------
     # batch scorer
     # ------------------------------------------------------------------
-    def _grow(self, tree: np.ndarray, parents: Iterable[int]) -> np.ndarray:
-        """``tree`` refined by each of ``parents`` in turn, dropping empty
-        rows after every level so it never exceeds ``β`` rows."""
+    def _grow(self, tree: np.ndarray, parents: list[int]) -> np.ndarray:
+        """``tree`` extended by ``parents`` (:func:`pattern_tree`)."""
         zeros, ones = self._split_words()
-        for parent in parents:
-            tree = _observed(refine_patterns(tree, zeros[parent], ones[parent]))
-        return tree
+        return pattern_tree(tree, zeros[parents], ones[parents])
 
-    def _tree(self, node: int, parents: Sequence[int]) -> np.ndarray:
+    def _tree(self, node: int, parents: list[int]) -> np.ndarray:
         """The observed pattern rows ``(R, W)`` of the family ``(node,
         parents)``, first parent least significant."""
         zeros, ones = self._split_words()
-        return self._grow(_observed((zeros[node] | ones[node])[None, :]), parents)
+        return self._grow((zeros[node] | ones[node])[None, :], parents)
 
     def _rate(
         self,

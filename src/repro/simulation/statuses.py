@@ -351,7 +351,7 @@ class StatusMatrix:
         return np.nonzero(self._mask[:, cols].all(axis=1))[0].astype(np.int64)
 
     # ------------------------------------------------------------------
-    # counting helpers (used by scoring and IMI)
+    # counting helpers (IMI, model selection and the dense test oracle)
     # ------------------------------------------------------------------
     def infection_counts(self) -> np.ndarray:
         """Per-node count of processes in which the node ended infected
@@ -367,50 +367,23 @@ class StatusMatrix:
             raise DataError("cannot compute rates from zero processes")
         return self.infection_counts() / self.beta
 
-    def pattern_counts(self, columns: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-        """Group rows by the joint pattern of ``columns`` (dense variant).
-
-        Returns ``(codes, counts)`` where ``codes`` assigns each process a
-        pattern id (the binary number formed by the selected columns) and
-        ``counts[c]`` is the number of processes showing pattern ``c``,
-        for **every** of the ``2^k`` possible patterns.  This is the
-        ``N_ij`` machinery of Eq. (3): patterns with zero count are exactly
-        the paper's non-existent combinations ``φ``.
-
-        The dense layout materialises ``2^k`` cells, so it is capped at 20
-        columns; the scoring code uses :meth:`observed_pattern_counts`,
-        which scales to the bit-packing limit.
-        """
-        cols = list(columns)
-        if len(cols) == 0:
-            codes = np.zeros(self.beta, dtype=np.int64)
-            return codes, np.array([self.beta], dtype=np.int64)
-        if len(cols) > 20:
-            raise DataError(
-                f"dense pattern_counts materialises 2^{len(cols)} cells; "
-                "use observed_pattern_counts for wide column sets"
-            )
-        weights = (1 << np.arange(len(cols), dtype=np.int64))
-        codes = self._data[:, cols].astype(np.int64) @ weights
-        counts = np.bincount(codes, minlength=1 << len(cols)).astype(np.int64)
-        return codes, counts
-
     def observed_pattern_counts(
         self, columns: Sequence[int], rows: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Group rows by the joint pattern of ``columns`` (sparse variant).
+        """Group rows by the joint pattern of ``columns``.
 
         Returns ``(pattern_ids, inverse, counts)``: the **observed**
-        pattern ids in ascending order, each row's index into them, and
-        the per-pattern counts.  Memory is ``O(beta)`` regardless of the
-        number of columns, which matters because the Theorem-2 size bound
-        is self-satisfying for large parent sets (``φ`` grows like
-        ``2^|F|``), so the literal Algorithm-1 search can reach parent
-        sets far beyond dense-counting territory.
+        pattern ids (the binary number the selected columns form, first
+        column least significant) in ascending order, each row's index
+        into them, and the per-pattern counts.  Memory is ``O(beta)``
+        regardless of the number of columns, which matters because the
+        Theorem-2 size bound is self-satisfying for large parent sets
+        (``φ`` grows like ``2^|F|``), so the literal Algorithm-1 search
+        can reach parent sets far beyond dense-counting territory.
 
         ``rows`` restricts the grouping to the given process indices —
-        the missing-data scoring path passes the family-complete row set
-        (:meth:`complete_rows`) here.
+        a family's complete row set (:meth:`complete_rows`) under an
+        observation mask.
         """
         cols = list(columns)
         if len(cols) > 62:

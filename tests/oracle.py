@@ -11,11 +11,13 @@ pass per term with no reuse of the ``"01" = "10"ᵀ`` symmetry and no
 in-place buffers, which the in-place pipeline of :mod:`repro.core.imi`
 must match bit for bit.
 
-Production's parent search scores candidates in batches
-(:func:`repro.core.scoring.batch_scores`); :class:`ScalarParentSearch`
-is the same search with one ``family_counts`` plus ``log_likelihood −
-penalty`` per evaluation, the per-family scalar helpers of
-:mod:`repro.core.scoring`.
+Production scores every family through one batched float pipeline
+(:func:`repro.core.scoring.batch_scores`; the one-family scorers are
+rows of it).  This module keeps the scalar float code — one
+:func:`log_likelihood` and one :func:`penalty` per family, summed with
+``np.sum`` — and :class:`ScalarParentSearch`, the same search with one
+:func:`family_counts` plus ``log_likelihood − penalty`` per evaluation,
+so no scoring code is shared with production either.
 """
 
 from __future__ import annotations
@@ -28,13 +30,7 @@ from unittest import mock
 import numpy as np
 
 from repro.core.config import TendsConfig
-from repro.core.scoring import (
-    FamilyCounts,
-    delta_i,
-    log_likelihood,
-    penalty,
-    size_bound,
-)
+from repro.core.scoring import FamilyCounts, delta_i, size_bound
 from repro.core.search import MAX_PARENT_SET_SIZE, SearchDiagnostics
 from repro.core.stats import COUNT_KEYS, SufficientStats
 from repro.core.tends import Tends, TendsResult
@@ -242,9 +238,43 @@ def family_counts(
     )
 
 
+# ----------------------------------------------------------------------
+# scalar scores
+# ----------------------------------------------------------------------
+
+def log_likelihood(counts: FamilyCounts) -> float:
+    """``log2 L`` (Eq. 3): Σ_j Σ_k N_ijk log2(N_ijk / N_ij), one
+    ``np.sum`` per child status."""
+    total = 0.0
+    for group in (counts.infected, counts.uninfected):
+        mask = group > 0
+        if mask.any():
+            n_ijk = group[mask].astype(np.float64)
+            n_ij = counts.totals[mask].astype(np.float64)
+            total += float(np.sum(n_ijk * (np.log2(n_ijk) - np.log2(n_ij))))
+    return total
+
+
+def penalty(counts: FamilyCounts) -> float:
+    """``½ Σ_j log2(N_ij + 1)`` (Eq. 12–13) over the observed patterns."""
+    observed = counts.totals[counts.totals > 0].astype(np.float64)
+    return 0.5 * float(np.sum(np.log2(observed + 1.0)))
+
+
 def local_score(statuses: StatusMatrix, child: int, parents: Sequence[int]) -> float:
+    """``g(v_i, F_i)`` (Eq. 13) from this module's counts and scalars."""
     counts = family_counts(statuses, child, parents)
     return log_likelihood(counts) - penalty(counts)
+
+
+def global_score(
+    statuses: StatusMatrix, parent_sets: Sequence[Sequence[int]]
+) -> float:
+    """``g(T)`` (Eq. 12): the local scores summed in node order."""
+    return sum(
+        local_score(statuses, child, parents)
+        for child, parents in enumerate(parent_sets)
+    )
 
 
 # ----------------------------------------------------------------------

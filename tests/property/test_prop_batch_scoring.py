@@ -4,9 +4,9 @@ The parent search scores every remaining candidate of a greedy
 iteration at once (:func:`repro.core.scoring.batch_scores` over the
 pattern rows of :func:`repro.core.kernels.refine_patterns`).  The
 contract is that every batched score ``==`` the scalar
-``log_likelihood(c) - penalty(c)`` — not merely that the same parent
-sets come out: an ulp can flip a greedy tie while every fingerprint
-still matches.
+``log_likelihood(c) - penalty(c)`` of the oracle (``tests/oracle.py``)
+— not merely that the same parent sets come out: an ulp can flip a
+greedy tie while every fingerprint still matches.
 
 ``np.sum`` adds the observed entries of a family in an order that
 depends on how many there are (a sequential loop below 8, 8-lane
@@ -33,13 +33,7 @@ from repro.core.kernels import (
     packed_split_words,
     refine_patterns,
 )
-from repro.core.scoring import (
-    FamilyCounts,
-    batch_scores,
-    family_counts,
-    log_likelihood,
-    penalty,
-)
+from repro.core.scoring import FamilyCounts, batch_scores
 from repro.core.search import ParentSearch
 from repro.simulation.statuses import StatusMatrix
 from tests import oracle
@@ -50,7 +44,7 @@ def _scalar_score(totals: np.ndarray, infected: np.ndarray) -> float:
     counts = FamilyCounts(
         n_parents=0, totals=totals[observed], infected=infected[observed], beta=0
     )
-    return log_likelihood(counts) - penalty(counts)
+    return oracle.log_likelihood(counts) - oracle.penalty(counts)
 
 
 @st.composite
@@ -141,8 +135,8 @@ def test_candidate_batches_equal_scalar_families(statuses, data):
     for candidate, score, observed in zip(
         candidates, scores.tolist(), n_observed.tolist()
     ):
-        counts = family_counts(statuses, child, parents + [candidate])
-        assert score == log_likelihood(counts) - penalty(counts)
+        counts = oracle.family_counts(statuses, child, parents + [candidate])
+        assert score == oracle.log_likelihood(counts) - oracle.penalty(counts)
         assert observed == counts.n_observed
 
 

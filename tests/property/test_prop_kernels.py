@@ -25,13 +25,12 @@ from hypothesis.extra.numpy import arrays
 from repro.core.imi import infection_mi_matrix, traditional_mi_matrix
 from repro.core.kernels import (
     PackedStatuses,
-    packed_family_counts,
     packed_infection_counts,
     packed_joint_counts,
     packed_observed_counts,
     packed_pairwise_complete_counts,
 )
-from repro.core.scoring import local_score
+from repro.core.scoring import family_counts, local_score
 from repro.core.stats import COUNT_KEYS, SufficientStats
 from repro.core.tends import Tends
 from repro.simulation import io as sim_io
@@ -131,10 +130,10 @@ def test_family_counts_and_scores_bit_equal(statuses, data):
     )
     packed = PackedStatuses.from_statuses(statuses)
     reference = oracle.family_counts(statuses, child, parents)
-    totals, infected, beta = packed_family_counts(packed, child, parents)
-    assert np.array_equal(reference.totals, totals)
-    assert np.array_equal(reference.infected, infected)
-    assert reference.beta == beta
+    counts = family_counts(statuses, child, parents, packed=packed)
+    assert np.array_equal(reference.totals, counts.totals)
+    assert np.array_equal(reference.infected, counts.infected)
+    assert reference.beta == counts.beta
     # The float score runs the same summation order over the same counts.
     score = oracle.local_score(statuses, child, parents)
     assert local_score(statuses, child, parents) == score
@@ -184,10 +183,10 @@ def test_corner_matrices_bit_equal(index):
     for child in range(min(statuses.n_nodes, 3)):
         parents = [p for p in range(statuses.n_nodes) if p != child][:3]
         reference = oracle.family_counts(statuses, child, parents)
-        totals, infected, beta = packed_family_counts(packed, child, parents)
-        assert np.array_equal(reference.totals, totals)
-        assert np.array_equal(reference.infected, infected)
-        assert reference.beta == beta
+        counts = family_counts(statuses, child, parents, packed=packed)
+        assert np.array_equal(reference.totals, counts.totals)
+        assert np.array_equal(reference.infected, counts.infected)
+        assert reference.beta == counts.beta
 
 
 # ----------------------------------------------------------------------

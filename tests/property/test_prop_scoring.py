@@ -6,7 +6,9 @@ These are the load-bearing invariants of §IV-A:
 * Theorem 1 (likelihood is monotone in the parent set),
 * the penalty term is monotone in the parent set,
 * Theorem 2 (the size bound holds for any score-improving set),
-* counting consistency of ``family_counts``.
+* counting consistency of ``family_counts``,
+* the public scorers equal the scalar oracle (``tests/oracle.py``) bit
+  for bit, at every parent-set width up to the 62-parent cap.
 """
 
 import math
@@ -16,16 +18,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.core.kernels import PackedStatuses
 from repro.core.scoring import (
     delta_i,
     empty_set_score,
     family_counts,
+    global_score,
     local_score,
     log_likelihood,
     penalty,
     size_bound,
 )
 from repro.simulation.statuses import StatusMatrix
+from tests import oracle
 
 status_matrices = arrays(
     dtype=np.uint8,
@@ -139,3 +144,51 @@ def test_log_likelihood_non_positive(statuses, data):
 def test_delta_positive(statuses):
     for child in range(statuses.n_nodes):
         assert delta_i(statuses, child) > 0
+
+
+@st.composite
+def wide_families(draw):
+    """``(statuses, parent_sets)``: a matrix with up to 63 nodes and an
+    optional mask (per-node densities include 0, so some families have
+    no complete row), and one parent set per node, each 0–10 or 11–62
+    parents wide."""
+    widths = st.one_of(st.integers(0, 10), st.integers(11, 62))
+    width = draw(widths)
+    n = draw(st.integers(width + 1, 63))
+    beta = draw(st.integers(1, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.1, 0.5, 0.9]))
+    data = (rng.random((beta, n)) < density).astype(np.uint8)
+    mask = None
+    if draw(st.booleans()):
+        observed = draw(
+            st.lists(st.sampled_from([0.0, 0.9, 0.99, 1.0]), min_size=n, max_size=n)
+        )
+        mask = rng.random((beta, n)) < np.asarray(observed)
+    parent_sets = []
+    for child in range(n):
+        others = [v for v in range(n) if v != child]
+        size = width if child == 0 else int(rng.integers(0, min(width, n - 1) + 1))
+        parent_sets.append(rng.permutation(others)[:size].tolist())
+    return StatusMatrix(data, mask), parent_sets
+
+
+@given(family=wide_families())
+@settings(max_examples=60, deadline=None)
+def test_public_scorers_equal_scalar_oracle(family):
+    """``log_likelihood``, ``penalty``, ``local_score`` and
+    ``global_score`` run through the batch pipeline; each must equal the
+    oracle's scalar ``np.sum`` code on the oracle's counts, ``==``."""
+    statuses, parent_sets = family
+    packed = PackedStatuses.from_statuses(statuses)
+    for child in (0, statuses.n_nodes - 1):
+        parents = parent_sets[child]
+        counts = family_counts(statuses, child, parents, packed=packed)
+        reference = oracle.family_counts(statuses, child, parents)
+        assert log_likelihood(counts) == oracle.log_likelihood(reference)
+        assert penalty(counts) == oracle.penalty(reference)
+        score = oracle.local_score(statuses, child, parents)
+        assert local_score(statuses, child, parents, packed=packed) == score
+    assert global_score(statuses, parent_sets) == oracle.global_score(
+        statuses, parent_sets
+    )

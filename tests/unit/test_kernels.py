@@ -21,10 +21,12 @@ from repro.core.kernels import (
     WORD_BITS,
     PackedStatuses,
     pack_bits,
-    packed_family_counts,
     packed_joint_counts,
     packed_pairwise_complete_counts,
+    packed_split_words,
+    pattern_tree,
     popcount_words,
+    refine_patterns,
     unpack_bits,
 )
 from repro.core.scoring import family_counts
@@ -263,51 +265,54 @@ def test_zero_process_matrix_counts_to_zero():
 
 
 # ----------------------------------------------------------------------
-# family contingency counting at the 62-column cap
+# family contingency counting on the pattern tree, up to the 62-column cap
 # ----------------------------------------------------------------------
+
+def _assert_family_counts_equal(statuses, child, parents):
+    reference = oracle.family_counts(statuses, child, parents)
+    got = family_counts(statuses, child, parents)
+    assert np.array_equal(reference.totals, got.totals)
+    assert np.array_equal(reference.infected, got.infected)
+    assert reference.beta == got.beta
+    return got
+
 
 def test_family_counts_at_62_parent_cap_boundary():
     # MAX_PARENT_SET_SIZE == MAX_PACK_COLUMNS == 62: the widest family
     # the search can legally score must count identically to the oracle.
     assert MAX_PARENT_SET_SIZE == MAX_PACK_COLUMNS
     rng = np.random.default_rng(15)
-    statuses = _random_statuses(rng, 70, 63)
-    packed = PackedStatuses.from_statuses(statuses)
     parents = list(range(1, 63))
     assert len(parents) == MAX_PACK_COLUMNS
-    reference = oracle.family_counts(statuses, 0, parents)
-    totals, infected, beta = packed_family_counts(packed, 0, parents)
-    assert np.array_equal(reference.totals, totals)
-    assert np.array_equal(reference.infected, infected)
-    assert reference.beta == beta
+    for mask_density in (None, 0.97):
+        statuses = _random_statuses(rng, 70, 63, mask_density=mask_density)
+        _assert_family_counts_equal(statuses, 0, parents)
 
 
 def test_family_counts_beyond_cap_raises_like_numpy_path():
     rng = np.random.default_rng(16)
     statuses = _random_statuses(rng, 10, 64)
-    packed = PackedStatuses.from_statuses(statuses)
     parents = list(range(1, 64))
-    with pytest.raises(DataError, match="too many columns for bit-packing: 63"):
-        packed_family_counts(packed, 0, parents)
     with pytest.raises(DataError, match="too many columns for bit-packing: 63"):
         family_counts(statuses, 0, parents)
     with pytest.raises(DataError, match="too many columns for bit-packing: 63"):
         oracle.family_counts(statuses, 0, parents)
 
 
-def test_pattern_tree_and_wide_paths_agree(monkeypatch):
+def test_pattern_tree_drops_empty_rows_after_every_level():
+    # Dropping empty rows level by level keeps exactly the observed rows
+    # of the full 2^k refinement, in the same ascending code order.
     rng = np.random.default_rng(17)
     for mask_density in (None, 0.7):
         statuses = _random_statuses(rng, 120, 8, mask_density=mask_density)
-        packed = PackedStatuses.from_statuses(statuses)
-        parents = [1, 4, 2, 7]
-        tree = packed_family_counts(packed, 0, parents)
-        monkeypatch.setattr(kernels, "_PATTERN_TREE_MAX_PARENTS", 0)
-        wide = packed_family_counts(packed, 0, parents)
-        monkeypatch.undo()
-        assert np.array_equal(tree[0], wide[0])
-        assert np.array_equal(tree[1], wide[1])
-        assert tree[2] == wide[2]
+        zeros, ones = packed_split_words(PackedStatuses.from_statuses(statuses))
+        parents = [1, 4, 2, 7, 3, 5]
+        full = (zeros[0] | ones[0])[None]
+        for parent in parents:
+            full = refine_patterns(full, zeros[parent], ones[parent])
+        tree = pattern_tree((zeros[0] | ones[0])[None], zeros[parents], ones[parents])
+        assert np.array_equal(tree, full[full.any(axis=1)])
+        assert tree.shape[0] <= statuses.beta
 
 
 def test_family_counts_with_never_observed_family():
@@ -317,23 +322,14 @@ def test_family_counts_with_never_observed_family():
     mask = np.ones((6, 3), dtype=np.bool_)
     mask[:, 2] = False
     statuses = StatusMatrix(data, mask)
-    packed = PackedStatuses.from_statuses(statuses)
-    reference = oracle.family_counts(statuses, 0, [2])
-    totals, infected, beta = packed_family_counts(packed, 0, [2])
-    assert np.array_equal(reference.totals, totals)
-    assert np.array_equal(reference.infected, infected)
-    assert reference.beta == beta == 0
+    counts = _assert_family_counts_equal(statuses, 0, [2])
+    assert counts.totals.tolist() == [0] and counts.beta == 0
 
 
 def test_family_counts_empty_parent_set():
     rng = np.random.default_rng(18)
     statuses = _random_statuses(rng, 33, 4, mask_density=0.5)
-    packed = PackedStatuses.from_statuses(statuses)
-    reference = oracle.family_counts(statuses, 2, [])
-    totals, infected, beta = packed_family_counts(packed, 2, [])
-    assert np.array_equal(reference.totals, totals)
-    assert np.array_equal(reference.infected, infected)
-    assert reference.beta == beta
+    _assert_family_counts_equal(statuses, 2, [])
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.core.kernels import PackedStatuses
 from repro.core.scoring import (
     delta_i,
     empty_set_score,
@@ -13,7 +14,6 @@ from repro.core.scoring import (
     local_score,
     log_likelihood,
     penalty,
-    phi_from_counts,
     size_bound,
 )
 from repro.exceptions import DataError
@@ -45,7 +45,6 @@ class TestFamilyCounts:
         counts = family_counts(statuses, 2, [0, 1])
         assert counts.n_observed == 2
         assert counts.phi == 2
-        assert phi_from_counts(counts) == 2
 
     def test_child_in_parents_rejected(self, tiny_statuses):
         with pytest.raises(DataError):
@@ -173,6 +172,49 @@ class TestDelta:
     def test_zero_processes_rejected(self):
         with pytest.raises(DataError):
             delta_i(StatusMatrix(np.zeros((0, 2))), 0)
+
+
+class TestNodeIndices:
+    """Every scorer entry point takes node indices in ``[0, n)`` only: a
+    negative index must not wrap onto another node, and a large one must
+    not escape as a bare ``IndexError``."""
+
+    @pytest.fixture
+    def statuses(self):
+        rng = np.random.default_rng(0)
+        return StatusMatrix((rng.random((50, 4)) < 0.5).astype(np.uint8))
+
+    @pytest.mark.parametrize("node", [-1, -4, 4, 100])
+    def test_bad_child_rejected(self, statuses, node):
+        for call in (
+            lambda: family_counts(statuses, node, [0]),
+            lambda: local_score(statuses, node, [0]),
+            lambda: empty_set_score(statuses, node),
+            lambda: delta_i(statuses, node),
+        ):
+            with pytest.raises(DataError, match="out of range"):
+                call()
+
+    @pytest.mark.parametrize("parent", [-1, 4])
+    def test_bad_parent_rejected(self, statuses, parent):
+        # family_counts(s, 3, [-1]) used to score node 3 as its own parent.
+        with pytest.raises(DataError, match="out of range"):
+            family_counts(statuses, 3, [parent])
+        with pytest.raises(DataError, match="out of range"):
+            local_score(statuses, 3, [0, parent])
+        with pytest.raises(DataError, match="out of range"):
+            global_score(statuses, [[], [], [], [parent]])
+
+    def test_packed_from_another_matrix_rejected(self, statuses):
+        for other in (statuses.subset(range(40)), StatusMatrix(np.zeros((50, 5)))):
+            packed = PackedStatuses.from_statuses(other)
+            with pytest.raises(DataError, match="packed statuses"):
+                local_score(statuses, 3, [0], packed=packed)
+
+    def test_numpy_integer_indices_accepted(self, statuses):
+        assert local_score(statuses, np.int64(3), [np.int32(0)]) == local_score(
+            statuses, 3, [0]
+        )
 
 
 class TestSizeBound:

@@ -71,34 +71,6 @@ class TestJointCounts:
         assert joints["10"][0, 0] == 0
 
 
-class TestPatternCounts:
-    def test_empty_columns(self, tiny_statuses):
-        codes, counts = tiny_statuses.pattern_counts([])
-        assert codes.tolist() == [0] * 6
-        assert counts.tolist() == [6]
-
-    def test_single_column(self, tiny_statuses):
-        codes, counts = tiny_statuses.pattern_counts([0])
-        assert counts.tolist() == [3, 3]
-        assert codes.tolist() == [1, 1, 0, 0, 1, 0]
-
-    def test_two_columns_bit_order(self, tiny_statuses):
-        codes, counts = tiny_statuses.pattern_counts([0, 1])
-        # code = col0 + 2 * col1
-        assert codes.tolist() == [3, 3, 0, 2, 1, 0]
-        assert counts.tolist() == [2, 1, 1, 2]
-
-    def test_counts_cover_all_patterns(self, tiny_statuses):
-        _, counts = tiny_statuses.pattern_counts([0, 1, 2])
-        assert counts.shape == (8,)
-        assert counts.sum() == 6
-
-    def test_dense_column_cap(self):
-        matrix = StatusMatrix(np.zeros((2, 70), dtype=int))
-        with pytest.raises(DataError):
-            matrix.pattern_counts(list(range(21)))
-
-
 class TestObservedPatternCounts:
     def test_empty_columns(self, tiny_statuses):
         ids, inverse, counts = tiny_statuses.observed_pattern_counts([])
@@ -107,13 +79,13 @@ class TestObservedPatternCounts:
         assert counts.tolist() == [6]
 
     def test_matches_dense_counts(self, tiny_statuses):
-        dense_codes, dense_counts = tiny_statuses.pattern_counts([0, 1])
         ids, inverse, counts = tiny_statuses.observed_pattern_counts([0, 1])
-        for pattern, count in zip(ids.tolist(), counts.tolist()):
-            assert dense_counts[pattern] == count
+        # code = col0 + 2 * col1; rows (1,1),(1,1),(0,0),(0,1),(1,0),(0,0)
+        assert ids.tolist() == [0, 1, 2, 3]
+        assert counts.tolist() == [2, 1, 1, 2]
         assert counts.sum() == tiny_statuses.beta
         # inverse maps rows back to their observed pattern id
-        assert (ids[inverse] == dense_codes).all()
+        assert ids[inverse].tolist() == [3, 3, 0, 2, 1, 0]
 
     def test_only_observed_patterns_materialised(self):
         statuses = StatusMatrix([[0] * 30, [1] * 30])  # 2 patterns of 2^30
