@@ -17,7 +17,9 @@ per word.  These kernels are the only production counting path.
   family is counted on its pattern tree (:func:`pattern_tree`): the
   child's observed processes AND-refined by each parent's split words,
   one word row per observed parent pattern.  The parent search and
-  :func:`repro.core.scoring.family_counts` both build trees with it.
+  :func:`repro.core.scoring.family_counts` both build trees with it;
+  the search counts a tree's refinement by one more column without
+  materialising it (:func:`refined_pattern_counts`).
 
 Layout: a ``(β, n)`` status matrix becomes an ``(n, W)`` uint64 array
 with ``W = ceil(β / 64)``; bit ``ℓ`` of word ``w`` of row ``j`` holds the
@@ -40,6 +42,7 @@ fallback path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -64,6 +67,7 @@ __all__ = [
     "refine_patterns",
     "pattern_tree",
     "packed_pattern_counts",
+    "refined_pattern_counts",
 ]
 
 #: Bits per packed word.
@@ -121,8 +125,19 @@ def _popcount_sum(words: np.ndarray) -> np.ndarray:
     packed rows the kernels feed in always are.
     """
     if _HAS_NATIVE_POPCOUNT:
-        return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
+        # A product with a vector of ones sums the uint8 word counts as
+        # exactly as ``sum(axis=-1, dtype=np.int64)``, and about twice as
+        # fast over the few words of a pattern row (W = 4 at β = 200).
+        return np.bitwise_count(words) @ _int64_ones(words.shape[-1])
     return _POPCOUNT_TABLE[words.view(np.uint16)].sum(axis=-1, dtype=np.int64)
+
+
+@lru_cache(maxsize=None)
+def _int64_ones(length: int) -> np.ndarray:
+    """A shared, read-only int64 vector of ``length`` ones."""
+    ones = np.ones(length, dtype=np.int64)
+    ones.flags.writeable = False
+    return ones
 
 
 # ----------------------------------------------------------------------
@@ -509,3 +524,34 @@ def packed_pattern_counts(
     last (word) axis as int64."""
     rows = np.ascontiguousarray(rows, dtype=np.uint64)
     return _popcount_sum(rows), _popcount_sum(rows & child_words)
+
+
+def refined_pattern_counts(
+    planes: np.ndarray,
+    counts: np.ndarray,
+    zeros: np.ndarray,
+    ones: np.ndarray | None = None,
+) -> np.ndarray:
+    """The counts of ``planes`` refined by one more column, without the
+    refined rows.
+
+    ``planes`` is ``(2, ..., R, W)``: pattern word-rows, and the same
+    rows AND the child's status words; ``counts`` is ``(2, ..., R)``,
+    their popcounts (so ``counts[0]``/``counts[1]`` are the
+    ``(totals, infected)`` of :func:`packed_pattern_counts`).  ``zeros``
+    and ``ones`` are the new column's ``(..., W)`` split words, which
+    broadcast against the leading axes like :func:`refine_patterns`.
+
+    Returns ``(2, ..., 2R)`` int64: the counts of
+    :func:`refine_patterns` of each plane — the zeros half, then the
+    ones half.  Only the zeros half is popcounted.  Without ``ones``
+    the ones half is ``counts`` minus the zeros half, which is exact
+    when ``zeros | ones`` covers every bit of every row (unmasked data);
+    under a mask pass ``ones`` and it is popcounted too.
+    """
+    zero = _popcount_sum(planes & zeros[..., None, :])
+    if ones is None:
+        one = counts - zero
+    else:
+        one = _popcount_sum(planes & ones[..., None, :])
+    return np.concatenate((zero, one), axis=-1)

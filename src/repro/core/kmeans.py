@@ -73,7 +73,9 @@ def fixed_zero_two_means(
     max_iterations:
         Iteration cap; convergence typically takes < 10 iterations.
     tolerance:
-        Centroid-movement threshold for declaring convergence.
+        Centroid-movement threshold for declaring convergence, and the
+        spread, relative to the largest value, below which the values
+        count as all equal.
 
     Returns
     -------
@@ -92,8 +94,10 @@ def fixed_zero_two_means(
         raise DataError("fixed_zero_two_means expects non-negative values")
     if data.size == 0:
         return TwoMeansResult(0.0, 0.0, 0, 0, 0)
-    spread = float(data.max() - data.min())
-    if spread <= tolerance:
+    # Relative, so that scaling the values never turns a split into a
+    # degenerate input or back: the clustering is shape-based.
+    largest = float(data.max())
+    if largest - float(data.min()) <= tolerance * largest:
         # No structure to split: treat every value as significant.
         return TwoMeansResult(0.0, float(data.mean()), 0, int(data.size), 0)
 

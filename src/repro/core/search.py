@@ -23,21 +23,26 @@ parent set's *pattern tree* (:func:`~repro.core.kernels.pattern_tree`,
 the one family counter, shared with
 :func:`~repro.core.scoring.family_counts`): its family-complete
 processes split into one bit-packed word row per observed parent
-pattern, in ascending code order.  Every remaining combination of one
-size refines that tree by its columns
-(:func:`~repro.core.kernels.refine_patterns`), one popcount pass counts
-all of them, and :func:`~repro.core.scoring.batch_scores` turns the
+pattern, in ascending code order — held together with the same rows
+AND the child's statuses, and both planes' popcounts.  Every remaining
+combination of one size refines that tree by all its members but the
+last (:func:`~repro.core.kernels.refine_patterns`); the last member is
+counted by complement (:func:`~repro.core.kernels.refined_pattern_counts`):
+only the rows AND its zeros words are popcounted, and the ones half is
+the rows' own counts minus the zeros half (under a mask, where a
+column's split words do not cover every process, the ones half is
+popcounted too).  :func:`~repro.core.scoring.batch_scores` turns the
 counts into Eq. 13 scores — bit for bit the scalar
 ``log_likelihood − penalty`` of the oracle in ``tests/oracle.py``.  The
-accepted combination's rows become the next iteration's tree, so no
-tree is rebuilt.  An
-iteration costs ``O(|combinations| · R · 2^η · β / 64)`` word operations
-for ``R ≤ min(2^{|F_i|}, β)`` observed patterns, in a fixed number of
-numpy calls per combination size rather than per candidate; the
-pruning stage is what keeps ``|P_i|`` (the paper's ``κ``) small.  A
-tree keeps only its observed rows after every level, so it stays at
-most ``β`` rows for any parent-set width up to
-:data:`MAX_PARENT_SET_SIZE`.
+accepted family's non-zero counts become the next iteration's counts,
+and only its tree is built, once per accepted step.  A level costs
+``O(|combinations| · R · 2^{η−1} · β / 64)`` materialised words plus
+the zeros-half popcounts, for ``R ≤ min(2^{|F_i|}, β)`` observed
+patterns, in a fixed number of numpy calls per combination size rather
+than per candidate; the pruning stage is what keeps ``|P_i|`` (the
+paper's ``κ``) small.  A tree keeps only its observed rows after every
+accepted step, so it stays at most ``β`` rows for any parent-set width
+up to :data:`MAX_PARENT_SET_SIZE`.
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ from repro.core.kernels import (
     packed_split_words,
     pattern_tree,
     refine_patterns,
+    refined_pattern_counts,
 )
 from repro.core.scoring import batch_scores, delta_i, size_bound
 
@@ -80,8 +86,9 @@ __all__ = [
 #: counter and far beyond any statistically meaningful parent set.
 MAX_PARENT_SET_SIZE = 62
 
-#: Word budget of one scoring batch's pattern rows (uint64 words, so
-#: 2 MiB of scratch); larger combination sets are scored in chunks.
+#: Word budget of one scoring batch's largest AND temporary (uint64
+#: words, so 2 MiB of scratch); larger combination sets are scored in
+#: chunks.
 _BATCH_WORD_BUDGET = 1 << 18
 
 
@@ -201,24 +208,31 @@ class ParentSearch:
     def __init__(self, statuses: StatusMatrix, config: TendsConfig) -> None:
         self.statuses = statuses
         self.config = config
-        # Lazy bit-packed cache (statuses plus each node's zeros/ones
-        # split words); built on first use so serial fits that never
-        # score pay nothing, and dropped from pickles so workers re-pack
-        # locally (see __getstate__) instead of shipping the words over
-        # the wire.
+        # Lazy bit-packed cache (statuses, each node's zeros/ones split
+        # words, and every node's empty-family planes and counts); built
+        # on first use so serial fits that never score pay nothing, and
+        # dropped from pickles so workers re-pack locally (see
+        # __getstate__) instead of shipping the words over the wire.
         self._packed: PackedStatuses | None = None
         self._split: tuple[np.ndarray, np.ndarray] | None = None
+        self._roots: tuple[np.ndarray, np.ndarray] | None = None
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         state["_packed"] = None
         state["_split"] = None
+        state["_roots"] = None
         return state
 
     def _split_words(self) -> tuple[np.ndarray, np.ndarray]:
         if self._split is None:
             self._packed = PackedStatuses.from_statuses(self.statuses)
-            self._split = packed_split_words(self._packed)
+            zeros, ones = self._split = packed_split_words(self._packed)
+            observed = zeros | ones
+            self._roots = (
+                np.stack((observed, ones)),
+                np.stack(packed_pattern_counts(observed, self._packed.ones)),
+            )
         return self._split
 
     # ------------------------------------------------------------------
@@ -230,15 +244,19 @@ class ParentSearch:
         """Return ``(parent_list, diagnostics)`` for one child node."""
         diag = SearchDiagnostics(node=node, n_candidates=len(candidates))
         pool = [int(c) for c in candidates if int(c) != node]
-        diag.empty_score = self._score(node, [], diag)
+        planes, counts = self._root(node)
+        diag.n_evaluations += 1
+        diag.empty_score = float(batch_scores(*counts[:, None])[0][0])
         if not pool:
             diag.final_score = diag.empty_score
             return [], diag
         delta = delta_i(self.statuses, node)
         if self.config.search_strategy == "ranked-union":
-            parents = self._ranked_union(node, pool, delta, diag)
+            parents = self._ranked_union(node, pool, planes, counts, delta, diag)
         else:
-            parents = self._greedy_rescoring(node, pool, delta, diag)
+            parents = self._greedy_rescoring(
+                node, pool, planes, counts, delta, diag
+            )
         return parents, diag
 
     # ------------------------------------------------------------------
@@ -248,25 +266,26 @@ class ParentSearch:
         self,
         node: int,
         pool: list[int],
+        planes: np.ndarray,
+        counts: np.ndarray,
         delta: float,
         diag: SearchDiagnostics,
     ) -> list[int]:
         current_parents: list[int] = []
         current_score = diag.empty_score
-        tree = self._tree(node, current_parents)
         available = sorted(set(pool))
         while available:
             best_combo: tuple[int, ...] | None = None
             best_score = -np.inf
-            best_tree = tree
+            best_counts = counts
             top = min(self.config.max_combination_size, len(available))
             for size in range(1, top + 1):
                 combos = list(combinations(available, size))
                 if len(current_parents) + size > MAX_PARENT_SET_SIZE:
                     diag.bound_hits += len(combos)
                     continue
-                for block, scores, allowed, rows in self._rate(
-                    node, current_parents, tree, combos, delta, diag
+                for block, scores, allowed, block_counts in self._rate(
+                    node, current_parents, planes, counts, combos, delta, diag
                 ):
                     # First maximum in candidate order wins, as in a
                     # one-at-a-time loop with a strict comparison.
@@ -275,7 +294,7 @@ class ParentSearch:
                     if allowed[index] and ranked[index] > best_score:
                         best_score = float(ranked[index])
                         best_combo = block[index]
-                        best_tree = _observed(rows[index])
+                        best_counts = block_counts[:, index]
             if best_combo is None:
                 break
             if best_score <= current_score + self.config.min_improvement:
@@ -283,7 +302,11 @@ class ParentSearch:
             diag.iterations += 1
             current_parents.extend(best_combo)
             current_score = best_score
-            tree = best_tree
+            # The accepted family's tree: the planes refined by the
+            # combination, kept to the patterns its counts observed.
+            observed = best_counts[0] > 0
+            counts = best_counts[:, observed]
+            planes = self._refine(planes, best_combo)[:, observed]
             available = [c for c in available if c not in best_combo]
         diag.final_score = current_score
         return sorted(current_parents)
@@ -292,14 +315,15 @@ class ParentSearch:
         self,
         node: int,
         pool: list[int],
+        planes: np.ndarray,
+        counts: np.ndarray,
         delta: float,
         diag: SearchDiagnostics,
     ) -> list[int]:
-        root = self._tree(node, [])
         scored: list[tuple[float, tuple[int, ...]]] = []
         for size in range(1, min(self.config.max_combination_size, len(pool)) + 1):
             for block, scores, allowed, _ in self._rate(
-                node, [], root, list(combinations(pool, size)), delta, diag
+                node, [], planes, counts, list(combinations(pool, size)), delta, diag
             ):
                 scored.extend(
                     (score, combo)
@@ -313,7 +337,7 @@ class ParentSearch:
         # order, so each step refines the accepted set's tree by the
         # combination's new members alone.
         parents: list[int] = []
-        tree = root
+        tree = planes[0]
         for _, combo in scored:
             added = [c for c in dict.fromkeys(combo) if c not in parents]
             if not added:
@@ -340,57 +364,81 @@ class ParentSearch:
         zeros, ones = self._split_words()
         return pattern_tree(tree, zeros[parents], ones[parents])
 
-    def _tree(self, node: int, parents: list[int]) -> np.ndarray:
-        """The observed pattern rows ``(R, W)`` of the family ``(node,
-        parents)``, first parent least significant."""
+    def _root(self, node: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(planes, counts)`` of the empty family ``(node, ∅)``.
+
+        A family's *planes* are its tree and its tree AND the child's
+        status words, stacked ``(2, R, W)``; its *counts* are their
+        ``(2, R)`` popcounts, the ``(totals, infected)`` of its observed
+        patterns.  The empty family's one row is the child's observed
+        processes, empty for a child never observed (a zero-total
+        pattern, which scores as unobserved).
+        """
+        self._split_words()
+        planes, counts = self._roots
+        return planes[:, node, None], counts[:, node, None]
+
+    def _refine(self, planes: np.ndarray, combo: Sequence[int]) -> np.ndarray:
+        """``planes`` split by every member of ``combo`` in order, empty
+        patterns kept."""
         zeros, ones = self._split_words()
-        return self._grow((zeros[node] | ones[node])[None, :], parents)
+        for column in combo:
+            planes = refine_patterns(planes, zeros[column], ones[column])
+        return planes
 
     def _rate(
         self,
         node: int,
         parents: list[int],
-        tree: np.ndarray,
+        planes: np.ndarray,
+        counts: np.ndarray,
         combos: list[tuple[int, ...]],
         delta: float,
         diag: SearchDiagnostics,
     ) -> Iterator[tuple[list[tuple[int, ...]], np.ndarray, np.ndarray, np.ndarray]]:
         """Score every family ``parents + combo`` for ``combos`` of one size.
 
-        Yields ``(combos, scores, allowed, rows)`` per chunk, in candidate
-        order: ``allowed`` marks the families within the Theorem-2 bound,
-        and ``rows`` are their ``(C, P, W)`` pattern rows (``tree``
-        refined by each combination).  Counts every family as one
+        ``planes`` and ``counts`` are the current family's (see
+        :meth:`_root`).  Yields ``(combos, scores, allowed, counts)`` per
+        chunk, in candidate order: ``allowed`` marks the families within
+        the Theorem-2 bound, and ``counts`` are their ``(2, C, P)``
+        totals and infected counts over their ``P = R · 2^|combo|``
+        patterns, zero-total ones included.  Counts every family as one
         evaluation and every family outside the bound as one bound hit.
         """
         width = len(parents) + len(combos[0])
         diag.n_evaluations += len(combos)
         zeros, ones = self._split_words()
-        child = self._packed.ones[node]
+        # Without a mask a column's split words cover every process, so
+        # each split's ones half is the rows' count minus its zeros half.
+        masked = self._packed.mask is not None
         columns = np.array(combos, dtype=np.intp)
-        row_words = max(1, tree.size) << columns.shape[1]
+        # The largest temporary is the planes, refined by every member
+        # but the last, AND one more column: (2, C, R·2^(η−1), W) words.
+        row_words = max(1, planes.size) << (columns.shape[1] - 1)
         chunk = max(1, _BATCH_WORD_BUDGET // row_words)
         for start in range(0, len(combos), chunk):
-            # One level per combination member, each candidate's tree
-            # split by its own column.
-            rows = tree[None]
-            for column in columns[start : start + chunk].T:
+            block = columns[start : start + chunk]
+            rows, rows_counts = planes[:, None], counts[:, None]
+            *prefix, last = block.T
+            for column in prefix:
+                rows_counts = refined_pattern_counts(
+                    rows, rows_counts, zeros[column], ones[column] if masked else None
+                )
                 rows = refine_patterns(rows, zeros[column], ones[column])
-            scores, n_observed = batch_scores(*packed_pattern_counts(rows, child))
+            block_counts = refined_pattern_counts(
+                rows, rows_counts, zeros[last], ones[last] if masked else None
+            )
+            scores, n_observed = batch_scores(*block_counts)
             allowed = _within_bound(width, n_observed.tolist(), delta, diag)
-            yield combos[start : start + chunk], scores, allowed, rows
+            yield combos[start : start + chunk], scores, allowed, block_counts
 
     def _score(self, node: int, parents: list[int], diag: SearchDiagnostics) -> float:
         """``g(node, parents)`` of one family, as one evaluation."""
         diag.n_evaluations += 1
-        tree = self._tree(node, parents)
+        tree = self._grow(self._root(node)[0][0], parents)
         counts = packed_pattern_counts(tree[None], self._packed.ones[node])
         return float(batch_scores(*counts)[0][0])
-
-
-def _observed(rows: np.ndarray) -> np.ndarray:
-    """The pattern rows with at least one process — a family's tree."""
-    return rows[rows.any(axis=-1)]
 
 
 def _within_bound(

@@ -34,6 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.config import TendsConfig
+from repro.core.scoring import _node
 from repro.core.stats import SufficientStats
 from repro.core.tends import Tends, TendsResult
 from repro.exceptions import ConfigurationError, DataError
@@ -58,7 +59,8 @@ def predictive_log_likelihood(
     For each node, the conditional probability table over its parent
     patterns is estimated from ``train`` with Laplace (+1/+2) smoothing;
     validation patterns never seen in training fall back to the node's
-    smoothed marginal.
+    smoothed marginal.  A parent index outside ``[0, n)`` raises
+    :class:`~repro.exceptions.DataError`.
     """
     if train.n_nodes != validation.n_nodes:
         raise DataError(
@@ -70,7 +72,7 @@ def predictive_log_likelihood(
         )
     total = 0.0
     for child, parents in enumerate(parent_sets):
-        parents = list(parents)
+        parents = [_node(parent, train.n_nodes) for parent in parents]
         # Smoothed CPT from the training split.
         pattern_ids, inverse, totals = train.observed_pattern_counts(parents)
         child_train = train.column(child).astype(np.float64)

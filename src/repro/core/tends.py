@@ -951,9 +951,9 @@ class Tends:
         """Stage 2: the pruning threshold ``τ`` (Algorithm 1 line 5) —
         the explicit override when ``sample`` is ``None``, else fixed-zero
         2-means over the non-negative off-diagonal MI values the MI pass
-        collected into ``sample`` (scaled).  Fit, update and adaptation
-        all derive ``τ`` here, through identical floating-point
-        operations."""
+        collected into ``sample`` (scaled), emptying ``sample``.  Fit,
+        update and adaptation all derive ``τ`` here, through identical
+        floating-point operations."""
         if sample is None:
             return float(self.config.threshold), None
         if len(sample) == 1:
@@ -964,6 +964,10 @@ class Tends:
             non_negative = np.concatenate(sample)
         else:
             non_negative = np.empty(0, dtype=np.float64)
+        # The bands are garbage once joined: freeing them before the
+        # clustering sorts its copy keeps two copies of the sample alive
+        # at a time, not three.
+        sample.clear()
         clustering = fixed_zero_two_means(non_negative)
         return clustering.threshold * self.config.threshold_scale, clustering
 

@@ -2,7 +2,9 @@
 
 The parent search scores every remaining candidate of a greedy
 iteration at once (:func:`repro.core.scoring.batch_scores` over the
-pattern rows of :func:`repro.core.kernels.refine_patterns`).  The
+counts of its tree refined by each candidate, which
+:func:`repro.core.kernels.refined_pattern_counts` takes by complement:
+only each candidate's zeros half is popcounted).  The
 contract is that every batched score ``==`` the scalar
 ``log_likelihood(c) - penalty(c)`` of the oracle (``tests/oracle.py``)
 — not merely that the same parent sets come out: an ulp can flip a
@@ -32,6 +34,7 @@ from repro.core.kernels import (
     packed_pattern_counts,
     packed_split_words,
     refine_patterns,
+    refined_pattern_counts,
 )
 from repro.core.scoring import FamilyCounts, batch_scores
 from repro.core.search import ParentSearch
@@ -60,16 +63,17 @@ def count_batches(draw):
 
 
 @st.composite
-def status_matrices(draw):
-    """Statuses with an optional mask whose per-node densities include
-    0 — a never-observed child or candidate has no complete row."""
+def status_matrices(draw, masked=None, max_nodes=12):
+    """Statuses with an optional mask (always or never with ``masked``)
+    whose per-node densities include 0 — a never-observed child or
+    candidate has no complete row."""
     beta = draw(st.integers(2, 200))
-    n = draw(st.integers(2, 12))
+    n = draw(st.integers(2, max_nodes))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     density = draw(st.sampled_from([0.1, 0.5, 0.9]))
     data = (rng.random((beta, n)) < density).astype(np.uint8)
-    if not draw(st.booleans()):
+    if not (draw(st.booleans()) if masked is None else masked):
         return StatusMatrix(data)
     observed = draw(
         st.lists(
@@ -115,7 +119,9 @@ def test_batch_scores_exact_at_every_summation_boundary(n_observed):
 def test_candidate_batches_equal_scalar_families(statuses, data):
     """Every candidate's batched score against the scalar score of the
     same (child, parents + candidate) family, with the parent tree
-    pruned to its observed rows (as the search holds it) or not."""
+    pruned to its observed rows (as the search holds it) or not, and
+    its counts taken by complement as the search takes them: equal to
+    the popcounts of the materialised split."""
     n = statuses.n_nodes
     child = data.draw(st.integers(0, n - 1))
     others = [node for node in range(n) if node != child]
@@ -131,7 +137,13 @@ def test_candidate_batches_equal_scalar_families(statuses, data):
     if data.draw(st.booleans()):
         tree = tree[tree.any(axis=1)]
     rows = refine_patterns(tree[None], zeros[candidates], ones[candidates])
-    scores, n_observed = batch_scores(*packed_pattern_counts(rows, packed.ones[child]))
+    split = np.stack(packed_pattern_counts(rows, packed.ones[child]))
+    planes = np.stack((tree, tree & packed.ones[child]))[:, None]
+    counts = np.stack(packed_pattern_counts(tree, packed.ones[child]))[:, None]
+    split_ones = ones[candidates] if statuses.has_missing else None
+    refined = refined_pattern_counts(planes, counts, zeros[candidates], split_ones)
+    assert np.array_equal(refined, split)
+    scores, n_observed = batch_scores(*refined)
     for candidate, score, observed in zip(
         candidates, scores.tolist(), n_observed.tolist()
     ):
@@ -169,6 +181,36 @@ def test_search_equals_scalar_reference(
             candidates = [c for c in range(statuses.n_nodes) if c != node]
             if repeats:
                 candidates += candidates[::2]
+            assert search.find_parents(node, candidates) == reference.find_parents(
+                node, candidates
+            )
+
+
+@pytest.mark.parametrize("strategy", ["greedy-rescoring", "ranked-union"])
+@pytest.mark.parametrize("combination_size", [1, 2, 3])
+@pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+@given(data=st.data(), word_budget=st.sampled_from([None, 1, 40]))
+@settings(max_examples=15, deadline=None)
+def test_complement_search_equals_scalar_reference(
+    strategy, combination_size, masked, data, word_budget
+):
+    """Whole searches on the complement path against the oracle's
+    one-family-at-a-time search, for every combination size up to 3,
+    masked or not, and with scoring chunks of one family, of a few, or
+    unbounded."""
+    statuses = data.draw(status_matrices(masked=masked, max_nodes=8))
+    config = TendsConfig(
+        search_strategy=strategy, max_combination_size=combination_size
+    )
+    with ExitStack() as stack:
+        if word_budget is not None:
+            stack.enter_context(
+                mock.patch("repro.core.search._BATCH_WORD_BUDGET", word_budget)
+            )
+        search = ParentSearch(statuses, config)
+        reference = oracle.ScalarParentSearch(statuses, config)
+        for node in range(statuses.n_nodes):
+            candidates = [c for c in range(statuses.n_nodes) if c != node]
             assert search.find_parents(node, candidates) == reference.find_parents(
                 node, candidates
             )

@@ -24,9 +24,11 @@ from repro.core.kernels import (
     packed_joint_counts,
     packed_pairwise_complete_counts,
     packed_split_words,
+    packed_pattern_counts,
     pattern_tree,
     popcount_words,
     refine_patterns,
+    refined_pattern_counts,
     unpack_bits,
 )
 from repro.core.scoring import family_counts
@@ -313,6 +315,34 @@ def test_pattern_tree_drops_empty_rows_after_every_level():
         tree = pattern_tree((zeros[0] | ones[0])[None], zeros[parents], ones[parents])
         assert np.array_equal(tree, full[full.any(axis=1)])
         assert tree.shape[0] <= statuses.beta
+
+
+@pytest.mark.parametrize("lut", [False, True], ids=["default", "lut"])
+@pytest.mark.parametrize("mask_density", [None, 0.7])
+def test_refined_counts_of_per_candidate_planes(monkeypatch, lut, mask_density):
+    # Planes already split per candidate (a leading C axis, as after
+    # every member of a combination but the last) refined by one more
+    # column per candidate: the complement counts equal the popcounts
+    # of the materialised split, zeros half then ones half.
+    if lut:
+        monkeypatch.setattr(kernels, "_HAS_NATIVE_POPCOUNT", False)
+    rng = np.random.default_rng(21)
+    statuses = _random_statuses(rng, 150, 9, mask_density=mask_density)
+    packed = PackedStatuses.from_statuses(statuses)
+    zeros, ones = packed_split_words(packed)
+    child = packed.ones[0]
+    tree = pattern_tree((zeros[0] | ones[0])[None], zeros[[3, 5]], ones[[3, 5]])
+    first, last = [1, 2, 4, 6], [7, 8, 2, 1]
+    rows = refine_patterns(tree[None], zeros[first], ones[first])
+    planes = np.stack((rows, rows & child))
+    counts = np.stack(packed_pattern_counts(rows, child))
+    split_ones = None if mask_density is None else ones[last]
+    refined = refined_pattern_counts(planes, counts, zeros[last], split_ones)
+    expected = packed_pattern_counts(
+        refine_patterns(rows, zeros[last], ones[last]), child
+    )
+    assert refined.shape == (2, len(last), 4 * tree.shape[0])
+    assert np.array_equal(refined, np.stack(expected))
 
 
 def test_family_counts_with_never_observed_family():

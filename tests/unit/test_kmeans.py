@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.kmeans import fixed_zero_two_means
+from repro.core.tends import Tends
 from repro.exceptions import DataError
 
 
@@ -26,6 +27,15 @@ class TestDegenerateInputs:
     def test_negative_rejected(self):
         with pytest.raises(DataError):
             fixed_zero_two_means(np.array([0.1, -0.2]))
+
+    def test_tiny_values_split_like_their_multiples(self):
+        # A spread of 9e-12 once counted as "all equal" below an absolute
+        # 1e-12 tolerance once scaled by 0.11, but not before.
+        values = np.array([8.94302692e-12, 0.0])
+        for scale in (1.0, 0.109375, 1e-6):
+            result = fixed_zero_two_means(values * scale)
+            assert (result.n_zero_cluster, result.n_upper_cluster) == (1, 1)
+            assert result.threshold == 0.0
 
     def test_single_value(self):
         result = fixed_zero_two_means(np.array([0.7]))
@@ -72,3 +82,28 @@ class TestBimodalSplit:
         values = rng.random(321)
         result = fixed_zero_two_means(values)
         assert result.n_zero_cluster + result.n_upper_cluster == 321
+
+
+class TestInputUntouched:
+    def test_input_is_neither_sorted_nor_written(self):
+        rng = np.random.default_rng(3)
+        values = rng.random(257)
+        before = values.copy()
+        fixed_zero_two_means(values)
+        assert np.array_equal(values, before)
+
+
+class TestSelectThreshold:
+    """``Tends._select_threshold`` clusters the bands the MI pass
+    collected and frees them before the clustering copies the sample,
+    so two copies of the sample are alive at a time, not three."""
+
+    def test_bands_equal_their_concatenation_and_are_freed(self):
+        rng = np.random.default_rng(4)
+        bands = [rng.random(size) ** 3 for size in (40, 0, 17, 90)]
+        expected = fixed_zero_two_means(np.concatenate(bands))
+        sample = list(bands)
+        tau, clustering = Tends(threshold_scale=1.5)._select_threshold(sample)
+        assert clustering == expected
+        assert tau == expected.threshold * 1.5
+        assert sample == []

@@ -4,6 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core.config import TendsConfig
+from repro.core.kernels import (
+    PackedStatuses,
+    packed_pattern_counts,
+    packed_split_words,
+    pattern_tree,
+)
 from repro.core.scoring import empty_set_score, local_score
 from repro.core.search import ParentSearch
 from repro.simulation.statuses import StatusMatrix
@@ -147,6 +153,97 @@ class TestVacuousBoundSafety:
         reference = oracle.ScalarParentSearch(statuses, config)
         assert result == reference.find_parents(0, list(range(1, 30)))
         assert len(result[0]) > 10
+
+
+def _correlated_noise(masked: bool, n: int = 12) -> StatusMatrix:
+    """Every column a noisy copy of one hidden column: the greedy keeps
+    accepting parents, so a search runs many levels."""
+    rng = np.random.default_rng(4)
+    base = rng.integers(0, 2, (60, 1))
+    data = np.where(rng.random((60, n)) < 0.3, 1 - base, base).astype(np.uint8)
+    return StatusMatrix(data, rng.random((60, n)) < 0.9 if masked else None)
+
+
+class TestComplementPath:
+    """Each candidate's ones half is counted as the tree's own counts
+    minus its zeros half (popcounted under a mask), and the search
+    carries the accepted family's counts into the next level."""
+
+    @pytest.mark.parametrize("combination_size", [1, 2])
+    @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+    def test_carried_counts_equal_the_accepted_tree(
+        self, monkeypatch, masked, combination_size
+    ):
+        statuses = _correlated_noise(masked)
+        calls = []
+        rate = ParentSearch._rate
+
+        def spy(self, node, parents, planes, counts, *rest):
+            calls.append((list(parents), planes.copy(), counts.copy()))
+            return rate(self, node, parents, planes, counts, *rest)
+
+        monkeypatch.setattr(ParentSearch, "_rate", spy)
+        config = TendsConfig(max_combination_size=combination_size)
+        _, diag = ParentSearch(statuses, config).find_parents(0, range(1, 12))
+        assert diag.iterations >= 2
+        # One level per accepted step, plus the level that accepts nothing.
+        assert len({tuple(parents) for parents, _, _ in calls}) == diag.iterations + 1
+        packed = PackedStatuses.from_statuses(statuses)
+        zeros, ones = packed_split_words(packed)
+        child = packed.ones[0]
+        for parents, planes, counts in calls:
+            tree = pattern_tree(
+                (zeros[0] | ones[0])[None], zeros[parents], ones[parents]
+            )
+            assert np.array_equal(planes[0], tree)
+            assert np.array_equal(planes[1], tree & child)
+            assert np.array_equal(counts, np.stack(packed_pattern_counts(tree, child)))
+
+    @pytest.mark.parametrize("strategy", ["greedy-rescoring", "ranked-union"])
+    @pytest.mark.parametrize("combination_size", [1, 2])
+    def test_never_observed_child_equals_scalar_reference(
+        self, strategy, combination_size
+    ):
+        rng = np.random.default_rng(5)
+        data = rng.integers(0, 2, (50, 5))
+        mask = np.ones((50, 5), dtype=bool)
+        mask[:, 0] = False
+        statuses = StatusMatrix(data, mask)
+        config = TendsConfig(
+            search_strategy=strategy, max_combination_size=combination_size
+        )
+        result = ParentSearch(statuses, config).find_parents(0, [1, 2, 3, 4])
+        assert result == oracle.ScalarParentSearch(statuses, config).find_parents(
+            0, [1, 2, 3, 4]
+        )
+        # No complete row: every family scores 0.0, the empty one included.
+        assert result[1].empty_score == result[1].final_score == 0.0
+
+    @pytest.mark.parametrize("strategy", ["greedy-rescoring", "ranked-union"])
+    @pytest.mark.parametrize("combination_size", [1, 2])
+    @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+    def test_candidate_with_empty_zeros_half_equals_scalar_reference(
+        self, strategy, combination_size, masked
+    ):
+        # Node 2 is infected wherever it is observed, so its zeros words
+        # are empty and its ones half is the whole of every row.
+        statuses = _copy_noise_statuses(beta=80, seed=2)
+        data = statuses.values.copy()
+        data[:, 2] = 1
+        mask = np.random.default_rng(6).random(data.shape) < 0.8 if masked else None
+        statuses = StatusMatrix(data, mask)
+        packed = PackedStatuses.from_statuses(statuses)
+        assert not packed_split_words(packed)[0][2].any()
+        config = TendsConfig(
+            search_strategy=strategy, max_combination_size=combination_size
+        )
+        reference = oracle.ScalarParentSearch(statuses, config)
+        search = ParentSearch(statuses, config)
+        for node in range(statuses.n_nodes):
+            others = [c for c in range(statuses.n_nodes) if c != node]
+            assert search.find_parents(node, others) == reference.find_parents(
+                node, others
+            )
 
 
 class TestStrategyComparison:

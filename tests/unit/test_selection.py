@@ -52,6 +52,16 @@ class TestPredictiveLogLikelihood:
         value = predictive_log_likelihood(train, valid, [[], [0]])
         assert np.isfinite(value)
 
+    @pytest.mark.parametrize("parent", [-1, 4, 7])
+    def test_parent_outside_the_nodes_rejected(self, parent):
+        # -1 would wrap to node 3 scoring itself, 7 would raise a bare
+        # IndexError from the status columns.
+        statuses = _coupled_statuses()
+        train = statuses.subset(range(80))
+        valid = statuses.subset(range(80, 120))
+        with pytest.raises(DataError, match="out of range"):
+            predictive_log_likelihood(train, valid, [[], [], [], [parent]])
+
     def test_node_count_mismatch_rejected(self):
         with pytest.raises(DataError):
             predictive_log_likelihood(
