@@ -2,21 +2,22 @@
 
 The per-node parent searches dominate TENDS wall-clock (see
 ``bench_complexity_scaling``), and the executor backends fan them out
-across workers.  This bench measures the stage-3 speedup of the thread
-and process strategies over the serial reference on one 256-node LFR
+across worker processes.  This bench measures the stage-3 speedup of
+the process strategy over the serial reference on one 256-node LFR
 workload — and, on every row, re-asserts the determinism contract: the
 inferred edge set must be identical to serial's.
 
 Speedup assertions are gated on the host actually having the CPUs: a
 single-core container can only demonstrate equivalence, not speedup, and
-the table says which of the two this run measured.
+the table says which of the two this run measured.  The table is
+printed, not archived: a speedup table belongs to the host it ran on.
 """
 
 from __future__ import annotations
 
 import os
 
-from _util import archive_result, bench_scale, bench_seed
+from _util import bench_scale, bench_seed
 
 from repro.core.tends import Tends, TendsResult
 from repro.evaluation.reporting import format_rows
@@ -25,7 +26,7 @@ from repro.simulation.engine import DiffusionSimulator
 from repro.utils.rng import derive_seed
 
 WORKLOAD_NODES = 256
-BACKENDS = (("thread", 2), ("thread", 4), ("process", 2), ("process", 4))
+BACKENDS = (("process", 2), ("process", 4))
 
 
 def _workload():
@@ -87,7 +88,6 @@ def test_parallel_search_speedup(benchmark):
                  "speedup": "-", "identical": "-"})
     text = format_rows(rows)
     print(f"\n{text}")
-    archive_result("parallel_search", text)
 
     # Determinism is asserted unconditionally — every backend row must
     # have reproduced the serial topology exactly.
@@ -96,5 +96,7 @@ def test_parallel_search_speedup(benchmark):
     # Speedup is a hardware claim: only assert it where the hardware
     # exists.  The acceptance target is >= 2x for process at n_jobs=4.
     if cpus >= 4:
-        best = max(speedups[("process", 4)], speedups[("thread", 4)])
-        assert best >= 2.0, f"expected >= 2x stage-3 speedup at n_jobs=4, got {best:.2f}x"
+        speedup = speedups[("process", 4)]
+        assert speedup >= 2.0, (
+            f"expected >= 2x stage-3 speedup at n_jobs=4, got {speedup:.2f}x"
+        )

@@ -72,7 +72,7 @@ def _add_executor_arguments(parser: argparse.ArgumentParser) -> None:
     """Stage-3 execution backend knobs shared by ``infer`` and ``figure``."""
     parser.add_argument(
         "--executor",
-        choices=("serial", "thread", "process"),
+        choices=("serial", "process"),
         default=None,
         help="parent-search execution backend (default: REPRO_EXECUTOR or serial)",
     )

@@ -14,7 +14,7 @@ __all__ = ["TendsConfig"]
 
 MiKind = Literal["infection", "traditional"]
 SearchStrategy = Literal["greedy-rescoring", "ranked-union"]
-ExecutorStrategy = Literal["serial", "thread", "process"]
+ExecutorStrategy = Literal["serial", "process"]
 MissingPolicy = Literal["pairwise", "refuse", "zero-fill"]
 
 
@@ -60,13 +60,13 @@ class TendsConfig:
         Minimum score gain required to accept a greedy extension
         (``greedy-rescoring`` only).  0 is the paper behaviour.
     executor:
-        Stage-3 execution backend: ``"serial"`` (the reference loop),
-        ``"thread"``, or ``"process"`` (see :mod:`repro.core.executor`).
+        Stage-3 execution backend: ``"serial"`` (the reference loop) or
+        ``"process"`` (see :mod:`repro.core.executor`).
         ``None`` (default) falls back to the ``REPRO_EXECUTOR``
         environment variable, then to ``"serial"``.  All backends produce
         bit-identical results; only wall-clock changes.
     n_jobs:
-        Worker count for the parallel backends.  ``-1`` means all CPUs;
+        Worker count for the process backend.  ``-1`` means all CPUs;
         ``None`` (default) falls back to ``REPRO_N_JOBS``, then to 1.
     chunk_size:
         Nodes per parallel task.  ``None`` (default) picks a size that
@@ -76,12 +76,12 @@ class TendsConfig:
         permanent (see :class:`repro.core.executor.RetryPolicy`).
         ``None`` (default) falls back to ``REPRO_MAX_ATTEMPTS``, then 3.
     chunk_timeout:
-        Per-chunk wall-clock budget in seconds for the pool backends.
+        Per-chunk wall-clock budget in seconds for the process backend.
         ``None`` (default) falls back to ``REPRO_CHUNK_TIMEOUT``, then
         unlimited.
     executor_fallback:
-        Whether an unusable backend may fall back along
-        ``process → thread → serial`` instead of failing the fit.
+        Whether an unusable process pool may fall back to serial instead
+        of failing the fit.
         ``None`` (default) enables the fallback.
     audit:
         Observation-audit policy applied at the top of :meth:`Tends.fit`:
@@ -196,12 +196,10 @@ class TendsConfig:
             check_non_negative("threshold", self.threshold)
         if self.max_candidates is not None:
             check_positive_int("max_candidates", self.max_candidates)
-        if self.executor is not None and self.executor not in (
-            "serial",
-            "thread",
-            "process",
-        ):
-            raise ConfigurationError(f"unknown executor: {self.executor!r}")
+        if self.executor not in (None, "serial", "process"):
+            raise ConfigurationError(
+                f"unknown executor: {self.executor!r}; available: 'serial', 'process'"
+            )
         if self.n_jobs is not None and self.n_jobs != -1:
             check_positive_int("n_jobs", self.n_jobs)
         if self.chunk_size is not None:
@@ -271,6 +269,13 @@ class TendsConfig:
     #: keep rejecting any other unknown one.  ``kernel`` chose between two
     #: bit-identical counting backends.
     RETIRED_FIELDS = ("kernel",)
+
+    #: Values older snapshots may store for a field that still exists but
+    #: no longer accepts them.  Each belongs to an execution knob outside
+    #: :attr:`ALGORITHM_FIELDS`, so loaders reset it to ``None`` (the
+    #: environment default, then serial) and the fingerprint is unchanged.
+    #: ``executor="thread"`` named a deleted backend.
+    RETIRED_VALUES = {"executor": ("thread",)}
 
     def algorithm_fingerprint(self) -> str:
         """SHA-256 over the result-affecting configuration fields.

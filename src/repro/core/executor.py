@@ -12,14 +12,10 @@ backend abstraction:
 * :class:`RetryPolicy` resolves the recovery knobs (``max_attempts``,
   ``backoff_seconds``, ``chunk_timeout``, ``fallback``);
 * :class:`ParallelExecutor` maps a pure chunk function over an item list
-  under that plan, with three strategies:
+  under that plan, with two strategies:
 
   ``serial``
       The plain loop — zero overhead, the reference behaviour.
-  ``thread``
-      A :class:`~concurrent.futures.ThreadPoolExecutor`.  The searches
-      are numpy-heavy, so some of the work releases the GIL; threads
-      share the context for free.
   ``process``
       A :class:`~concurrent.futures.ProcessPoolExecutor`.  The shared
       context (for TENDS: the :class:`~repro.core.search.ParentSearch`,
@@ -38,10 +34,9 @@ executor therefore recovers from three fault classes:
 * **Dead workers** — a ``BrokenProcessPool`` (worker killed, segfaulted,
   OOM-reaped, or unpicklable context) tears down and rebuilds the pool
   and re-runs the unfinished chunks.  If the pool keeps breaking, the
-  executor *falls back* along ``process → thread → serial`` (disable
-  with ``fallback=False``), raising
-  :class:`~repro.exceptions.WorkerCrashError` only when the last
-  backend fails too.
+  executor *falls back* to serial for the unfinished chunks (disable
+  with ``fallback=False``, which raises
+  :class:`~repro.exceptions.WorkerCrashError` instead).
 * **Hung chunks** — with ``chunk_timeout`` set, a chunk whose result
   does not arrive in time is charged a failed attempt, the (possibly
   hung) pool is replaced, and the chunk re-runs; exhausting the budget
@@ -54,9 +49,9 @@ executor therefore recovers from three fault classes:
 futures are cancelled, worker processes are terminated (no orphans), and
 the signal re-raises to the caller.
 
-Because recovery may run the same chunk more than once (a timed-out
-thread keeps running while its replacement starts), chunk functions must
-be **pure**: same chunk in, same results out, no side effects.
+Because recovery may run the same chunk more than once (a worker killed
+mid-chunk may already have done part of it), chunk functions must be
+**pure**: same chunk in, same results out, no side effects.
 
 Determinism is structural, not incidental: items are split into
 contiguous chunks, chunk results are keyed by chunk index whatever order
@@ -73,12 +68,7 @@ from __future__ import annotations
 import hashlib
 import os
 import time
-from concurrent.futures import (
-    BrokenExecutor,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -121,16 +111,7 @@ ResultT = TypeVar("ResultT")
 #: the item list, returning one result per item, in order.
 ChunkFn = Callable[[ContextT, Sequence[ItemT]], Sequence[ResultT]]
 
-EXECUTOR_STRATEGIES = ("serial", "thread", "process")
-
-#: Fallback chain per starting strategy: each step can absorb the fault
-#: classes of the previous one (threads survive worker-process crashes,
-#: serial survives pool construction failure).
-_FALLBACK_CHAIN = {
-    "process": ("process", "thread", "serial"),
-    "thread": ("thread", "serial"),
-    "serial": ("serial",),
-}
+EXECUTOR_STRATEGIES = ("serial", "process")
 
 #: Environment fallbacks consulted when the config leaves the knobs unset —
 #: the same pattern as ``REPRO_BENCH_SCALE``: one variable flips every
@@ -181,7 +162,7 @@ class WorkerStats:
     Attributes
     ----------
     worker:
-        Stable label — ``"serial"``, ``"thread-3"``, ``"process-0"``.
+        Stable label — ``"serial"`` or ``"process-0"``, ``"process-1"``, ….
     n_chunks / n_items:
         How many chunks and items this worker processed.
     seconds:
@@ -224,10 +205,9 @@ class RetryPolicy:
         can be given different seeds to decorrelate their retries.
     timeout:
         Per-chunk wall-clock budget in seconds (``None`` = unlimited).
-        Applies to the pool backends only; serial cannot preempt.
+        Applies to the process backend only; serial cannot preempt.
     fallback:
-        Whether an unusable backend may fall back along
-        ``process → thread → serial``.
+        Whether an unusable process pool may fall back to serial.
     """
 
     max_attempts: int = 3
@@ -486,43 +466,32 @@ def _process_initializer(
     _WORKER_STATE["trace"] = trace
 
 
-def _traced_chunk(
-    chunk_fn: ChunkFn,
-    context: object,
-    items: Sequence[object],
-    index: int,
-    strategy: str,
-    trace: bool,
-) -> tuple[list[object], tuple[dict, ...]]:
-    """Execute one chunk, recording worker-local spans when tracing.
+def _process_chunk(
+    items: Sequence[object], index: int = 0
+) -> tuple[list[object], int, float, tuple[dict, ...]]:
+    """Execute one chunk in a worker, recording worker-local spans when
+    tracing.
 
-    The worker cannot see the dispatcher's tracer (threads and processes
-    start with fresh contexts), so a traced chunk records into a local
+    The worker cannot see the dispatcher's tracer (a process starts with
+    a fresh context), so a traced chunk records into a local
     :class:`~repro.obs.trace.Tracer` — installed as the ambient tracer so
     the chunk function's own spans nest under the chunk span — and ships
     the finished spans back as dicts for :meth:`Tracer.adopt`.
     """
-    if not trace:
-        return list(chunk_fn(context, items)), ()
-    tracer = Tracer()
-    with ambient_tracer(tracer):
-        with tracer.span(
-            "executor.chunk", chunk=index, items=len(items), strategy=strategy
-        ):
-            results = list(chunk_fn(context, items))
-    return results, tuple(span.to_dict() for span in tracer.finished())
-
-
-def _process_chunk(
-    items: Sequence[object], index: int = 0
-) -> tuple[list[object], int, float, tuple[dict, ...]]:
     chunk_fn = _WORKER_STATE["chunk_fn"]
     context = _WORKER_STATE["context"]
-    trace = bool(_WORKER_STATE.get("trace", False))
     start = time.perf_counter()
-    results, spans = _traced_chunk(
-        chunk_fn, context, items, index, "process", trace
-    )
+    spans: tuple[dict, ...] = ()
+    if not _WORKER_STATE.get("trace", False):
+        results = list(chunk_fn(context, items))
+    else:
+        tracer = Tracer()
+        with ambient_tracer(tracer):
+            with tracer.span(
+                "executor.chunk", chunk=index, items=len(items), strategy="process"
+            ):
+                results = list(chunk_fn(context, items))
+        spans = tuple(span.to_dict() for span in tracer.finished())
     return results, os.getpid(), time.perf_counter() - start, spans
 
 
@@ -545,7 +514,7 @@ class ParallelExecutor:
     tracer:
         Optional :class:`~repro.obs.trace.Tracer`.  When given (and
         enabled), every chunk execution records an ``executor.chunk``
-        span — in the worker for the pool backends, shipped back with
+        span — in the worker for the process backend, shipped back with
         the chunk outcome and merged under the span that was current
         when :meth:`map` was called.  The default
         :data:`~repro.obs.trace.NULL_TRACER` is the zero-overhead path.
@@ -558,12 +527,18 @@ class ParallelExecutor:
 
     Examples
     --------
-    >>> plan = ExecutionPlan.resolve("thread", n_jobs=2, chunk_size=3)
+    The serial strategy runs any callable; the process strategy ships
+    ``chunk_fn`` by reference, so there it must be a module-level
+    function.
+
+    >>> plan = ExecutionPlan.resolve("serial", chunk_size=3)
     >>> executor = ParallelExecutor(plan)
     >>> results, stats = executor.map(lambda ctx, chunk: [ctx * i for i in chunk],
     ...                               10, list(range(7)))
     >>> results
     [0, 10, 20, 30, 40, 50, 60]
+    >>> [(s.worker, s.n_chunks) for s in stats]
+    [('serial', 3)]
     """
 
     def __init__(
@@ -593,7 +568,7 @@ class ParallelExecutor:
         fault/recovery sequence.  For the ``process`` strategy both
         ``chunk_fn`` and ``context`` must be picklable, and ``chunk_fn``
         must be a module-level function (it is shipped to workers by
-        reference); an unpicklable payload triggers the thread fallback.
+        reference); a pool that cannot run them falls back to serial.
         Chunk functions must be pure — recovery may execute a chunk more
         than once.
         """
@@ -610,47 +585,30 @@ class ParallelExecutor:
         chunks = [
             [items[i] for i in chunk] for chunk in split_chunks(len(items), chunk_size)
         ]
-        if self.plan.retry.fallback:
-            chain = _FALLBACK_CHAIN[self.plan.strategy]
-        else:
-            chain = (self.plan.strategy,)
 
         results: dict[int, list[ResultT]] = {}
-        outcomes: list[tuple[str, object, int, float]] = []
-        used_strategy = chain[0]
-        fallbacks = 0
-        for position, strategy in enumerate(chain):
-            used_strategy = strategy
-            fallbacks = position
-            pending = [i for i in range(len(chunks)) if i not in results]
-            if not pending:
-                break
+        outcomes: list[tuple[int | None, int, float]] = []
+        strategy, fallbacks = self.plan.strategy, 0
+        if strategy == "process":
             try:
-                if strategy == "thread" and self.plan.n_jobs > 1:
-                    self._run_pool("thread", chunk_fn, context, chunks, pending,
-                                   results, outcomes)
-                elif strategy == "process":
-                    self._run_pool("process", chunk_fn, context, chunks, pending,
-                                   results, outcomes)
-                else:
-                    self._run_serial(chunk_fn, context, chunks, pending,
-                                     results, outcomes)
-                break
+                self._run_pool(chunk_fn, context, chunks, results, outcomes)
             except _BackendUnusable as failure:
-                if position == len(chain) - 1:
+                if not self.plan.retry.fallback:
                     raise failure.cause from None
+                # Serial runs in the dispatching process, so it survives
+                # both worker crashes and a pool that cannot start.
                 _LOGGER.warning(
-                    "executor backend %r unusable (%s); falling back to %r "
+                    "process pool unusable (%s); falling back to serial "
                     "for %d unfinished chunk(s)",
-                    strategy,
                     failure.cause,
-                    chain[position + 1],
-                    len([i for i in range(len(chunks)) if i not in results]),
+                    len(chunks) - len(results),
                 )
-                continue  # fall back to the next backend for unfinished chunks
+                strategy, fallbacks = "serial", 1
+        if strategy == "serial":
+            self._run_serial(chunk_fn, context, chunks, results, outcomes)
 
         self.last_report = RecoveryReport(
-            strategy=used_strategy,
+            strategy=strategy,
             retries=self._retries,
             timeouts=self._timeouts,
             pool_rebuilds=self._pool_rebuilds,
@@ -667,12 +625,11 @@ class ParallelExecutor:
         chunk_fn: ChunkFn,
         context: ContextT,
         chunks: list[list[ItemT]],
-        pending: list[int],
         results: dict[int, list[ResultT]],
-        outcomes: list[tuple[str, object, int, float]],
+        outcomes: list[tuple[int | None, int, float]],
     ) -> None:
         retry = self.plan.retry
-        for index in pending:
+        for index in [i for i in range(len(chunks)) if i not in results]:
             failures = 0
             while True:
                 start = time.perf_counter()
@@ -704,31 +661,22 @@ class ParallelExecutor:
                     continue
                 results[index] = chunk_results
                 outcomes.append(
-                    ("serial", "serial", len(chunk_results),
-                     time.perf_counter() - start)
+                    (None, len(chunk_results), time.perf_counter() - start)
                 )
                 break
 
-    def _new_pool(
-        self, strategy: str, chunk_fn: ChunkFn, context: ContextT
-    ):
+    def _new_pool(self, chunk_fn: ChunkFn, context: ContextT) -> ProcessPoolExecutor:
         try:
-            if strategy == "process":
-                return ProcessPoolExecutor(
-                    max_workers=self.plan.n_jobs,
-                    initializer=_process_initializer,
-                    initargs=(chunk_fn, context, self._trace),
-                )
-            return ThreadPoolExecutor(
-                max_workers=self.plan.n_jobs, thread_name_prefix="tends"
+            return ProcessPoolExecutor(
+                max_workers=self.plan.n_jobs,
+                initializer=_process_initializer,
+                initargs=(chunk_fn, context, self._trace),
             )
         except (KeyboardInterrupt, SystemExit):
             raise
         except Exception as exc:  # pool construction itself failed
             raise _BackendUnusable(
-                WorkerCrashError(
-                    f"could not start {strategy} pool: {exc}", attempts=1
-                )
+                WorkerCrashError(f"could not start process pool: {exc}", attempts=1)
             ) from exc
 
     @staticmethod
@@ -782,58 +730,42 @@ class ParallelExecutor:
             except Exception:
                 pass
 
-    def _submit(self, pool, strategy: str, chunk_fn: ChunkFn,
-                context: ContextT, chunk: list[ItemT], index: int) -> Future:
-        if strategy == "process":
+    @staticmethod
+    def _submit(pool: ProcessPoolExecutor, chunk: list[ItemT], index: int) -> Future:
+        """Submit one chunk.  A worker that dies while chunks are still
+        being submitted breaks the pool mid-submission; the failure is
+        returned as the chunk's future so the pool-break path below
+        rebuilds the pool, as it does for a break seen in a result."""
+        try:
             return pool.submit(_process_chunk, chunk, index)
-
-        trace = self._trace
-
-        def timed(
-            chunk: list[ItemT] = chunk, index: int = index
-        ) -> tuple[list[ResultT], str, float, tuple[dict, ...]]:
-            import threading
-
-            start = time.perf_counter()
-            chunk_results, spans = _traced_chunk(
-                chunk_fn, context, chunk, index, "thread", trace
-            )
-            return (
-                chunk_results,
-                threading.current_thread().name,
-                time.perf_counter() - start,
-                spans,
-            )
-
-        return pool.submit(timed)
+        except BrokenExecutor as exc:
+            failed: Future = Future()
+            failed.set_exception(exc)
+            return failed
 
     def _run_pool(
         self,
-        strategy: str,
         chunk_fn: ChunkFn,
         context: ContextT,
         chunks: list[list[ItemT]],
-        pending: list[int],
         results: dict[int, list[ResultT]],
-        outcomes: list[tuple[str, object, int, float]],
+        outcomes: list[tuple[int | None, int, float]],
     ) -> None:
-        """Run ``pending`` chunks on a (re)buildable pool with retries.
+        """Run every chunk on a (re)buildable process pool with retries.
 
         Results land in ``results`` keyed by chunk index, so the caller's
         merge order never depends on completion order, attempt count, or
         which backend finally produced each chunk.
         """
         retry = self.plan.retry
-        failures: dict[int, int] = {index: 0 for index in pending}
+        failures: dict[int, int] = {index: 0 for index in range(len(chunks))}
         pool_breaks = 0
-        pool = self._new_pool(strategy, chunk_fn, context)
+        pool = self._new_pool(chunk_fn, context)
         try:
-            unfinished = list(pending)
+            unfinished = list(range(len(chunks)))
             while unfinished:
                 submitted = [
-                    (self._submit(pool, strategy, chunk_fn, context,
-                                  chunks[index], index),
-                     index)
+                    (self._submit(pool, chunks[index], index), index)
                     for index in unfinished
                 ]
                 resubmit: list[int] = []
@@ -842,7 +774,7 @@ class ParallelExecutor:
                     if index in results:
                         continue
                     try:
-                        chunk_results, label, seconds, spans = future.result(
+                        chunk_results, pid, seconds, spans = future.result(
                             timeout=retry.timeout
                         )
                     except FutureTimeoutError:
@@ -857,17 +789,17 @@ class ParallelExecutor:
                             ) from None
                         _LOGGER.warning(
                             "chunk %d (%d items) exceeded its %gs budget "
-                            "(attempt %d/%d); rebuilding the %s pool and "
-                            "re-running it",
+                            "(attempt %d/%d); rebuilding the process pool "
+                            "and re-running it",
                             index, len(chunks[index]), retry.timeout,
-                            failures[index], retry.max_attempts, strategy,
+                            failures[index], retry.max_attempts,
                         )
                         resubmit.append(index)
                         rebuild = True  # a worker may be wedged on this chunk
                         resubmit.extend(
                             self._drain_after_fault(
                                 submitted[position + 1:], results, outcomes,
-                                strategy, failures, retry,
+                                failures, retry,
                             )
                         )
                         break
@@ -878,7 +810,7 @@ class ParallelExecutor:
                         if pool_breaks >= retry.max_attempts:
                             raise _BackendUnusable(
                                 WorkerCrashError(
-                                    f"{strategy} pool broke {pool_breaks} "
+                                    f"process pool broke {pool_breaks} "
                                     f"time(s); giving up on this backend "
                                     f"({exc})",
                                     attempts=pool_breaks,
@@ -888,9 +820,9 @@ class ParallelExecutor:
                             i for _, i in submitted if i not in results
                         ]
                         _LOGGER.warning(
-                            "%s pool broke (%s); rebuilding it and "
+                            "process pool broke (%s); rebuilding it and "
                             "re-running %d chunk(s) (break %d/%d)",
-                            strategy, exc, len(resubmit),
+                            exc, len(resubmit),
                             pool_breaks, retry.max_attempts,
                         )
                         rebuild = True
@@ -902,18 +834,16 @@ class ParallelExecutor:
                         if failures[index] >= retry.max_attempts:
                             raise
                         _LOGGER.warning(
-                            "%s chunk %d failed (attempt %d/%d): %s; "
+                            "process chunk %d failed (attempt %d/%d): %s; "
                             "will retry",
-                            strategy, index, failures[index],
+                            index, failures[index],
                             retry.max_attempts, exc,
                         )
                         resubmit.append(index)
                         continue
                     else:
                         results[index] = chunk_results
-                        outcomes.append(
-                            (strategy, label, len(chunk_results), seconds)
-                        )
+                        outcomes.append((pid, len(chunk_results), seconds))
                         if spans:
                             self._tracer.adopt(
                                 spans, parent_id=self._parent_span_id
@@ -921,7 +851,7 @@ class ParallelExecutor:
                 if rebuild:
                     self._shutdown_pool(pool, kill=True)
                     self._pool_rebuilds += 1
-                    pool = self._new_pool(strategy, chunk_fn, context)
+                    pool = self._new_pool(chunk_fn, context)
                 if resubmit:
                     self._retries += len(resubmit)
                     delay = retry.delay(
@@ -952,8 +882,7 @@ class ParallelExecutor:
         self,
         remaining: list[tuple[Future, int]],
         results: dict[int, list[ResultT]],
-        outcomes: list[tuple[str, object, int, float]],
-        strategy: str,
+        outcomes: list[tuple[int | None, int, float]],
         failures: dict[int, int],
         retry: RetryPolicy,
     ) -> list[int]:
@@ -965,7 +894,7 @@ class ParallelExecutor:
                 continue
             if future.done() and not future.cancelled():
                 try:
-                    chunk_results, label, seconds, spans = future.result(
+                    chunk_results, pid, seconds, spans = future.result(
                         timeout=0
                     )
                 except (KeyboardInterrupt, SystemExit):
@@ -977,7 +906,7 @@ class ParallelExecutor:
                     resubmit.append(index)
                 else:
                     results[index] = chunk_results
-                    outcomes.append((strategy, label, len(chunk_results), seconds))
+                    outcomes.append((pid, len(chunk_results), seconds))
                     if spans:
                         self._tracer.adopt(
                             spans, parent_id=self._parent_span_id
@@ -990,30 +919,25 @@ class ParallelExecutor:
     # ------------------------------------------------------------------
     @staticmethod
     def _aggregate_stats(
-        outcomes: Sequence[tuple[str, object, int, float]],
+        outcomes: Sequence[tuple[int | None, int, float]],
     ) -> list[WorkerStats]:
-        """Aggregate per-chunk ``(strategy, raw label, n_items, seconds)``
-        records into stable ``prefix-K`` worker names (plain ``serial``
-        for the serial backend)."""
-        raw: dict[tuple[str, str], list[tuple[int, float]]] = {}
-        for prefix, label, n_items, seconds in outcomes:
-            raw.setdefault((prefix, str(label)), []).append((n_items, seconds))
-        stats: list[WorkerStats] = []
-        indices: dict[str, int] = {}
-        for prefix, label in sorted(raw):
-            cells = raw[(prefix, label)]
-            if prefix == "serial":
-                name = "serial"
-            else:
-                index = indices.get(prefix, 0)
-                indices[prefix] = index + 1
-                name = f"{prefix}-{index}"
-            stats.append(
-                WorkerStats(
-                    worker=name,
-                    n_chunks=len(cells),
-                    n_items=sum(n for n, _ in cells),
-                    seconds=sum(s for _, s in cells),
-                )
+        """Aggregate per-chunk ``(worker pid, n_items, seconds)`` records
+        into stable ``process-K`` worker names, in pid order, followed by
+        ``serial`` for chunks run in the dispatching process (pid
+        ``None``)."""
+        raw: dict[int | None, list[tuple[int, float]]] = {}
+        for pid, n_items, seconds in outcomes:
+            raw.setdefault(pid, []).append((n_items, seconds))
+        pids = sorted(pid for pid in raw if pid is not None)
+        names = [(pid, f"process-{index}") for index, pid in enumerate(pids)]
+        if None in raw:
+            names.append((None, "serial"))
+        return [
+            WorkerStats(
+                worker=name,
+                n_chunks=len(raw[pid]),
+                n_items=sum(n for n, _ in raw[pid]),
+                seconds=sum(s for _, s in raw[pid]),
             )
-        return stats
+            for pid, name in names
+        ]

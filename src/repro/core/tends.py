@@ -535,6 +535,9 @@ class TendsModel:
             settings = dict(meta["config"])
             for name in TendsConfig.RETIRED_FIELDS:
                 settings.pop(name, None)
+            for name, values in TendsConfig.RETIRED_VALUES.items():
+                if settings.get(name) in values:
+                    settings[name] = None
             config = TendsConfig(**settings)
             mask = arrays.get("statuses_mask")
             statuses = StatusMatrix(
@@ -734,10 +737,16 @@ class Tends:
         statuses: StatusMatrix,
         tracer: "Tracer | NullTracer" = NULL_TRACER,
         metrics: "MetricsRegistry | NullMetrics" = NULL_METRICS,
+        replacing: SufficientStats | TiledSufficientStats | None = None,
     ) -> SufficientStats | TiledSufficientStats:
         """Count the fit's sufficient statistics: dense one-shot by
         default, tile-by-tile into the spill directory when
-        ``config.tile_size`` is set (bit-identical either way)."""
+        ``config.tile_size`` is set (bit-identical either way).
+
+        ``replacing`` is the live model's statistics when the count
+        replaces them; tiles then go to the generation after theirs, so
+        the live model's tiles stay intact until the new model is
+        installed (copy-on-write)."""
         if self.config.tile_size is None:
             return SufficientStats.from_statuses(statuses)
         return TiledSufficientStats.from_statuses(
@@ -748,6 +757,11 @@ class Tends:
             plan=self._execution_plan(),
             tracer=tracer,
             metrics=metrics,
+            generation=(
+                replacing.generation + 1
+                if isinstance(replacing, TiledSufficientStats)
+                else 0
+            ),
         )
 
     def fit(
@@ -1158,10 +1172,12 @@ class Tends:
 
         # Sufficient statistics: count the batch, add (integer-exact).
         # Tile-backed models roll a new copy-on-write tile generation;
-        # dense models (e.g. loaded from a snapshot) count the batch
-        # densely — either way the update is bit-identical to the
-        # one-shot dense path.
+        # dense models count the batch densely, unless this estimator is
+        # tiled (a dense snapshot resumed by a tiled service), which
+        # recounts the whole history into tiles once.  Every path is
+        # bit-identical to the one-shot dense count.
         with run.stage(seconds, "stats", batch_beta=batch.beta):
+            history = previous.statuses.append(batch)
             if isinstance(previous.stats, TiledSufficientStats):
                 stats: SufficientStats | TiledSufficientStats = (
                     previous.stats.updated(
@@ -1171,9 +1187,10 @@ class Tends:
                         metrics=run.metrics,
                     )
                 )
+            elif self.config.tile_size is not None:
+                stats = self._count_stats(history, run.tracer, run.metrics)
             else:
                 stats = previous.stats.updated(batch)
-            history = previous.statuses.append(batch)
         run.metrics.set_gauge("tends_mask_density", _mask_density(history))
 
         # Stages 1-2 from cached counts (O(n²), no pass over the history).
@@ -1405,7 +1422,9 @@ class Tends:
                 history = model.statuses.subset(
                     range(model.statuses.beta - window, model.statuses.beta)
                 )
-                stats = SufficientStats.from_statuses(history)
+                stats = self._count_stats(
+                    history, run.tracer, run.metrics, replacing=model.stats
+                )
             mi, threshold, clustering = self._mi_and_threshold(run, seconds, stats)
             candidates = self._all_candidates(mi, threshold)
             dirty = [node for node in report.affected_nodes if 0 <= node < n]

@@ -63,7 +63,8 @@ docs/SCALING.md.
 
 **Spill format.**  A spill root holds one generation directory per
 copy-on-write update (``gen-00000000`` for the fit, ``gen-00000001``
-after the first ``updated`` batch, ...).  Each generation contains a
+after the first ``updated`` batch, ...; a drift adaptation's recount
+takes the generation after the model it replaces).  Each generation contains a
 ``spill-meta.json`` identity header (node count, tile size, β, missing
 flag, and a source digest chained over the absorbed batches) plus one
 ``tile-<bi>-<bj>.npy`` per upper-triangle block — a ``(k, h, w)`` int64
@@ -636,12 +637,17 @@ class TiledSufficientStats:
         plan: ExecutionPlan | None = None,
         tracer=NULL_TRACER,
         metrics=NULL_METRICS,
+        generation: int = 0,
     ) -> "TiledSufficientStats":
         """Count a status matrix tile-by-tile into a spill directory.
 
         With a persistent ``spill_dir``, an interrupted run resumes:
         tiles already on disk with matching metadata and valid CRCs are
         skipped (``tiles_reused_total``), only the rest are recomputed.
+        ``generation`` names the directory counted into; a recount that
+        replaces live tile-backed statistics in the same ``spill_dir``
+        takes the generation after theirs, so it never overwrites tiles
+        the live statistics still read.
         """
         if not isinstance(statuses, StatusMatrix):
             statuses = StatusMatrix(statuses)
@@ -661,7 +667,7 @@ class TiledSufficientStats:
             "has_missing": statuses.has_missing,
             "source": source,
         }
-        directory = root / _generation_name(0)
+        directory = root / _generation_name(generation)
         _prepare_directory(directory, meta)
         infected = statuses.infection_counts()
         store = TileStore(
@@ -685,7 +691,7 @@ class TiledSufficientStats:
             beta=statuses.beta,
             has_missing=statuses.has_missing,
             root=root,
-            generation=0,
+            generation=generation,
             source=source,
             retain=retain,
         )
@@ -946,7 +952,7 @@ def _compute_missing_tiles(
     ):
         if todo:
             # The stage-3 executor machinery: retries, deterministic-jitter
-            # backoff, process → thread → serial fallback, chunk timeouts.
+            # backoff, process → serial fallback, chunk timeouts.
             executor = ParallelExecutor(plan or ExecutionPlan.resolve(), tracer)
             executor.map(count_tile_chunk, context, todo)
     invalid = [block for block in todo if not store.is_valid(block)]

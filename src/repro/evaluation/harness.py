@@ -392,9 +392,10 @@ def run_experiment(
         Per-method wall-clock budget in seconds.  A method exceeding it is
         treated as having raised
         :class:`~repro.exceptions.MethodTimeoutError` (so ``on_error``
-        decides what happens).  The method runs on a worker thread when a
+        decides what happens).  The method runs on a daemon thread when a
         timeout is set; a timed-out method cannot be preempted, only
-        abandoned — its thread finishes in the background.
+        abandoned — its thread finishes in the background and never
+        delays interpreter exit.
     checkpoint_path:
         Journal every completed cell to this append-only JSONL file (see
         :mod:`repro.evaluation.checkpoint`).  May equal ``resume_from``.
@@ -610,27 +611,31 @@ def _infer_with_timeout(
     """Run ``inferrer.infer`` with an optional wall-clock budget.
 
     Without a timeout the call runs inline (zero overhead, the historical
-    code path).  With one, it runs on a single worker thread and a missed
+    code path).  With one, it runs on a daemon thread and a missed
     deadline raises :class:`~repro.exceptions.MethodTimeoutError`; the
-    abandoned thread finishes in the background (Python cannot kill it),
-    so method factories should produce side-effect-free inferrers.
+    abandoned thread finishes in the background (Python cannot kill it)
+    without delaying interpreter exit, so method factories should produce
+    side-effect-free inferrers.
     """
     if timeout is None:
         return inferrer.infer(observations)
-    from concurrent.futures import ThreadPoolExecutor
+    import threading
+    from concurrent.futures import Future
     from concurrent.futures import TimeoutError as FutureTimeoutError
 
-    pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="method")
-    try:
-        future = pool.submit(inferrer.infer, observations)
+    future: Future = Future()
+
+    def call() -> None:
         try:
-            return future.result(timeout=timeout)
-        except FutureTimeoutError:
-            future.cancel()
-            raise MethodTimeoutError(
-                f"{type(inferrer).__name__}.infer exceeded its "
-                f"{timeout}s budget",
-                timeout=timeout,
-            ) from None
-    finally:
-        pool.shutdown(wait=False, cancel_futures=True)
+            future.set_result(inferrer.infer(observations))
+        except BaseException as error:  # raised by future.result() below
+            future.set_exception(error)
+
+    threading.Thread(target=call, name="method", daemon=True).start()
+    try:
+        return future.result(timeout=timeout)
+    except FutureTimeoutError:
+        raise MethodTimeoutError(
+            f"{type(inferrer).__name__}.infer exceeded its {timeout}s budget",
+            timeout=timeout,
+        ) from None

@@ -11,7 +11,7 @@ The context is a plain dict::
     {"dir": <sentinel directory>, "main_pid": <test process pid>}
 
 Crash helpers only kill *worker* processes (``os.getpid() != main_pid``),
-so the thread/serial fallbacks — which run in the test process — compute
+so the serial fallback — which runs in the test process — computes
 normally instead of killing the test runner.
 """
 
@@ -23,8 +23,8 @@ from pathlib import Path
 from typing import Sequence
 
 #: Upper bound on hang simulations: long enough to trip sub-second chunk
-#: timeouts, short enough that abandoned (non-preemptible) threads drain
-#: before the interpreter exits even if nobody releases them.
+#: timeouts, short enough that a hang nobody releases (a serial chunk
+#: cannot be preempted) drains quickly.
 HANG_SECONDS = 1.0
 
 #: Poll interval for the filesystem-event waits below.
@@ -44,7 +44,7 @@ def release_workers(context: dict) -> None:
     """End every in-flight hang immediately (see :func:`_hang`).
 
     Tests call this once the executor has observed the timeout — the
-    abandoned workers wake on the next poll instead of sleeping out the
+    still-running hangs wake on the next poll instead of sleeping out the
     full :data:`HANG_SECONDS`, so the suite's wall-clock tracks the
     chunk timeouts under test, not the simulation's worst case.
     """
@@ -121,7 +121,7 @@ def crash_once_chunk(context: dict, items: Sequence[int]) -> list[int]:
 
 def crash_always_chunk(context: dict, items: Sequence[int]) -> list[int]:
     """Kill every worker process that touches any chunk — the process
-    backend can never finish; thread/serial fallback computes normally."""
+    backend can never finish; the serial fallback computes normally."""
     if os.getpid() != context["main_pid"]:
         os._exit(13)
     return expected(items)

@@ -8,7 +8,11 @@ cells and the aggregation keeps them visible without poisoning the means.
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +26,8 @@ from repro.evaluation.harness import (
 )
 from repro.exceptions import ConfigurationError, ConvergenceError
 from repro.graphs.generators.random_graphs import erdos_renyi_digraph
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 class BoomInferrer:
@@ -45,7 +51,7 @@ class SlowInferrer:
     """Blocks until released (event-based, bounded) to trip the method
     timeout deterministically.
 
-    The harness runs the method in a worker thread it abandons on
+    The harness runs the method in a daemon thread it abandons on
     timeout; waiting on an event the test sets afterwards lets that
     thread exit immediately instead of sleeping out a fixed delay, and
     guarantees the timeout fires first however slow the runner is.
@@ -163,6 +169,28 @@ class TestMethodTimeout:
         spec = make_spec(MethodSpec("SLOW", lambda ctx: SlowInferrer()))
         with pytest.raises(MethodTimeoutError):
             run_experiment(spec, seed=1, method_timeout=0.2)
+
+    def test_abandoned_method_does_not_delay_interpreter_exit(self):
+        # The timed-out method sleeps 30 s; the process must still exit
+        # as soon as its main thread is done.
+        code = (
+            "import time\n"
+            "from repro.evaluation.harness import _infer_with_timeout\n"
+            "from repro.exceptions import MethodTimeoutError\n"
+            "class Hung:\n"
+            "    def infer(self, observations):\n"
+            "        time.sleep(30)\n"
+            "try:\n"
+            "    _infer_with_timeout(Hung(), None, 0.2)\n"
+            "except MethodTimeoutError:\n"
+            "    print('timed out')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        completed = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, timeout=15, env=env,
+        )
+        assert completed.stdout.strip() == "timed out", completed.stderr
 
     def test_fast_method_is_unaffected_by_the_budget(self):
         result = run_experiment(

@@ -75,7 +75,7 @@ def run_victim(strategy: str, signal_name: str, tmp_path: Path):
     )
 
 
-@pytest.mark.parametrize("strategy", ["thread", "process"])
+@pytest.mark.parametrize("strategy", ["process"])
 def test_sigint_interrupts_cleanly_with_no_orphans(strategy, tmp_path):
     completed = run_victim(strategy, "SIGINT", tmp_path)
     assert completed.returncode == 0, completed.stderr

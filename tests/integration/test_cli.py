@@ -141,7 +141,7 @@ class TestInferOptions:
         )
         assert code == 0
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_executor_flags_do_not_change_the_graph(
         self, workspace, executor, capsys
     ):

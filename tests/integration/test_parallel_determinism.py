@@ -20,7 +20,7 @@ from repro.graphs.generators.random_graphs import (
 from repro.simulation.engine import DiffusionSimulator
 from repro.simulation.statuses import StatusMatrix
 
-BACKENDS = ["serial", "thread", "process"]
+BACKENDS = ["serial", "process"]
 WORKER_COUNTS = [1, 2, 4]
 
 
@@ -75,23 +75,22 @@ def test_backend_matches_serial_reference(
 @pytest.mark.parametrize("chunk_size", [1, 3, 17, 1000])
 def test_chunk_size_never_changes_results(chunk_size, fixture_statuses, serial_reference):
     statuses = fixture_statuses["er"]
-    result = Tends(executor="thread", n_jobs=4, chunk_size=chunk_size).fit(statuses)
+    result = Tends(executor="process", n_jobs=4, chunk_size=chunk_size).fit(statuses)
     _assert_equivalent(serial_reference["er"], result)
 
 
 def test_ranked_union_strategy_parallel_equivalence(fixture_statuses):
     statuses = fixture_statuses["er"]
     reference = Tends(search_strategy="ranked-union").fit(statuses)
-    for executor in ("thread", "process"):
-        result = Tends(
-            search_strategy="ranked-union", executor=executor, n_jobs=4
-        ).fit(statuses)
-        _assert_equivalent(reference, result)
+    result = Tends(
+        search_strategy="ranked-union", executor="process", n_jobs=4
+    ).fit(statuses)
+    _assert_equivalent(reference, result)
 
 
 def test_worker_stats_cover_every_node(fixture_statuses):
     statuses = fixture_statuses["lfr"]
-    result = Tends(executor="thread", n_jobs=4).fit(statuses)
+    result = Tends(executor="process", n_jobs=4).fit(statuses)
     assert sum(s.n_items for s in result.worker_stats) == statuses.n_nodes
     for stats in result.worker_stats:
         assert f"search/{stats.worker}" in result.stage_seconds

@@ -37,7 +37,7 @@ def test_split_chunks_partitions_in_order(n_items, chunk_size):
 @given(n_items=n_items_st, n_jobs=n_jobs_st)
 @settings(max_examples=100, deadline=None)
 def test_auto_chunk_size_always_partitions(n_items, n_jobs):
-    plan = ExecutionPlan("thread", n_jobs=n_jobs)
+    plan = ExecutionPlan("process", n_jobs=n_jobs)
     size = plan.effective_chunk_size(n_items)
     assert size >= 1
     flat = [i for chunk in split_chunks(n_items, size) for i in chunk]
@@ -48,12 +48,14 @@ def test_auto_chunk_size_always_partitions(n_items, n_jobs):
     n_items=n_items_st,
     n_jobs=n_jobs_st,
     chunk_size=st.one_of(st.none(), chunk_size_st),
-    strategy=st.sampled_from(["serial", "thread"]),
 )
 @settings(max_examples=60, deadline=None)
-def test_map_covers_every_item_once_in_order(n_items, n_jobs, chunk_size, strategy):
+def test_map_covers_every_item_once_in_order(n_items, n_jobs, chunk_size):
+    # Chunking and merging do not depend on the backend, so the breadth
+    # runs on the serial loop, chunked as an n_jobs-worker pool would be
+    # (``resolve`` would pin a serial plan to one worker and one chunk).
     items = list(range(n_items))
-    plan = ExecutionPlan.resolve(strategy, n_jobs=n_jobs, chunk_size=chunk_size)
+    plan = ExecutionPlan("serial", n_jobs=n_jobs, chunk_size=chunk_size)
     results, stats = ParallelExecutor(plan).map(_tag_chunk, 7, items)
     assert [item for _, item in results] == items
     assert all(tag == 7 for tag, _ in results)
@@ -64,7 +66,7 @@ def test_map_covers_every_item_once_in_order(n_items, n_jobs, chunk_size, strate
 @settings(max_examples=5, deadline=None)
 def test_process_map_covers_every_item_once_in_order(n_items, chunk_size):
     # The process pool is expensive to spin up, so this invariant gets a
-    # handful of examples; the cheap backends above carry the breadth.
+    # handful of examples; the serial loop above carries the breadth.
     items = list(range(n_items))
     plan = ExecutionPlan.resolve("process", n_jobs=2, chunk_size=chunk_size)
     results, stats = ParallelExecutor(plan).map(_tag_chunk, 3, items)

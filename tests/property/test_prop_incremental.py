@@ -113,7 +113,7 @@ def test_any_two_way_split_point_is_equivalent(history):
 
 @given(
     history=split_histories(with_mask=True),
-    executor=st.sampled_from(["serial", "thread", "process"]),
+    executor=st.sampled_from(["serial", "process"]),
 )
 @settings(max_examples=5, deadline=None)
 def test_equivalence_on_every_executor_backend(history, executor):

@@ -72,11 +72,12 @@ def test_fit_identical_with_trace_and_memory_together(statuses):
 
 
 @given(statuses=status_matrices)
-@settings(max_examples=15, deadline=None)
-def test_threaded_traced_fit_identical_to_serial_untraced(statuses):
+@settings(max_examples=5, deadline=None)
+def test_process_traced_fit_identical_to_serial_untraced(statuses):
+    # A handful of examples: each one starts a process pool.
     baseline = _fit(statuses, executor="serial")
     traced = _fit(
-        statuses, executor="thread", n_jobs=2, chunk_size=4, trace=True
+        statuses, executor="process", n_jobs=2, chunk_size=4, trace=True
     )
     _assert_same_inference(baseline, traced)
 

@@ -28,6 +28,10 @@ def _square_chunk(offset: int, items: list[int]) -> list[int]:
     return [offset + item * item for item in items]
 
 
+def _failing_chunk(context: None, items: list[int]) -> list[int]:
+    raise ValueError("worker failed")
+
+
 def _ignore_sigterm(started) -> None:
     """Pool initializer: a worker deaf to SIGTERM, so only SIGKILL can
     stop it; the barrier tells the test every worker is."""
@@ -46,14 +50,14 @@ class TestExecutionPlan:
         assert plan.n_jobs == 1
 
     def test_all_cpus_sentinel(self):
-        plan = ExecutionPlan.resolve("thread", n_jobs=-1)
+        plan = ExecutionPlan.resolve("process", n_jobs=-1)
         assert plan.n_jobs == (os.cpu_count() or 1)
 
     def test_env_fallbacks(self, monkeypatch):
-        monkeypatch.setenv(ENV_EXECUTOR, "thread")
+        monkeypatch.setenv(ENV_EXECUTOR, "process")
         monkeypatch.setenv(ENV_N_JOBS, "3")
         plan = ExecutionPlan.resolve()
-        assert plan.strategy == "thread"
+        assert plan.strategy == "process"
         assert plan.n_jobs == 3
 
     def test_explicit_arguments_beat_env(self, monkeypatch):
@@ -74,22 +78,32 @@ class TestExecutionPlan:
         with pytest.raises(ConfigurationError):
             ExecutionPlan(strategy="gpu", n_jobs=1)
 
+    def test_only_serial_and_process_remain(self):
+        assert EXECUTOR_STRATEGIES == ("serial", "process")
+
+    def test_retired_thread_strategy_names_the_backends(self, monkeypatch):
+        with pytest.raises(ConfigurationError, match="serial.*process"):
+            ExecutionPlan.resolve("thread", n_jobs=2)
+        monkeypatch.setenv(ENV_EXECUTOR, "thread")
+        with pytest.raises(ConfigurationError, match="serial.*process"):
+            ExecutionPlan.resolve()
+
     def test_bad_n_jobs_rejected(self):
         with pytest.raises(ConfigurationError):
-            ExecutionPlan.resolve("thread", n_jobs=0)
+            ExecutionPlan.resolve("process", n_jobs=0)
         with pytest.raises(ConfigurationError):
-            ExecutionPlan.resolve("thread", n_jobs=-2)
+            ExecutionPlan.resolve("process", n_jobs=-2)
 
     def test_bad_chunk_size_rejected(self):
         with pytest.raises(ConfigurationError):
             ExecutionPlan(strategy="serial", n_jobs=1, chunk_size=0)
 
     def test_effective_chunk_size_explicit(self):
-        plan = ExecutionPlan("thread", n_jobs=4, chunk_size=5)
+        plan = ExecutionPlan("process", n_jobs=4, chunk_size=5)
         assert plan.effective_chunk_size(100) == 5
 
     def test_effective_chunk_size_auto_oversubscribes(self):
-        plan = ExecutionPlan("thread", n_jobs=4)
+        plan = ExecutionPlan("process", n_jobs=4)
         size = plan.effective_chunk_size(160)
         assert 1 <= size <= 160
         # ~4 chunks per worker for load balancing
@@ -121,8 +135,8 @@ class TestExecutionEnv:
     def test_sets_and_restores(self, monkeypatch):
         monkeypatch.delenv(ENV_EXECUTOR, raising=False)
         monkeypatch.setenv(ENV_N_JOBS, "7")
-        with execution_env(executor="thread", n_jobs=2):
-            assert os.environ[ENV_EXECUTOR] == "thread"
+        with execution_env(executor="process", n_jobs=2):
+            assert os.environ[ENV_EXECUTOR] == "process"
             assert os.environ[ENV_N_JOBS] == "2"
         assert ENV_EXECUTOR not in os.environ
         assert os.environ[ENV_N_JOBS] == "7"
@@ -159,12 +173,6 @@ class TestParallelExecutorMap:
         _, stats = ParallelExecutor(plan).map(_square_chunk, 0, [1, 2, 3])
         assert [s.worker for s in stats] == ["serial"]
 
-    def test_thread_worker_labels_are_stable(self):
-        plan = ExecutionPlan.resolve("thread", n_jobs=3, chunk_size=1)
-        _, stats = ParallelExecutor(plan).map(_square_chunk, 0, list(range(9)))
-        assert all(s.worker.startswith("thread-") for s in stats)
-        assert len({s.worker for s in stats}) == len(stats)
-
     def test_process_worker_labels_are_stable(self):
         plan = ExecutionPlan.resolve("process", n_jobs=2, chunk_size=2)
         _, stats = ParallelExecutor(plan).map(_square_chunk, 0, list(range(8)))
@@ -172,16 +180,13 @@ class TestParallelExecutorMap:
         assert len({s.worker for s in stats}) == len(stats)
 
     def test_worker_exception_propagates(self):
-        def boom(context, items):
-            raise ValueError("worker failed")
-
-        plan = ExecutionPlan.resolve("thread", n_jobs=2)
+        plan = ExecutionPlan.resolve("process", n_jobs=2)
         with pytest.raises(ValueError, match="worker failed"):
-            ParallelExecutor(plan).map(boom, None, [1, 2, 3])
+            ParallelExecutor(plan).map(_failing_chunk, None, [1, 2, 3])
 
     def test_results_preserve_order_with_uneven_chunks(self):
         items = list(range(31))
-        plan = ExecutionPlan.resolve("thread", n_jobs=4, chunk_size=3)
+        plan = ExecutionPlan.resolve("process", n_jobs=4, chunk_size=3)
         results, _ = ParallelExecutor(plan).map(_square_chunk, 0, items)
         assert results == [i * i for i in items]
 

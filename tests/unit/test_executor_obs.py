@@ -33,7 +33,7 @@ def make_executor(strategy, *, tracer=NULL_TRACER, max_attempts=3):
 
 
 class TestChunkSpans:
-    @pytest.mark.parametrize("strategy", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("strategy", ["serial", "process"])
     def test_chunk_spans_merge_under_dispatch_span(
         self, strategy, fault_context
     ):
@@ -75,7 +75,7 @@ class TestChunkSpans:
         assert all(s.attrs["items"] == 3 for s in chunks)
         assert all(s.attrs["strategy"] == "serial" for s in chunks)
 
-    @pytest.mark.parametrize("strategy", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("strategy", ["serial", "process"])
     def test_default_null_tracer_records_nothing(
         self, strategy, fault_context
     ):
@@ -86,7 +86,7 @@ class TestChunkSpans:
 
     def test_spans_survive_retries_without_duplication(self, fault_context):
         tracer = Tracer()
-        executor = make_executor("thread", tracer=tracer)
+        executor = make_executor("process", tracer=tracer)
         results, _ = executor.map(
             fault_lib.raise_once_chunk, fault_context, ITEMS
         )
@@ -185,11 +185,11 @@ class TestRecoveryLogs:
 
     def test_pool_retry_and_backoff_logged(self, caplog, fault_context):
         caplog.set_level(logging.WARNING, logger=self.LOGGER)
-        executor = make_executor("thread")
+        executor = make_executor("process")
         executor.map(fault_lib.raise_once_chunk, fault_context, ITEMS)
         messages = [r.getMessage() for r in self._warnings(caplog)]
         assert any(
-            "thread chunk" in m and "will retry" in m for m in messages
+            "process chunk" in m and "will retry" in m for m in messages
         )
         assert any("backing off" in m for m in messages)
 
@@ -220,6 +220,6 @@ class TestRecoveryLogs:
 
     def test_clean_run_logs_nothing(self, caplog, fault_context):
         caplog.set_level(logging.WARNING, logger=self.LOGGER)
-        executor = make_executor("thread")
+        executor = make_executor("process")
         executor.map(fault_lib.echo_chunk, fault_context, ITEMS)
         assert self._warnings(caplog) == []

@@ -84,7 +84,7 @@ class TestDefaultMethods:
             m.name: m
             for m in default_methods(
                 include=("TENDS",),
-                tends_overrides={"executor": "thread", "n_jobs": 2, "mi_kind": "traditional"},
+                tends_overrides={"executor": "process", "n_jobs": 2, "mi_kind": "traditional"},
             )
         }
         context = MethodContext(
@@ -94,7 +94,7 @@ class TestDefaultMethods:
             ),
         )
         inferrer = methods["TENDS"].factory(context)
-        assert inferrer._estimator.config.executor == "thread"
+        assert inferrer._estimator.config.executor == "process"
         assert inferrer._estimator.config.n_jobs == 2
         assert inferrer._estimator.config.mi_kind == "traditional"
 

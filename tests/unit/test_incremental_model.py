@@ -161,8 +161,9 @@ class TestLoadRefusals:
 
 class TestRetiredConfigKeys:
     """Snapshots written while ``TendsConfig`` still had its ``kernel``
-    field (a choice between two bit-identical counting backends) keep
-    loading: exactly that retired key is dropped on load."""
+    field (a choice between two bit-identical counting backends) or its
+    ``executor="thread"`` backend keep loading: exactly that retired key
+    is dropped, and that retired value reset, on load."""
 
     @pytest.mark.parametrize("backend", ["numpy", "packed"])
     def test_kernel_key_dropped_and_updates_match_refit(self, tmp_path, backend):
@@ -182,6 +183,31 @@ class TestRetiredConfigKeys:
         refit = Tends(audit="ignore")
         assert updated.fingerprint() == refit.fit(history.append(batch)).fingerprint()
         assert resumed.model.fingerprint() == refit.model.fingerprint()
+
+    def test_retired_thread_executor_loads_as_unset(self, tmp_path):
+        # Snapshots saved while the thread backend existed may store
+        # executor="thread"; it was never an algorithm field, so the
+        # value resets to None and the fingerprints are unchanged.
+        estimator = _fitted(_history(seed=11), executor="serial")
+        path = estimator.model.save(tmp_path / "model.npz")
+
+        def store_thread(arrays):
+            _rewrite_meta(
+                arrays, lambda meta: meta["config"].update(executor="thread")
+            )
+
+        _tamper(path, store_thread)
+        model = TendsModel.load(path)
+        assert model.config.executor is None
+        assert model.fingerprint() == estimator.model.fingerprint()
+        assert (
+            model.config.algorithm_fingerprint()
+            == estimator.model.config.algorithm_fingerprint()
+        )
+        updated = Tends.from_model(model).partial_fit(_history(beta=8, seed=12))
+        assert updated.parent_sets == estimator.partial_fit(
+            _history(beta=8, seed=12)
+        ).parent_sets
 
     def test_other_unknown_config_keys_still_refused(self, tmp_path):
         path = _fitted(_history(seed=10)).model.save(tmp_path / "model.npz")
@@ -205,7 +231,7 @@ class TestFromModel:
         batch = _history(beta=12, seed=7)
         direct = _fitted(statuses).partial_fit(batch)
         parallel = Tends.from_model(
-            _fitted(statuses).model, executor="thread", n_jobs=2, chunk_size=2
+            _fitted(statuses).model, executor="process", n_jobs=2, chunk_size=2
         )
         result = parallel.partial_fit(batch)
         assert result.parent_sets == direct.parent_sets

@@ -47,6 +47,10 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             TendsConfig(**kwargs)
 
+    def test_retired_thread_executor_names_the_backends(self):
+        with pytest.raises(ConfigurationError, match="'serial', 'process'"):
+            TendsConfig(executor="thread")
+
     def test_accepts_executor_settings(self):
         config = TendsConfig(executor="process", n_jobs=-1, chunk_size=16)
         assert config.executor == "process"

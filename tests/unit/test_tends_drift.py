@@ -20,6 +20,7 @@ import pytest
 
 from repro.core.drift import DriftConfig, DriftReport, PairDrift
 from repro.core.tends import Tends
+from repro.core.tiles import TiledSufficientStats
 from repro.exceptions import ConfigurationError, InferenceError
 from repro.graphs import erdos_renyi_digraph
 from repro.simulation.engine import DiffusionSimulator
@@ -199,6 +200,52 @@ class TestAdaptMode:
             if node in affected:
                 continue
             assert after.parent_sets[node] == before.parent_sets[node]
+
+    def test_tiled_adaptation_keeps_tile_backed_stats(self, tmp_path):
+        first, second = _shifted_stream()
+        report = DriftReport(
+            drifted_pairs=(PairDrift(i=0, j=1, statistic=9.0, p_value=1e-9),),
+            affected_nodes=(0, 1, 5),
+            n_pairs_tested=10,
+            alpha=0.01,
+            correction="bh",
+            statistic="gtest",
+            reference_beta=first.beta,
+            recent_beta=second.beta,
+        )
+        dense = Tends()
+        dense.fit(first)
+        dense.partial_fit(second)
+        dense.apply_drift_adaptation(report)
+        tiled = Tends(tile_size=7, spill_dir=str(tmp_path))
+        tiled.fit(first)
+        tiled.partial_fit(second)
+        tiled.apply_drift_adaptation(report)
+        assert isinstance(tiled.model.stats, TiledSufficientStats)
+        assert tiled.model.stats.checksum() == dense.model.stats.checksum()
+        assert tiled.model.fingerprint() == dense.model.fingerprint()
+
+    def test_tiled_adaptation_leaves_the_live_tiles_intact(self, tmp_path):
+        # The window recount must not overwrite the tiles of the model it
+        # replaces (one resident tile forces every read back to disk).
+        first, second = _shifted_stream()
+        estimator = Tends(tile_size=7, spill_dir=str(tmp_path), max_resident_tiles=1)
+        estimator.fit(first.append(second))
+        before = estimator.model
+        checksum = before.stats.checksum()
+        report = DriftReport(
+            drifted_pairs=(PairDrift(i=0, j=1, statistic=9.0, p_value=1e-9),),
+            affected_nodes=(0, 1),
+            n_pairs_tested=10,
+            alpha=0.01,
+            correction="bh",
+            statistic="gtest",
+            reference_beta=first.beta,
+            recent_beta=second.beta,
+        )
+        estimator.apply_drift_adaptation(report, window=second.beta)
+        assert before.stats.checksum() == checksum
+        assert estimator.model.stats.generation == before.stats.generation + 1
 
     def test_traced_adaptation_records_the_fit_metrics(self):
         # The adaptation's stages 1-3 run through the same helpers as fit

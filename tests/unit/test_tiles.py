@@ -381,30 +381,44 @@ class TestTendsTiledFit:
         )
         assert dense.model.fingerprint() == tiled.model.fingerprint()
 
-    def test_dense_snapshot_updated_under_tile_size_counts_densely(self, tmp_path):
-        # A model loaded from a snapshot carries dense statistics; a
-        # tile_size override does not re-tile them, the batch is counted
-        # densely and merged — same integers as every other route.
+    def test_dense_snapshot_updated_under_tile_size_becomes_tiled(self, tmp_path):
+        # A model loaded from a snapshot carries dense statistics; a tiled
+        # estimator resuming it recounts the appended history into tiles
+        # on its first update — same integers as every other route, and
+        # every later update rolls tile generations.
         statuses = _observations(beta=90)
         head = statuses.subset(range(60))
         tail = statuses.subset(range(60, 90))
         estimator = Tends()
         estimator.fit(head)
         path = estimator.model.save(tmp_path / "model.npz")
+        loaded = TendsModel.load(path)
+        assert isinstance(loaded.stats, SufficientStats)
         spill = tmp_path / "spill"
-        resumed = Tends.from_model(
-            TendsModel.load(path), tile_size=5, spill_dir=str(spill)
-        )
+        resumed = Tends.from_model(loaded, tile_size=5, spill_dir=str(spill))
         resumed_result = resumed.partial_fit(tail)
         dense_result = estimator.partial_fit(tail)
         one_shot = Tends()
         one_shot_result = one_shot.fit(statuses)
-        assert isinstance(resumed.model.stats, SufficientStats)
-        assert not list(spill.glob("gen-*"))
+        assert isinstance(resumed.model.stats, TiledSufficientStats)
+        assert list(spill.glob("gen-*/tile-*.npy"))
+        assert resumed.model.stats.checksum() == estimator.model.stats.checksum()
         assert resumed.model.fingerprint() == estimator.model.fingerprint()
         assert resumed.model.fingerprint() == one_shot.model.fingerprint()
         assert resumed_result.parent_sets == dense_result.parent_sets
         assert resumed_result.parent_sets == one_shot_result.parent_sets
+
+    def test_dense_model_updated_without_tile_size_stays_dense(self, tmp_path):
+        statuses = _observations(beta=90)
+        estimator = Tends()
+        estimator.fit(statuses.subset(range(60)))
+        path = estimator.model.save(tmp_path / "model.npz")
+        resumed = Tends.from_model(TendsModel.load(path))
+        resumed.partial_fit(statuses.subset(range(60, 90)))
+        one_shot = Tends()
+        one_shot.fit(statuses)
+        assert isinstance(resumed.model.stats, SufficientStats)
+        assert resumed.model.fingerprint() == one_shot.model.fingerprint()
 
 
 class TestShardFitAndMerge:
