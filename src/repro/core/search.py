@@ -430,7 +430,7 @@ class ParentSearch:
                 rows, rows_counts, zeros[last], ones[last] if masked else None
             )
             scores, n_observed = batch_scores(*block_counts)
-            allowed = _within_bound(width, n_observed.tolist(), delta, diag)
+            allowed = _within_bound(width, n_observed, delta, diag)
             yield combos[start : start + chunk], scores, allowed, block_counts
 
     def _score(self, node: int, parents: list[int], diag: SearchDiagnostics) -> float:
@@ -442,13 +442,21 @@ class ParentSearch:
 
 
 def _within_bound(
-    width: int, n_observed: list[int], delta: float, diag: SearchDiagnostics
+    width: int, n_observed: Sequence[int], delta: float, diag: SearchDiagnostics
 ) -> np.ndarray:
     """Which families of ``width`` parents satisfy the Theorem-2 bound,
-    given each one's observed-pattern count; counts the bound hits."""
+    given each one's observed-pattern count; counts the bound hits.
+
+    A batch's families share ``width``, so the bound is evaluated once
+    per distinct observed-pattern count.
+    """
     possible = 1 << width
-    allowed = np.array(
-        [width <= size_bound(possible - k, delta) for k in n_observed], dtype=bool
-    )
+    within: dict[int, bool] = {}
+    flags = []
+    for k in np.asarray(n_observed).tolist():
+        if k not in within:
+            within[k] = width <= size_bound(possible - k, delta)
+        flags.append(within[k])
+    allowed = np.array(flags, dtype=bool)
     diag.bound_hits += int(allowed.size - np.count_nonzero(allowed))
     return allowed

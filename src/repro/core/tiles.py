@@ -22,8 +22,9 @@ per-node marginals.  This module exploits that:
   each tile is a retryable unit under the *same*
   :class:`~repro.core.executor.ParallelExecutor` backoff / fallback /
   timeout machinery as the stage-3 parent search.  Workers write their
-  tiles straight to the spill directory (crash-atomic ``.npy`` +
-  CRC-32 sidecar), so no worker ever ships an O(n²) payload back.
+  tiles straight to the spill directory (atomic ``.npy`` + CRC-32
+  sidecar, unsynced: a tile is a cache that resume re-verifies), so no
+  worker ever ships an O(n²) payload back.
 * :class:`TileStore` reads spilled tiles back as memory-maps under an
   LRU cap (``max_resident_tiles``), exposing mirrored lower-triangle
   views without materialising them.
@@ -67,14 +68,19 @@ after the first ``updated`` batch, ...; a drift adaptation's recount
 takes the generation after the model it replaces).  Each generation contains a
 ``spill-meta.json`` identity header (node count, tile size, β, missing
 flag, and a source digest chained over the absorbed batches) plus one
-``tile-<bi>-<bj>.npy`` per upper-triangle block — a ``(k, h, w)`` int64
-stack of the generation's :func:`stored_count_keys` (``k`` is 1 for
-fully observed data, 4 for masked data) — with a ``.npy.crc`` JSON
-sidecar recording the CRC-32 and shape.  Tiles whose file, CRC, and
-shape (plane count included) all validate are *reused* on resume;
-anything missing, truncated, or corrupted is recomputed (held by
-``tests/faults/test_tile_recovery.py``).  A directory written under an
-older layout carries an older meta version and is wiped.
+``tile-<bi>-<bj>.npy`` per upper-triangle block — a ``(k, h, w)`` stack
+of the generation's :func:`stored_count_keys` (``k`` is 1 for fully
+observed data, 4 for masked data) in :func:`tile_dtype`, the narrowest
+unsigned dtype that holds the generation's β (no stored count exceeds
+it) — with a ``.npy.crc`` JSON sidecar recording the CRC-32 and shape.
+Tiles and sidecars are cache artifacts, written atomically but never
+fsynced; only the meta is durable.  Tiles whose file, CRC, and shape
+(plane count included) all validate are *reused* on resume; anything
+missing, truncated, zeroed or corrupted is recomputed (held by
+``tests/faults/test_tile_recovery.py``).  :meth:`TileStore.counts`
+upcasts a tile to int64 as it reads it, so every consumer computes in
+int64.  A directory written under an older layout carries an older meta
+version and is wiped.
 """
 
 from __future__ import annotations
@@ -117,6 +123,7 @@ __all__ = [
     "count_tile_chunk",
     "derive_counts",
     "stored_count_keys",
+    "tile_dtype",
     "write_tile",
     "read_tile",
     "validate_tile",
@@ -126,9 +133,10 @@ __all__ = [
 DEFAULT_MAX_RESIDENT_TILES = 16
 
 _META_NAME = "spill-meta.json"
-#: Version 2: tiles hold only the independent planes of
+#: Version 3: tiles are stored in :func:`tile_dtype` (version 2 stored
+#: int64); since version 2 they hold only the independent planes of
 #: :func:`stored_count_keys` (version 1 stored all five).
-_META_VERSION = 2
+_META_VERSION = 3
 
 #: A lower-triangle block's plane and the upper-mirror plane it transposes.
 _MIRRORED_KEY = {"10": "01", "01": "10"}
@@ -197,28 +205,48 @@ def _tile_name(block: tuple[int, int]) -> str:
     return f"tile-{block[0]:05d}-{block[1]:05d}.npy"
 
 
-def write_tile(directory: Path | str, block: tuple[int, int], stack: np.ndarray) -> int:
-    """Persist one ``(k, h, w)`` int64 tile stack crash-atomically (``k``
-    stored count planes, see :func:`stored_count_keys`) — two
-    :func:`repro.durable.atomic_write` calls, four fsyncs.
+def tile_dtype(beta: int) -> np.dtype:
+    """The dtype tiles of a β-process generation are stored in: the
+    narrowest unsigned integer that holds β (uint8 up to 255, uint16 up
+    to 65 535, ...), since no pair count exceeds β."""
+    return np.min_scalar_type(beta)
 
-    The ``.npy`` payload is serialised in memory first so its CRC-32 is
-    computed over exactly the bytes that land on disk; the CRC and shape
-    go to a ``.npy.crc`` JSON sidecar written second (a crash between
-    the two writes leaves a tile without a sidecar, which
-    :func:`validate_tile` treats as incomplete → recomputed on resume).
-    Returns the CRC.
+
+def write_tile(directory: Path | str, block: tuple[int, int], stack: np.ndarray) -> int:
+    """Spill one ``(k, h, w)`` integer tile stack (``k`` stored count
+    planes, see :func:`stored_count_keys`) in its own dtype — two
+    :func:`repro.durable.atomic_write` calls with ``sync=False``.
+
+    A tile is a cache artifact: each file is replaced atomically, but
+    nothing is fsynced, because :func:`validate_tile` re-verifies every
+    tile on resume and a lost or torn one is recounted.  The ``.npy``
+    header and then the stack's own buffer are streamed out, with the
+    CRC-32 computed over exactly those bytes; the CRC and shape go to a
+    ``.npy.crc`` JSON sidecar written second (a crash between the two
+    writes leaves a tile without a sidecar, which :func:`validate_tile`
+    treats as incomplete → recomputed on resume).  Returns the CRC.
     """
     directory = Path(directory)
-    stack = np.ascontiguousarray(stack, dtype=np.int64)
+    stack = np.ascontiguousarray(stack)
     buffer = io.BytesIO()
-    np.lib.format.write_array(buffer, stack, allow_pickle=False)
-    payload = buffer.getvalue()
-    crc = zlib.crc32(payload) & 0xFFFFFFFF
+    np.lib.format.write_array_header_1_0(
+        buffer, np.lib.format.header_data_from_array_1_0(stack)
+    )
+    header = buffer.getvalue()
+    crc = zlib.crc32(stack, zlib.crc32(header)) & 0xFFFFFFFF
+
+    def write(handle) -> None:
+        handle.write(header)
+        handle.write(stack)
+
     tile_path = directory / _tile_name(block)
-    atomic_write(tile_path, lambda handle: handle.write(payload))
+    atomic_write(tile_path, write, sync=False)
     sidecar = json.dumps({"crc32": crc, "shape": list(stack.shape)}).encode()
-    atomic_write(Path(str(tile_path) + ".crc"), lambda handle: handle.write(sidecar))
+    atomic_write(
+        Path(str(tile_path) + ".crc"),
+        lambda handle: handle.write(sidecar),
+        sync=False,
+    )
     return crc
 
 
@@ -253,13 +281,15 @@ def read_tile(
     block: tuple[int, int],
     expected_shape: tuple[int, ...],
     *,
+    dtype: np.dtype | None = None,
     mmap: bool = True,
 ) -> np.ndarray:
     """Load one tile stack, memory-mapped read-only by default.
 
-    Shape and dtype are re-validated on every read so a corrupted or
-    stale file raises :class:`~repro.exceptions.DataError` instead of
-    feeding wrong counts downstream.
+    Shape and dtype (``dtype``, or any integer dtype when it is not
+    given) are re-validated on every read so a corrupted or stale file
+    raises :class:`~repro.exceptions.DataError` instead of feeding wrong
+    counts downstream.
     """
     tile_path = Path(directory) / _tile_name(block)
     try:
@@ -268,10 +298,15 @@ def read_tile(
         )
     except (OSError, ValueError) as error:
         raise DataError(f"cannot read spilled tile {tile_path}: {error}") from error
-    if array.shape != tuple(expected_shape) or array.dtype != np.int64:
+    if dtype is None:
+        dtype_ok = np.issubdtype(array.dtype, np.integer)
+    else:
+        dtype_ok = array.dtype == dtype
+    if array.shape != tuple(expected_shape) or not dtype_ok:
         raise DataError(
             f"spilled tile {tile_path} has shape {array.shape} / dtype "
-            f"{array.dtype}, expected {tuple(expected_shape)} int64"
+            f"{array.dtype}, expected {tuple(expected_shape)} "
+            f"{'integer' if dtype is None else dtype}"
         )
     return array
 
@@ -346,7 +381,8 @@ def derive_counts(
 ) -> dict[str, np.ndarray]:
     """The count planes ``keys`` of one block, rebuilt from its stored stack.
 
-    ``stored`` holds the planes of :func:`stored_count_keys`;
+    ``stored`` holds the planes of :func:`stored_count_keys` in int64
+    (:meth:`TileStore.counts` upcasts the spilled stack);
     ``row_infected``/``col_infected`` are the infected totals of the
     block's row and column nodes and ``beta`` the process count of the
     generation it belongs to.  Every derived plane is an exact integer
@@ -383,18 +419,20 @@ class TileContext:
     """Picklable per-fan-out context shipped once per worker.
 
     ``packed`` is the counted batch in bit-packed form, ``directory`` the
-    spill target and ``has_missing`` the flag of the generation written
-    there (it fixes the stored planes).  When ``base_directory`` is set
-    each computed batch tile is added to the previous generation's tile
-    before spilling — the copy-on-write update step; ``base_infected``,
-    ``base_beta`` and ``base_has_missing`` are that generation's
-    marginals, which rebuild its derived planes.
+    spill target, and ``has_missing`` and ``dtype`` fix the stored planes
+    and the :func:`tile_dtype` of the generation written there.  When
+    ``base_directory`` is set each computed batch tile is added to the
+    previous generation's tile before spilling — the copy-on-write
+    update step; ``base_infected``, ``base_beta`` and
+    ``base_has_missing`` are that generation's marginals, which rebuild
+    its derived planes.
     """
 
     grid: TileGrid
     packed: PackedStatuses
     directory: str
     has_missing: bool
+    dtype: np.dtype
     base_directory: str | None = None
     base_infected: np.ndarray | None = None
     base_beta: int = 0
@@ -402,7 +440,8 @@ class TileContext:
 
 
 def _tile_stack(context: TileContext, block: tuple[int, int]) -> np.ndarray:
-    """The stored ``(k, h, w)`` int64 stack of one upper-triangle block.
+    """The stored ``(k, h, w)`` stack of one upper-triangle block, in the
+    generation's :func:`tile_dtype`.
 
     The batch's planes are the block form of the dense counting kernel,
     so exactly equal to slicing the dense count matrices.  An update
@@ -422,7 +461,12 @@ def _tile_stack(context: TileContext, block: tuple[int, int]) -> np.ndarray:
             has_missing=context.base_has_missing,
         ).counts(*block)
         counts = {key: counts[key] + base[key] for key in COUNT_KEYS}
-    return np.stack([counts[key] for key in stored_count_keys(context.has_missing)])
+    # Every stored count lies in [0, β], so the narrowing cast is exact.
+    return np.stack(
+        [counts[key] for key in stored_count_keys(context.has_missing)],
+        dtype=context.dtype,
+        casting="unsafe",
+    )
 
 
 def count_tile_chunk(
@@ -455,12 +499,15 @@ def _build_context(
     on top of the ``base`` generation when one is given."""
     packed = PackedStatuses.from_statuses(statuses)
     if base is None:
-        return TileContext(grid, packed, directory, statuses.has_missing)
+        return TileContext(
+            grid, packed, directory, statuses.has_missing, tile_dtype(statuses.beta)
+        )
     return TileContext(
         grid,
         packed,
         directory,
         has_missing=statuses.has_missing or base.has_missing,
+        dtype=tile_dtype(base.beta + statuses.beta),
         base_directory=str(base.store.directory),
         base_infected=base.infected,
         base_beta=base.beta,
@@ -475,7 +522,8 @@ def _build_context(
 class TileStore:
     """Memory-mapped reads of one generation's spilled tiles, LRU-capped.
 
-    :meth:`counts` serves *any* block with all five count planes — the
+    :meth:`counts` serves *any* block with all five int64 count planes —
+    the stored ones upcast from :func:`tile_dtype` as they are read, the
     derived ones rebuilt by :func:`derive_counts` from the generation's
     ``infected`` totals and ``beta``, and lower-triangle requests served
     from the mirrored upper-triangle tile as transposed views (with the
@@ -501,6 +549,7 @@ class TileStore:
         self.infected = infected
         self.beta = beta
         self.has_missing = has_missing
+        self.dtype = tile_dtype(beta)
         self.max_resident = (
             DEFAULT_MAX_RESIDENT_TILES if max_resident is None else int(max_resident)
         )
@@ -521,7 +570,8 @@ class TileStore:
         return validate_tile(self.directory, block, self.stack_shape(*block))
 
     def load(self, block: tuple[int, int]) -> np.ndarray:
-        """The stored stack of one *upper-triangle* block, mmapped."""
+        """The stored stack of one *upper-triangle* block, mmapped in
+        :attr:`dtype`."""
         bi, bj = block
         if bi > bj:
             raise DataError(
@@ -532,7 +582,9 @@ class TileStore:
         if cached is not None:
             self._resident.move_to_end(block)
             return cached
-        array = read_tile(self.directory, block, self.stack_shape(bi, bj))
+        array = read_tile(
+            self.directory, block, self.stack_shape(bi, bj), dtype=self.dtype
+        )
         self._resident[block] = array
         while len(self._resident) > self.max_resident:
             self._resident.popitem(last=False)
@@ -551,7 +603,7 @@ class TileStore:
         a0, a1 = self.grid.span(upper[0])
         b0, b1 = self.grid.span(upper[1])
         planes = derive_counts(
-            self.load(upper),
+            self.load(upper).astype(np.int64),
             has_missing=self.has_missing,
             row_infected=self.infected[a0:a1],
             col_infected=self.infected[b0:b1],

@@ -3,12 +3,18 @@
 Every artifact the library persists is made crash-safe here and nowhere
 else (the table in docs/ROBUSTNESS.md, "Durability contract"):
 
-* **whole files** — model snapshots, spilled tiles and their CRC
-  sidecars, spill metadata and the compacted quarantine store — are
-  written with :func:`atomic_write`: a same-directory temp file,
-  fsynced, ``os.replace``-d over the target, then the directory entry
-  fsynced.  A crash at any instant leaves the old file or the new one,
-  never a torn hybrid, and an aborted write leaves no temp file behind.
+* **whole files** — model snapshots, spill metadata and the compacted
+  quarantine store — are written with :func:`atomic_write`: a
+  same-directory temp file, fsynced, ``os.replace``-d over the target,
+  then the directory entry fsynced.  A crash at any instant leaves the
+  old file or the new one, never a torn hybrid, and an aborted write
+  leaves no temp file behind.
+* **cache artifacts** — spilled count tiles and their CRC sidecars —
+  go through the same :func:`atomic_write` with ``sync=False``: the temp
+  file and the rename keep them atomic against a process crash, but
+  nothing is fsynced.  A power cut may leave a tile zeroed, truncated
+  or without its sidecar; every tile is CRC-checked and recounted on
+  resume, so recovery is a recount, never a misread.
 * **append-only logs** — the ingest write-ahead journal, the quarantine
   store, sweep checkpoints and the perf trend ledger — are JSONL with a
   CRC32 per record, appended by :class:`DurableJsonlWriter` (one fsync
@@ -79,7 +85,9 @@ def fsync_dir(directory: PathLike) -> None:
         os.close(fd)
 
 
-def atomic_write(path: PathLike, write: Callable[[IO[bytes]], object]) -> Path:
+def atomic_write(
+    path: PathLike, write: Callable[[IO[bytes]], object], *, sync: bool = True
+) -> Path:
     """Replace ``path`` crash-atomically with what ``write`` streams out.
 
     ``write`` receives the open binary handle of a same-directory temp
@@ -87,6 +95,10 @@ def atomic_write(path: PathLike, write: Callable[[IO[bytes]], object]) -> Path:
     flushed, fsynced and ``os.replace``-d over ``path``, then the
     directory is fsynced — two fsyncs per call.  On any exception the
     temp file is removed and the old ``path`` is left untouched.
+
+    ``sync=False`` skips both fsyncs, for cache artifacts whose reader
+    verifies and rebuilds them: the replace stays atomic against a
+    process crash, but a power cut may lose or tear the new file.
     """
     path = Path(path)
     fd, temp_name = tempfile.mkstemp(
@@ -95,13 +107,15 @@ def atomic_write(path: PathLike, write: Callable[[IO[bytes]], object]) -> Path:
     try:
         with os.fdopen(fd, "wb") as handle:
             write(handle)
-            handle.flush()
-            os.fsync(handle.fileno())
+            if sync:
+                handle.flush()
+                os.fsync(handle.fileno())
         os.replace(temp_name, path)
     except BaseException:
         Path(temp_name).unlink(missing_ok=True)
         raise
-    fsync_dir(path.parent)
+    if sync:
+        fsync_dir(path.parent)
     return path
 
 

@@ -9,8 +9,10 @@ the table below is the durability contract of docs/ROBUSTNESS.md:
   tail;
 * the atomically replaced files (model snapshot, tile + sidecar, spill
   metadata, quarantine compaction) with ``os.replace`` raising between
-  the temp write and the replace;
-* the fsyncs each operation pays, counted through ``os.fsync``.
+  the temp write and the replace, and a spilled tile lost that way,
+  which the next fit recounts;
+* the fsyncs each operation pays, counted through ``os.fsync``: none
+  for a tile, which is a cache artifact.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from repro.evaluation.harness import MethodResult
 from repro.evaluation.metrics import EdgeMetrics
 from repro.exceptions import JournalCorruptionWarning
 from repro.graphs.generators.random_graphs import erdos_renyi_digraph
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trend import append_trend, load_trend
 from repro.serve.journal import IngestJournal, IngestRecord, QuarantineStore
 from repro.simulation.engine import DiffusionSimulator
@@ -397,6 +400,31 @@ def _spill(tmp_path, models):
     return count, lambda: count().checksum() == dense
 
 
+def _lost_tile(tmp_path, models):
+    """A tile whose rename never happened — no fsync protects a tile, so
+    this is also what a power cut may leave: the next fit recounts it."""
+    statuses = _spill_statuses()
+    dense = SufficientStats.from_statuses(statuses).checksum()
+    stats = TiledSufficientStats.from_statuses(
+        statuses, tile_size=5, spill_dir=tmp_path / "spill"
+    )
+    block = (0, 1)
+    stack = np.array(stats.store.load(block))
+    stats.store.drop_cache()
+    for path in stats.store.directory.glob("tile-00000-00001.npy*"):
+        path.unlink()
+
+    def recounted():
+        metrics = MetricsRegistry()
+        resumed = TiledSufficientStats.from_statuses(
+            statuses, tile_size=5, spill_dir=tmp_path / "spill", metrics=metrics
+        )
+        computed = metrics.snapshot()["counters"]["tiles_computed_total"]
+        return computed == 1 and resumed.checksum() == dense
+
+    return lambda: write_tile(stats.store.directory, block, stack), recounted
+
+
 def _compaction(tmp_path, models):
     path = tmp_path / "quarantine.jsonl"
     store = QuarantineStore(path)
@@ -411,6 +439,7 @@ def _compaction(tmp_path, models):
 REPLACED = {
     "snapshot": _snapshot,
     "tile+sidecar": _tile,
+    "tile-lost-before-rename": _lost_tile,
     "spill-meta": _spill,
     "quarantine-compaction": _compaction,
 }
@@ -462,6 +491,13 @@ def _tile_write(tmp_path, models):
     return lambda: write_tile(tmp_path, (0, 0), stack)
 
 
+def _spill_fit(tmp_path, models):
+    statuses = _spill_statuses()
+    return lambda: TiledSufficientStats.from_statuses(
+        statuses, tile_size=5, spill_dir=tmp_path / "spill"
+    )
+
+
 def _trend_append(tmp_path, models):
     return lambda: append_trend(tmp_path / "trend.jsonl", _manifest(1.0))
 
@@ -481,7 +517,9 @@ def _checkpoint_record(tmp_path, models):
 FSYNCS = {
     "wal-append": (_wal_append, 1),
     "snapshot": (_snapshot_save, 2),
-    "tile": (_tile_write, 4),
+    "tile": (_tile_write, 0),
+    # Six tiles, and only the spill meta is synced.
+    "spill-fit": (_spill_fit, 2),
     "trend-append": (_trend_append, 1),
     "quarantine-compaction": (_compact, 2),
     "checkpoint-record": (_checkpoint_record, 1),

@@ -10,10 +10,14 @@ Three guarantees under fault:
   missing tiles, flipped bytes, truncated payloads, or garbage CRC
   sidecars recomputes exactly the invalid tiles and completes to the
   same checksum as an uninterrupted dense run.
-* **Old or mismatched layouts** — a spill directory from the earlier
-  five-plane format is wiped by its meta version and recounted, and a
-  tile whose plane count does not fit its generation's missing flag
-  fails validation.
+* **Power cut** — tiles and sidecars are never fsynced, so a power cut
+  may leave a tile zeroed, emptied or truncated under an intact
+  sidecar, a tile without its sidecar, or a sidecar without its tile;
+  the next fit recounts each one and ends on the clean fingerprint.
+* **Old or mismatched layouts** — spill directories from the earlier
+  five-plane and int64 formats are wiped by their meta version and
+  recounted, and a tile whose plane count does not fit its
+  generation's missing flag fails validation.
 * **Serve under tiling** — ``kill -9`` an ingest service running with
   ``tile_size``/``spill_dir`` overrides; the recovered model's
   fingerprint equals an uninterrupted *dense* reference over the same
@@ -241,9 +245,108 @@ class TestTornSpillRecovery:
         )
 
 
+def _traced_fit(statuses, spill_root):
+    """A tiled fit over ``spill_root``: its result and metric counters."""
+    result = Tends(tile_size=5, spill_dir=str(spill_root), trace=True).fit(statuses)
+    return result, result.telemetry.metrics["counters"]
+
+
+class TestPowerCutRecovery:
+    """What an unsynced tile write can leave behind after a power cut.
+
+    Each case damages one tile of a finished fit's spill; the next fit
+    over the same spill recounts exactly that tile and reaches the
+    fingerprint of a clean fit."""
+
+    @pytest.fixture
+    def spilled(self, tmp_path):
+        statuses = _observations()
+        clean = Tends().fit(statuses).fingerprint()
+        result, _ = _traced_fit(statuses, tmp_path)
+        assert result.fingerprint() == clean
+        gen = tmp_path / "gen-00000000"
+        # The first diagonal tile stores the nodes' infection counts,
+        # which are non-zero, so zeroing its data changes it.
+        victim = gen / "tile-00000-00000.npy"
+        assert np.load(victim).any()
+        return statuses, victim, clean
+
+    def _assert_recounted(self, statuses, victim, clean):
+        result, counters = _traced_fit(statuses, victim.parent.parent)
+        assert counters["tiles_computed_total"] == 1
+        assert result.fingerprint() == clean
+
+    @pytest.mark.parametrize("damage", ["zeroed", "data-zeroed", "emptied", "truncated"])
+    def test_damaged_tile_under_an_intact_sidecar(self, spilled, damage):
+        statuses, victim, clean = spilled
+        payload = victim.read_bytes()
+        data_bytes = np.load(victim, mmap_mode="r").nbytes
+        damaged = {
+            "zeroed": bytes(len(payload)),
+            "data-zeroed": payload[:-data_bytes] + bytes(data_bytes),
+            "emptied": b"",
+            "truncated": payload[: len(payload) // 2],
+        }[damage]
+        victim.write_bytes(damaged)
+        assert (victim.parent / (victim.name + ".crc")).is_file()
+        self._assert_recounted(statuses, victim, clean)
+
+    def test_tile_without_its_sidecar(self, spilled):
+        statuses, victim, clean = spilled
+        (victim.parent / (victim.name + ".crc")).unlink()
+        self._assert_recounted(statuses, victim, clean)
+
+    def test_sidecar_without_its_tile(self, spilled):
+        statuses, victim, clean = spilled
+        victim.unlink()
+        self._assert_recounted(statuses, victim, clean)
+
+
 def _masked(statuses, seed=5):
     mask = np.random.default_rng(seed).random(statuses.values.shape) > 0.2
     return StatusMatrix(statuses.values, mask)
+
+
+def _old_spill(root, statuses, version, keys, dtype=np.int64):
+    """A generation directory as an earlier layout wrote it: meta
+    ``version`` and CRC-valid tiles of the dense counts' ``keys``
+    planes in ``dtype``.  Returns the dense statistics."""
+    grid = TileGrid(statuses.n_nodes, 5)
+    gen = root / "gen-00000000"
+    gen.mkdir()
+    meta = {
+        "version": version,
+        "n_nodes": statuses.n_nodes,
+        "tile_size": 5,
+        "beta": statuses.beta,
+        "has_missing": statuses.has_missing,
+        "source": _statuses_digest(statuses),
+    }
+    (gen / "spill-meta.json").write_text(
+        json.dumps(meta, sort_keys=True, separators=(",", ":"))
+    )
+    dense = SufficientStats.from_statuses(statuses)
+    for bi, bj in grid.blocks():
+        a0, a1 = grid.span(bi)
+        b0, b1 = grid.span(bj)
+        planes = [dense.counts[key][a0:a1, b0:b1] for key in keys]
+        write_tile(gen, (bi, bj), np.stack(planes).astype(dtype))
+    return dense
+
+
+def _assert_wiped_and_recounted(root, statuses, dense, old_version):
+    metrics = MetricsRegistry()
+    stats = TiledSufficientStats.from_statuses(
+        statuses, tile_size=5, spill_dir=root, metrics=metrics
+    )
+    assert metrics.snapshot()["counters"]["tiles_computed_total"] == len(
+        stats.grid.blocks()
+    )
+    gen = root / "gen-00000000"
+    assert json.loads((gen / "spill-meta.json").read_text())["version"] != old_version
+    assert stats.checksum() == dense.checksum()
+    fitted = Tends(tile_size=5, spill_dir=str(root)).fit(statuses)
+    assert fitted.fingerprint() == Tends().fit(statuses).fingerprint()
 
 
 class TestSpillLayout:
@@ -255,43 +358,31 @@ class TestSpillLayout:
         statuses = _observations()
         if masked:
             statuses = _masked(statuses)
-        grid = TileGrid(statuses.n_nodes, 5)
-        gen = tmp_path / "gen-00000000"
-        gen.mkdir()
-        meta = {
-            "version": 1,
-            "n_nodes": statuses.n_nodes,
-            "tile_size": 5,
-            "beta": statuses.beta,
-            "has_missing": statuses.has_missing,
-            "source": _statuses_digest(statuses),
-        }
-        (gen / "spill-meta.json").write_text(
-            json.dumps(meta, sort_keys=True, separators=(",", ":"))
-        )
-        dense = SufficientStats.from_statuses(statuses)
-        for bi, bj in grid.blocks():
-            a0, a1 = grid.span(bi)
-            b0, b1 = grid.span(bj)
-            write_tile(
-                gen,
-                (bi, bj),
-                np.stack([dense.counts[key][a0:a1, b0:b1] for key in COUNT_KEYS]),
-            )
+        dense = _old_spill(tmp_path, statuses, 1, COUNT_KEYS)
         planes = len(stored_count_keys(statuses.has_missing))
-        write_tile(gen, (0, 1), np.full((planes, 5, 5), 7, dtype=np.int64))
+        write_tile(
+            tmp_path / "gen-00000000",
+            (0, 1),
+            np.full((planes, 5, 5), 7, dtype=np.uint8),
+        )
+        _assert_wiped_and_recounted(tmp_path, statuses, dense, 1)
 
-        metrics = MetricsRegistry()
-        stats = TiledSufficientStats.from_statuses(
-            statuses, tile_size=5, spill_dir=tmp_path, metrics=metrics
-        )
-        assert metrics.snapshot()["counters"]["tiles_computed_total"] == len(
-            grid.blocks()
-        )
-        assert json.loads((gen / "spill-meta.json").read_text())["version"] != 1
-        assert stats.checksum() == dense.checksum()
-        fitted = Tends(tile_size=5, spill_dir=str(tmp_path)).fit(statuses)
-        assert fitted.fingerprint() == Tends().fit(statuses).fingerprint()
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_int64_spill_of_version_2_is_wiped(self, tmp_path, masked):
+        """A version-2 directory stores the current planes as int64:
+        every tile is CRC- and shape-valid, but the directory is wiped
+        by its meta version and recounted into narrow tiles."""
+        statuses = _observations()
+        if masked:
+            statuses = _masked(statuses)
+        keys = stored_count_keys(statuses.has_missing)
+        dense = _old_spill(tmp_path, statuses, 2, keys)
+        _assert_wiped_and_recounted(tmp_path, statuses, dense, 2)
+        dtypes = {
+            np.load(path, mmap_mode="r").dtype
+            for path in (tmp_path / "gen-00000000").glob("tile-*.npy")
+        }
+        assert dtypes == {np.dtype(np.uint8)}
 
     @pytest.mark.parametrize("masked", [False, True])
     def test_plane_count_must_match_the_missing_flag(self, tmp_path, masked):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import search as search_module
 from repro.core.config import TendsConfig
 from repro.core.kernels import (
     PackedStatuses,
@@ -10,8 +11,8 @@ from repro.core.kernels import (
     packed_split_words,
     pattern_tree,
 )
-from repro.core.scoring import empty_set_score, local_score
-from repro.core.search import ParentSearch
+from repro.core.scoring import empty_set_score, local_score, size_bound
+from repro.core.search import ParentSearch, SearchDiagnostics
 from repro.simulation.statuses import StatusMatrix
 from tests import oracle
 
@@ -153,6 +154,26 @@ class TestVacuousBoundSafety:
         reference = oracle.ScalarParentSearch(statuses, config)
         assert result == reference.find_parents(0, list(range(1, 30)))
         assert len(result[0]) > 10
+
+
+class TestBoundCheck:
+    def test_size_bound_runs_once_per_distinct_observed_count(self, monkeypatch):
+        phis = []
+
+        def counting_size_bound(phi, delta):
+            phis.append(phi)
+            return size_bound(phi, delta)
+
+        monkeypatch.setattr(search_module, "size_bound", counting_size_bound)
+        # Two parents: 4 possible patterns, so phi = 4 - observed, and
+        # with delta = 1.5 only families observing one pattern pass.
+        observed = np.array([3, 1, 3, 4, 1, 3])
+        diag = SearchDiagnostics(node=0, n_candidates=6)
+        allowed = search_module._within_bound(2, observed, 1.5, diag)
+        assert sorted(phis) == [0, 1, 3]
+        assert allowed.tolist() == [2 <= size_bound(4 - k, 1.5) for k in observed]
+        assert allowed.tolist() == [False, True, False, False, True, False]
+        assert diag.bound_hits == 4
 
 
 def _correlated_noise(masked: bool, n: int = 12) -> StatusMatrix:

@@ -307,6 +307,72 @@ class TestTiledSufficientStats:
             stats.mi_matrix("nope")
 
 
+def _random_statuses(beta: int, masked: bool, n: int = 5, seed: int = 0) -> StatusMatrix:
+    """Random statuses whose node 0 is infected and observed in every
+    process, so tile ``(0, 0)`` stores the count β itself — the largest
+    value the tile dtype must hold."""
+    rng = np.random.default_rng(seed)
+    values = (rng.random((beta, n)) < 0.9).astype(np.uint8)
+    values[:, 0] = 1
+    mask = None
+    if masked:
+        mask = rng.random((beta, n)) > 0.05
+        mask[:, 0] = True
+    return StatusMatrix(values, mask)
+
+
+def _spilled_dtypes(stats: TiledSufficientStats) -> set:
+    return {
+        np.load(path, mmap_mode="r").dtype
+        for path in stats.store.directory.glob("tile-*.npy")
+    }
+
+
+class TestTileDtype:
+    """Tiles are stored in the narrowest unsigned dtype that holds β;
+    every consumer still sees exact int64 counts at each width edge."""
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize(
+        "beta, dtype",
+        [(255, np.uint8), (256, np.uint16), (65_535, np.uint16), (65_536, np.uint32)],
+    )
+    def test_checksum_equals_dense_at_dtype_edges(self, tmp_path, beta, dtype, masked):
+        statuses = _random_statuses(beta, masked)
+        tiled = TiledSufficientStats.from_statuses(
+            statuses, tile_size=2, spill_dir=tmp_path
+        )
+        assert tiled.store.dtype == dtype
+        assert _spilled_dtypes(tiled) == {np.dtype(dtype)}
+        assert int(tiled.store.load((0, 0)).max()) == beta
+        assert tiled.store.counts(0, 0)["obs"].dtype == np.int64
+        assert tiled.checksum() == SufficientStats.from_statuses(statuses).checksum()
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_update_across_255_widens_the_new_generation(self, tmp_path, masked):
+        statuses = _random_statuses(256, masked)
+        head = statuses.subset(range(250))
+        tail = statuses.subset(range(250, 256))
+        base = TiledSufficientStats.from_statuses(head, tile_size=2, spill_dir=tmp_path)
+        updated = base.updated(tail)
+        assert _spilled_dtypes(base) == {np.dtype(np.uint8)}
+        assert _spilled_dtypes(updated) == {np.dtype(np.uint16)}
+        dense = SufficientStats.from_statuses(head).updated(tail)
+        assert updated.checksum() == dense.checksum()
+        assert updated.checksum() == SufficientStats.from_statuses(statuses).checksum()
+
+    def test_store_refuses_a_tile_of_another_dtype(self, tmp_path):
+        stats = TiledSufficientStats.from_statuses(
+            _observations(), tile_size=5, spill_dir=tmp_path
+        )
+        block = (0, 1)
+        stack = np.asarray(stats.store.load(block), dtype=np.int64)
+        stats.store.drop_cache()
+        write_tile(stats.store.directory, block, stack)
+        with pytest.raises(DataError, match="uint8"):
+            stats.store.load(block)
+
+
 class TestConfigWiring:
     def test_tiling_fields_validate(self):
         with pytest.raises(ConfigurationError):
