@@ -61,6 +61,7 @@ def fixed_zero_two_means(
     *,
     max_iterations: int = 100,
     tolerance: float = 1e-12,
+    overwrite_input: bool = False,
 ) -> TwoMeansResult:
     """Cluster non-negative 1-D ``values`` into {near-zero, significant}.
 
@@ -76,6 +77,12 @@ def fixed_zero_two_means(
         Centroid-movement threshold for declaring convergence, and the
         spread, relative to the largest value, below which the values
         count as all equal.
+    overwrite_input:
+        As in :func:`numpy.median`: when true, ``values`` may be sorted
+        in place instead of copied (it is when it is a contiguous 1-D
+        float64 array), saving a copy the size of the input.  The result
+        is the same either way; with the default ``False`` the input is
+        left untouched.
 
     Returns
     -------
@@ -101,7 +108,11 @@ def fixed_zero_two_means(
         # No structure to split: treat every value as significant.
         return TwoMeansResult(0.0, float(data.mean()), 0, int(data.size), 0)
 
-    ordered = np.sort(data)
+    if overwrite_input:
+        data.sort()
+        ordered = data
+    else:
+        ordered = np.sort(data)
     centroid = float(ordered[-1])  # free centroid starts at the max
     boundary_index = -1
     iterations = 0

@@ -31,13 +31,7 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.core.imi import (
-    append_threshold_sample,
-    imi_from_terms,
-    mi_from_terms,
-    mi_terms_from_joint_counts,
-    mi_terms_from_pairwise_counts,
-)
+from repro.core.imi import dense_mi_matrix
 from repro.core.kernels import (
     PackedStatuses,
     packed_infection_counts,
@@ -287,44 +281,29 @@ class SufficientStats:
     # ------------------------------------------------------------------
     # derived estimates
     # ------------------------------------------------------------------
-    def mi_terms(self) -> dict[str, np.ndarray]:
-        """Pointwise MI terms from the cached counts.
-
-        Dispatches exactly like :func:`repro.core.imi.pointwise_mi_terms`
-        does on the concatenated history: the clean-data formulas when no
-        entry was ever missing, the pairwise-complete formulas otherwise —
-        so the floating-point pipeline (and hence the result, bit for bit)
-        matches a from-scratch estimate.
-        """
-        if self.beta == 0:
-            raise DataError("cannot estimate MI from zero diffusion processes")
-        if self.has_missing:
-            return mi_terms_from_pairwise_counts(dict(self.counts), square=True)
-        joints = {key: self.counts[key] for key in ("11", "10", "01", "00")}
-        return mi_terms_from_joint_counts(joints, self.infected, self.beta)
-
     def mi_matrix(
         self, kind: str = "infection", sample: list[np.ndarray] | None = None
     ) -> np.ndarray:
         """The pairwise MI matrix (``"infection"`` or ``"traditional"``)
         from the cached counts, bit-identical to the from-scratch one.
 
-        With ``sample`` given, the matrix's non-negative off-diagonal
-        values are appended to it in row-major order
-        (:func:`~repro.core.imi.append_threshold_sample`) — the stage-2
-        threshold's input, collected here so no later pass rescans the
-        matrix.
+        One blocked pass (:func:`~repro.core.imi.dense_mi_matrix`) runs
+        the clean-data formulas when no entry was ever missing and the
+        pairwise-complete formulas otherwise — exactly the dispatch of
+        :func:`repro.core.imi.pointwise_mi_terms` on the concatenated
+        history.  With ``sample`` given, the matrix's non-negative
+        off-diagonal values are appended to it in row-major order as the
+        pass completes each row chunk — the stage-2 threshold's input,
+        collected here so no later pass rescans the matrix.
         """
-        if kind == "infection":
-            combine = imi_from_terms
-        elif kind == "traditional":
-            combine = mi_from_terms
-        else:
-            raise DataError(f"unknown MI kind: {kind!r}")
-        matrix = combine(self.mi_terms())
-        if sample is not None:
-            append_threshold_sample(sample, matrix, 0)
-        return matrix
+        return dense_mi_matrix(
+            self.counts,
+            self.infected,
+            self.beta,
+            has_missing=self.has_missing,
+            kind=kind,
+            sample=sample,
+        )
 
     # ------------------------------------------------------------------
     # integrity
@@ -350,10 +329,10 @@ class SufficientStats:
             array = np.ascontiguousarray(self.counts[key], dtype=np.int64)
             digest.update(key.encode())
             digest.update(str(array.shape).encode())
-            digest.update(array.tobytes())
+            digest.update(array)
         for name, array in (("infected", self.infected), ("observed", self.observed)):
             digest.update(name.encode())
-            digest.update(np.ascontiguousarray(array, dtype=np.int64).tobytes())
+            digest.update(np.ascontiguousarray(array, dtype=np.int64))
         return digest.hexdigest()
 
     def equals(self, other: "SufficientStats") -> bool:

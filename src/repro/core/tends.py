@@ -233,9 +233,8 @@ class TendsResult:
         digest.update(str(self.graph.n_nodes).encode())
         digest.update(repr(self.nodes).encode())
         digest.update(repr(self.threshold).encode())
-        digest.update(
-            np.ascontiguousarray(self.mi_matrix, dtype=np.float64).tobytes()
-        )
+        # Hashed through the buffer protocol: no copy of the matrix.
+        digest.update(np.ascontiguousarray(self.mi_matrix, dtype=np.float64))
         digest.update(
             json.dumps([list(p) for p in self.parent_sets]).encode()
         )
@@ -418,13 +417,13 @@ class TendsModel:
         digest = hashlib.sha256()
         values = self.statuses.values
         digest.update(str(values.shape).encode())
-        digest.update(values.tobytes())
+        digest.update(np.ascontiguousarray(values))
         mask = self.statuses.mask
         if mask is None:
             digest.update(b"unmasked")
         else:
             digest.update(b"masked")
-            digest.update(mask.tobytes())
+            digest.update(np.ascontiguousarray(mask))
         return digest.hexdigest()
 
     def fingerprint(self) -> str:
@@ -971,18 +970,18 @@ class Tends:
         if sample is None:
             return float(self.config.threshold), None
         if len(sample) == 1:
-            # One band (a dense matrix up to ~1000 nodes) is the whole
-            # sample; a concatenated copy would only add its size to RSS.
+            # One row chunk (a small matrix) is the whole sample; a
+            # concatenated copy would only add its size to RSS.
             non_negative = sample[0]
         elif sample:
             non_negative = np.concatenate(sample)
         else:
             non_negative = np.empty(0, dtype=np.float64)
-        # The bands are garbage once joined: freeing them before the
-        # clustering sorts its copy keeps two copies of the sample alive
-        # at a time, not three.
+        # The chunks are garbage once joined, and the joined sample is
+        # private, so the clustering sorts it in place: one copy of the
+        # sample is alive while it runs.
         sample.clear()
-        clustering = fixed_zero_two_means(non_negative)
+        clustering = fixed_zero_two_means(non_negative, overwrite_input=True)
         return clustering.threshold * self.config.threshold_scale, clustering
 
     def _search(

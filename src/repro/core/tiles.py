@@ -30,9 +30,10 @@ per-node marginals.  This module exploits that:
   views without materialising them.
 * :class:`TiledSufficientStats` duck-types
   :class:`~repro.core.stats.SufficientStats` for everything the
-  pipeline consumes — :meth:`~TiledSufficientStats.mi_matrix`
-  assembles the IMI into a float64 memory-map from the upper-triangle
-  tiles' terms, each off-diagonal tile also writing its mirror,
+  pipeline consumes — :meth:`~TiledSufficientStats.mi_matrix` runs
+  the one blocked MI pass (:func:`repro.core.imi.mi_pass`) over the
+  tile grid into a float64 memory-map, each upper-triangle block also
+  writing its mirror,
   :meth:`~TiledSufficientStats.checksum` streams the count bytes in
   dense row-major order so the digest is *equal* to the dense one, and
   :meth:`~TiledSufficientStats.updated` rolls a new copy-on-write
@@ -41,14 +42,13 @@ per-node marginals.  This module exploits that:
 This module stores and fans out; it computes nothing of its own.  A
 tile's counts are the block form of
 :func:`repro.core.kernels.packed_pairwise_complete_counts` over the
-tile's row and column spans, and a tile's MI is
-:mod:`repro.core.imi` applied to those counts with the row and column
-marginals of the two spans — the single statistics pipeline the dense
-path runs too.
+tile's row and column spans, and the MI matrix is the pass of
+:mod:`repro.core.imi` over the stored tiles — the single statistics
+pipeline the dense path runs too.
 
 **Bit-identity.**  Tile counts are exact integer counts over row and
 column slices, so they equal the corresponding dense-matrix slices
-exactly; the MI pipeline is elementwise, so per tile it runs the
+exactly; the MI pipeline is elementwise, so per block it runs the
 identical float operations on identical inputs, and the assembled IMI
 matrix, the 2-means threshold, and everything downstream are
 bit-identical to the dense path (held by
@@ -58,7 +58,7 @@ bit-identical to the dense path (held by
 O(n·tile) packed words + O(tile²) per in-flight tile, instead of
 O(n²); the IMI lives in a spill-directory memory-map.  The MI pass
 collects the 2-means threshold's off-diagonal value vector as its row
-bands complete (one float64 O(n²) term — the algorithm sorts the full
+chunks complete (one float64 O(n²) term — the algorithm sorts the full
 vector), which is ~10× below the dense pipeline's peak.  See
 docs/SCALING.md.
 
@@ -99,14 +99,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.executor import ExecutionPlan, ParallelExecutor
-from repro.core.imi import (
-    append_threshold_sample,
-    imi_from_terms,
-    mi_from_terms,
-    mi_terms_from_joint_counts,
-    mi_terms_from_pairwise_counts,
-    transposed_terms,
-)
+from repro.core.imi import mi_pass
 from repro.core.kernels import PackedStatuses, packed_pairwise_complete_counts
 from repro.core.stats import COUNT_KEYS, SufficientStats
 from repro.durable import atomic_write
@@ -348,10 +341,10 @@ def _statuses_digest(statuses: StatusMatrix) -> str:
     """Content digest identifying the counted data (resume safety)."""
     digest = hashlib.sha256()
     digest.update(f"beta={statuses.beta};n={statuses.n_nodes};".encode())
-    digest.update(np.ascontiguousarray(statuses.values, dtype=np.uint8).tobytes())
+    digest.update(np.ascontiguousarray(statuses.values, dtype=np.uint8))
     if statuses.mask is not None:
         digest.update(b"mask")
-        digest.update(np.ascontiguousarray(statuses.mask, dtype=np.bool_).tobytes())
+        digest.update(np.ascontiguousarray(statuses.mask, dtype=np.bool_))
     return digest.hexdigest()
 
 
@@ -839,60 +832,32 @@ class TiledSufficientStats:
     ) -> np.ndarray:
         """The MI matrix assembled into a spill-directory memory-map.
 
-        Per upper-triangle tile, :mod:`repro.core.imi` runs its
-        elementwise float pipeline on the tile's counts and the marginals
-        of the tile's row and column nodes, so every entry is
-        bit-identical to the dense matrix; an off-diagonal tile also
-        writes its mirror from the same terms
-        (:func:`~repro.core.imi.transposed_terms`).  Only one tile's
-        terms are resident at a time.
-
-        With ``sample`` given, each row band's non-negative off-diagonal
-        values are appended to it as soon as the band is complete
-        (:func:`~repro.core.imi.append_threshold_sample`, the same
-        values in the same order as the dense matrix's), so the stage-2
-        threshold never rescans the memory-map.
+        :func:`repro.core.imi.mi_pass` walks the tile grid's upper
+        triangle a row chunk at a time, reading each tile's stored planes
+        straight from its memory-map and writing every block and its
+        mirror, so each entry is bit-identical to the dense matrix and
+        only chunk-sized buffers are resident.  With ``sample`` given,
+        each row chunk's non-negative off-diagonal values are appended to
+        it as soon as the chunk is complete (the same values in the same
+        order as the dense matrix's), so the stage-2 threshold never
+        rescans the memory-map.
         """
-        if kind == "infection":
-            combine = imi_from_terms
-        elif kind == "traditional":
-            combine = mi_from_terms
-        else:
-            raise DataError(f"unknown MI kind: {kind!r}")
-        if self.beta == 0:
-            raise DataError("cannot estimate MI from zero diffusion processes")
-        n = self.n_nodes
+        keys = stored_count_keys(self.has_missing)
         path = self.store.directory / f"imi-{kind}.float64.npy"
-        out = np.lib.format.open_memmap(
-            path, mode="w+", dtype=np.float64, shape=(n, n)
-        )
-        for bi in range(self.grid.n_blocks):
-            a0, a1 = self.grid.span(bi)
-            # Row band bi left of the diagonal was written as mirrors of
-            # earlier bands' tiles; the loop completes the rest of it.
-            for bj in range(bi, self.grid.n_blocks):
-                b0, b1 = self.grid.span(bj)
-                counts = self.store.counts(bi, bj)
-                diagonal = bi == bj
-                if self.has_missing:
-                    terms = mi_terms_from_pairwise_counts(counts, square=diagonal)
-                else:
-                    terms = mi_terms_from_joint_counts(
-                        counts,
-                        self.infected[a0:a1],
-                        self.beta,
-                        column_counts=None if diagonal else self.infected[b0:b1],
-                    )
-                out[a0:a1, b0:b1] = combine(terms, zero_diagonal=diagonal)
-                if not diagonal:
-                    out[b0:b1, a0:a1] = combine(
-                        transposed_terms(terms), zero_diagonal=False
-                    )
-            if sample is not None:
-                append_threshold_sample(sample, out[a0:a1], a0)
         # No flush: the memory-map is a scratch output read back through
         # this mapping and rewritten by every call, never a resume point.
-        return out
+        return mi_pass(
+            lambda bi, bj: dict(zip(keys, self.store.load((bi, bj)))),
+            self.infected,
+            self.beta,
+            block=self.grid.tile_size,
+            has_missing=self.has_missing,
+            kind=kind,
+            sample=sample,
+            allocate=lambda shape: np.lib.format.open_memmap(
+                path, mode="w+", dtype=np.float64, shape=shape
+            ),
+        )
 
     # ------------------------------------------------------------------
     # dense interop
@@ -948,17 +913,16 @@ class TiledSufficientStats:
             for bi in range(self.grid.n_blocks):
                 band = np.concatenate(
                     [
-                        np.ascontiguousarray(
-                            self.store.counts(bi, bj, (key,))[key], dtype=np.int64
-                        )
+                        self.store.counts(bi, bj, (key,))[key]
                         for bj in range(self.grid.n_blocks)
                     ],
                     axis=1,
+                    dtype=np.int64,
                 )
-                digest.update(band.tobytes())
+                digest.update(band)
         for name, array in (("infected", self.infected), ("observed", self.observed)):
             digest.update(name.encode())
-            digest.update(np.ascontiguousarray(array, dtype=np.int64).tobytes())
+            digest.update(np.ascontiguousarray(array, dtype=np.int64))
         return digest.hexdigest()
 
     def equals(self, other) -> bool:

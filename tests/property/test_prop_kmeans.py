@@ -74,3 +74,33 @@ def test_invariant_to_input_order(values):
     b = fixed_zero_two_means(shuffled)
     assert a.threshold == b.threshold
     assert a.n_zero_cluster == b.n_zero_cluster
+
+
+@given(values=non_negative_arrays)
+@settings(max_examples=100, deadline=None)
+def test_overwrite_input_sorts_in_place_to_the_same_result(values):
+    """``overwrite_input=True`` clusters the same as the copying call and
+    sorts its input in place; the default leaves its input bit for bit
+    unchanged."""
+    original = values.copy()
+    expected = fixed_zero_two_means(values)
+    assert values.tobytes() == original.tobytes()
+    got = fixed_zero_two_means(values, overwrite_input=True)
+    assert repr(got) == repr(expected)
+    if got.iterations:
+        # Past the empty and all-equal early exits, the input is sorted.
+        assert values.tobytes() == np.sort(original).tobytes()
+    else:
+        assert values.tobytes() == original.tobytes()
+
+
+def test_overwrite_input_leaves_a_converted_input_alone():
+    """A list or non-float64 input is converted to a private copy, so
+    nothing the caller holds is sorted."""
+    values = np.array([5, 1, 4, 0, 3], dtype=np.int64)
+    listed = [0.5, 0.1, 0.4, 0.0, 0.3]
+    reference = fixed_zero_two_means(values.astype(np.float64))
+    assert repr(fixed_zero_two_means(values, overwrite_input=True)) == repr(reference)
+    assert values.tolist() == [5, 1, 4, 0, 3]
+    fixed_zero_two_means(listed, overwrite_input=True)
+    assert listed == [0.5, 0.1, 0.4, 0.0, 0.3]

@@ -7,21 +7,32 @@ four-term loop.  Here Hypothesis draws statuses (masked and unmasked, β
 mostly not a multiple of 64) and one block of the pair space — the whole
 matrix, a diagonal tile or an off-diagonal tile — and the terms, the IMI
 and the traditional MI of that block must equal the oracle's bit for bit.
+
+The MI matrices themselves come from one blocked pass
+(:func:`repro.core.imi.mi_pass`); for any block width and row-chunk
+height, dense or tiled, its matrix and its threshold sample must equal
+the oracle's whole-matrix functions byte for byte.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import imi
 from repro.core.imi import (
+    MI_KINDS,
     imi_from_terms,
     mi_from_terms,
     mi_terms_from_joint_counts,
     mi_terms_from_pairwise_counts,
 )
 from repro.core.kernels import PackedStatuses, packed_pairwise_complete_counts
+from repro.core.stats import SufficientStats
+from repro.core.tiles import TiledSufficientStats
 from tests import oracle
 from tests.property.test_prop_kernels import status_matrices
 
@@ -64,7 +75,7 @@ def test_block_terms_and_mi_equal_the_oracle_loop(statuses, data):
         for key, plane in oracle.pairwise_complete_counts(statuses).items()
     }
     if statuses.has_missing:
-        terms = mi_terms_from_pairwise_counts(counts, square=square)
+        terms = mi_terms_from_pairwise_counts(counts)
         expected = oracle.mi_terms_from_pairwise_counts(reference_counts)
     else:
         infected = statuses.infection_counts()
@@ -87,3 +98,38 @@ def test_block_terms_and_mi_equal_the_oracle_loop(statuses, data):
         mi_from_terms(terms, zero_diagonal=square),
         oracle.mi_from_terms(expected, zero_diagonal=square),
     )
+
+
+@given(
+    statuses=status_matrices(),
+    kind=st.sampled_from(MI_KINDS),
+    block=st.integers(1, 9),
+    height=st.integers(1, 9),
+)
+@settings(max_examples=80, deadline=None)
+def test_blocked_pass_equals_the_oracle_matrices(
+    statuses, kind, block, height, tmp_path_factory
+):
+    """Any grid width (ragged edge blocks included) and chunk height —
+    one row, a few, the whole band: the dense and the tiled matrix and
+    threshold sample equal the oracle's, byte for byte."""
+    n = statuses.n_nodes
+    if kind == "infection":
+        expected = oracle.infection_mi_matrix(statuses)
+    else:
+        expected = oracle.traditional_mi_matrix(statuses)
+    expected_sample = oracle.threshold_sample(expected)
+    budget = height * imi._ENTRY_BYTES * min(block, n)
+    with mock.patch.object(imi, "_DENSE_BLOCK", block), mock.patch.object(
+        imi, "_PASS_BYTES", budget
+    ):
+        sample = []
+        dense = SufficientStats.from_statuses(statuses).mi_matrix(kind, sample)
+        tiled_sample = []
+        tiled = TiledSufficientStats.from_statuses(
+            statuses, tile_size=block, spill_dir=tmp_path_factory.mktemp("spill")
+        ).mi_matrix(kind, tiled_sample)
+    assert _bit_equal(dense, expected)
+    assert _bit_equal(np.asarray(tiled), expected)
+    for collected in (sample, tiled_sample):
+        assert _bit_equal(np.concatenate(collected), expected_sample)

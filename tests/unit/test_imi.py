@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from repro.core import imi
 from repro.core.imi import (
+    MI_KINDS,
     imi_from_terms,
     infection_mi_matrix,
     mi_from_terms,
@@ -15,8 +17,11 @@ from repro.core.imi import (
     traditional_mi_matrix,
 )
 from repro.core.kernels import PackedStatuses, packed_pairwise_complete_counts
+from repro.core.stats import SufficientStats
+from repro.core.tiles import TiledSufficientStats
 from repro.exceptions import DataError
 from repro.simulation.statuses import StatusMatrix
+from tests import oracle
 
 
 def _perfectly_correlated(beta: int = 20) -> StatusMatrix:
@@ -136,3 +141,117 @@ class TestBlockForm:
         expected = combine(dense)[a, b]
         got = combine(block, zero_diagonal=rows == cols)
         assert np.array_equal(got, expected)
+
+
+def _pass_statuses(n: int, masked: bool, seed: int = 5) -> StatusMatrix:
+    """``n`` nodes over 70 processes; node 0 is never infected and node 1
+    always is (when ``n`` allows), so some marginals are 0 or 1 and
+    their terms take the zero-denominator branch."""
+    rng = np.random.default_rng(seed)
+    data = (rng.random((70, n)) < rng.uniform(0.1, 0.6, n)).astype(np.uint8)
+    data[:, 0] = 0
+    if n > 1:
+        data[:, 1] = 1
+    mask = rng.random((70, n)) < 0.8 if masked else None
+    return StatusMatrix(data, mask)
+
+
+def _oracle_mi(statuses: StatusMatrix, kind: str) -> np.ndarray:
+    if kind == "infection":
+        return oracle.infection_mi_matrix(statuses)
+    return oracle.traditional_mi_matrix(statuses)
+
+
+def _chunk_rows(monkeypatch, height: int, block: int, n: int) -> None:
+    """Make the pass's row chunks ``height`` rows high (clamped to the
+    band) over a grid of ``block``-wide blocks of an ``n``-node matrix."""
+    monkeypatch.setattr(imi, "_DENSE_BLOCK", block)
+    width = min(block, n)
+    monkeypatch.setattr(imi, "_PASS_BYTES", height * imi._ENTRY_BYTES * width)
+
+
+def _n_chunks(n: int, block: int, height: int) -> int:
+    """Row chunks of the pass: each band split into ``height``-row chunks."""
+    height = min(height, block, n)
+    bands = [min(block, n - start) for start in range(0, n, block)]
+    return sum(-(-band // height) for band in bands)
+
+
+def _bytes_equal(got: np.ndarray, expected: np.ndarray) -> bool:
+    got = np.asarray(got)
+    return got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+class TestBlockedPass:
+    """One blocked pass builds every MI matrix; whatever its chunking,
+    the matrix and the threshold sample must be the oracle's
+    whole-matrix results byte for byte."""
+
+    @pytest.mark.parametrize("kind", MI_KINDS)
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("block", [3, 4, 256])
+    @pytest.mark.parametrize("height", [1, 3, 10])
+    def test_chunking_equals_the_oracle(self, monkeypatch, kind, masked, block, height):
+        n = 10
+        statuses = _pass_statuses(n, masked)
+        assert not statuses.infection_counts()[0]
+        _chunk_rows(monkeypatch, height, block, n)
+        sample = []
+        mi = SufficientStats.from_statuses(statuses).mi_matrix(kind, sample)
+        expected = _oracle_mi(statuses, kind)
+        assert _bytes_equal(mi, expected)
+        assert len(sample) == _n_chunks(n, block, height)
+        assert _bytes_equal(np.concatenate(sample), oracle.threshold_sample(expected))
+
+    @pytest.mark.parametrize("kind", MI_KINDS)
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_one_and_two_nodes(self, monkeypatch, kind, masked, n):
+        statuses = _pass_statuses(n, masked)
+        _chunk_rows(monkeypatch, 1, 1, n)
+        sample = []
+        mi = SufficientStats.from_statuses(statuses).mi_matrix(kind, sample)
+        expected = _oracle_mi(statuses, kind)
+        assert _bytes_equal(mi, expected)
+        assert _bytes_equal(np.concatenate(sample), oracle.threshold_sample(expected))
+
+    @pytest.mark.parametrize("kind", MI_KINDS)
+    def test_statuses_entry_points_equal_the_oracle(self, monkeypatch, kind):
+        function = infection_mi_matrix if kind == "infection" else traditional_mi_matrix
+        for masked in (False, True):
+            statuses = _pass_statuses(11, masked)
+            _chunk_rows(monkeypatch, 3, 4, 11)
+            assert _bytes_equal(function(statuses), _oracle_mi(statuses, kind))
+
+    @pytest.mark.parametrize("kind", MI_KINDS)
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("tile_size", [3, 4, 7, 13])
+    @pytest.mark.parametrize("height", [1, 3, 13])
+    def test_dense_equals_tiled(self, monkeypatch, tmp_path, kind, masked, tile_size, height):
+        n = 13
+        statuses = _pass_statuses(n, masked, seed=8)
+        monkeypatch.setattr(
+            imi, "_PASS_BYTES", height * imi._ENTRY_BYTES * min(tile_size, n)
+        )
+        tiled = TiledSufficientStats.from_statuses(
+            statuses, tile_size=tile_size, spill_dir=tmp_path
+        )
+        dense_sample, tiled_sample = [], []
+        dense = SufficientStats.from_statuses(statuses).mi_matrix(kind, dense_sample)
+        assert _bytes_equal(tiled.mi_matrix(kind, tiled_sample), dense)
+        assert len(tiled_sample) == _n_chunks(n, tile_size, height)
+        assert _bytes_equal(np.concatenate(tiled_sample), np.concatenate(dense_sample))
+
+    def test_refuses_unknown_kind_and_zero_processes(self, tmp_path):
+        stats = SufficientStats.from_statuses(_pass_statuses(4, False))
+        with pytest.raises(DataError, match="unknown MI kind"):
+            stats.mi_matrix("nonsense")
+        tiled = TiledSufficientStats.from_statuses(
+            _pass_statuses(4, False), tile_size=2, spill_dir=tmp_path
+        )
+        with pytest.raises(DataError, match="unknown MI kind"):
+            tiled.mi_matrix("nonsense")
+        # Refused before the output memory-map is created.
+        assert not list(tmp_path.rglob("imi-*"))
+        with pytest.raises(DataError, match="zero diffusion processes"):
+            SufficientStats.zeros(3).mi_matrix()

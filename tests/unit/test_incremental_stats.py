@@ -97,7 +97,7 @@ class TestSufficientStats:
             StatusMatrix(np.empty((0, 3), dtype=np.uint8))
         )
         with pytest.raises(DataError):
-            empty.mi_terms()
+            empty.mi_matrix()
 
     def test_checksum_changes_with_counts(self):
         stats = SufficientStats.from_statuses(_random_statuses(10, 4, seed=11))
