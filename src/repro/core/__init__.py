@@ -18,15 +18,10 @@ from repro.core.executor import (
     execution_env,
     split_chunks,
 )
-from repro.core.imi import (
-    infection_mi_matrix,
-    pointwise_mi_terms,
-    traditional_mi_matrix,
-)
+from repro.core.imi import infection_mi_matrix, traditional_mi_matrix
 from repro.core.kernels import (
     PackedStatuses,
     pack_bits,
-    packed_joint_counts,
     packed_pairwise_complete_counts,
     popcount_words,
     unpack_bits,
@@ -76,14 +71,12 @@ __all__ = [
     "WorkerStats",
     "execution_env",
     "split_chunks",
-    "pointwise_mi_terms",
     "infection_mi_matrix",
     "traditional_mi_matrix",
     "PackedStatuses",
     "pack_bits",
     "unpack_bits",
     "popcount_words",
-    "packed_joint_counts",
     "packed_pairwise_complete_counts",
     "fixed_zero_two_means",
     "FamilyCounts",

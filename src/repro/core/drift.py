@@ -280,13 +280,9 @@ def detect_drift(
         return _empty_report(config, reference.beta, recent.beta)
 
     ref = {
-        key: np.asarray(reference.counts[key], dtype=np.float64)
-        for key in _JOINT_KEYS
+        key: reference.count_matrix(key).astype(np.float64) for key in _JOINT_KEYS
     }
-    rec = {
-        key: np.asarray(recent.counts[key], dtype=np.float64)
-        for key in _JOINT_KEYS
-    }
+    rec = {key: recent.count_matrix(key).astype(np.float64) for key in _JOINT_KEYS}
     # Per-pair effective sample sizes: the four joint counts of a pair sum
     # to its observed-process count β_ij (== β when nothing is missing).
     ref_tot = sum(ref[key] for key in _JOINT_KEYS)

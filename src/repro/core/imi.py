@@ -46,19 +46,14 @@ import numpy as np
 from repro.core.kernels import (
     PackedStatuses,
     packed_infection_counts,
-    packed_joint_counts,
     packed_pairwise_complete_counts,
 )
+from repro.core.stats import derive_counts
 from repro.exceptions import DataError
 from repro.simulation.statuses import StatusMatrix
 
 __all__ = [
     "MI_KINDS",
-    "pointwise_mi_terms",
-    "mi_terms_from_joint_counts",
-    "mi_terms_from_pairwise_counts",
-    "imi_from_terms",
-    "mi_from_terms",
     "mi_pass",
     "dense_mi_matrix",
     "infection_mi_matrix",
@@ -81,40 +76,6 @@ _ENTRY_BYTES = 6 * 8
 
 #: Block width of the pair grid :func:`dense_mi_matrix` walks.
 _DENSE_BLOCK = 256
-
-
-def pointwise_mi_terms(statuses: StatusMatrix) -> dict[str, np.ndarray]:
-    """The four pointwise MI matrices, keyed ``"11"``, ``"10"``, ``"01"``, ``"00"``.
-
-    ``result[ab][i, j]`` is ``MI(X_i = a, X_j = b)`` estimated from the
-    observed statuses.  Outcomes that never occur contribute 0 (the usual
-    ``0 · log 0 = 0`` convention), as do outcomes whose marginals are
-    degenerate.
-
-    When the matrix carries an observation mask with missing entries,
-    every pair ``(i, j)`` is estimated over its *pairwise-complete*
-    processes only — the rows where both statuses were observed — with
-    per-pair effective sample size ``β_ij`` and per-pair marginals.  This
-    keeps the estimate unbiased under missing-at-random corruption
-    instead of counting unobserved entries as "uninfected".  Pairs with
-    ``β_ij = 0`` contribute 0.  For fully-observed matrices the code path
-    (and hence every floating-point operation) is unchanged.
-
-    Both estimates are pure functions of additive sufficient statistics;
-    :func:`mi_terms_from_joint_counts` and
-    :func:`mi_terms_from_pairwise_counts` expose the count-based cores,
-    which run the same per-block term code as :func:`mi_pass`.  The
-    integer counts come from the exact pair-count products of
-    :mod:`repro.core.kernels`.
-    """
-    if statuses.beta == 0:
-        raise DataError("cannot estimate MI from zero diffusion processes")
-    packed = PackedStatuses.from_statuses(statuses)
-    if statuses.has_missing:
-        return mi_terms_from_pairwise_counts(packed_pairwise_complete_counts(packed))
-    return mi_terms_from_joint_counts(
-        packed_joint_counts(packed), packed_infection_counts(packed), statuses.beta
-    )
 
 
 # ----------------------------------------------------------------------
@@ -163,10 +124,11 @@ def _joint_terms(
 
     ``n11`` is the block's both-infected counts and ``row_counts`` /
     ``col_counts`` the infected totals of its row and column nodes.  The
-    other three joint counts are the exact integer differences of
-    :func:`~repro.core.kernels.packed_joint_counts`, formed in float64
-    (exact: every count is far below 2**53), so each ``p = count / β``
-    has the bits of the integer count's quotient.  ``ratio`` and
+    other three joint counts are the exact differences of
+    :func:`~repro.core.stats.derive_counts`, formed here in float64
+    (exact: every count is far below 2**53) so each ``p = count / β``
+    has the bits of the integer count's quotient with no int64 plane in
+    between.  ``ratio`` and
     ``floor`` are scratch; every buffer is contiguous and
     ``n11``-shaped.
     """
@@ -226,95 +188,6 @@ def _pairwise_terms(
     return terms
 
 
-def _fresh_buffers(
-    shape: tuple[int, ...]
-) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray]:
-    """New term, ratio and floor planes of one block shape."""
-    terms = {key: np.empty(shape) for key in _TERM_KEYS}
-    return terms, np.empty(shape), np.empty(shape)
-
-
-def mi_terms_from_joint_counts(
-    joints: Mapping[str, np.ndarray],
-    infection_counts: np.ndarray,
-    beta: int,
-    column_counts: np.ndarray | None = None,
-) -> dict[str, np.ndarray]:
-    """Pointwise MI terms from fully-observed joint counts.
-
-    ``joints`` holds the pairwise count matrices — only ``"11"`` is
-    read, the other three follow exactly from the totals —
-    ``infection_counts`` the per-node infected totals, and ``beta`` the
-    number of processes: exactly the additive statistics
-    :func:`repro.core.kernels.packed_joint_counts` and
-    :meth:`StatusMatrix.infection_counts` produce, whether computed in
-    one pass or accumulated batch by batch (integer addition is exact,
-    so both routes feed bit-identical counts into the identical float
-    pipeline).
-
-    For one block of the pair space (a tile), ``infection_counts`` holds
-    the totals of the block's row nodes and ``column_counts`` those of
-    its column nodes; omitted, the columns are the rows — the full
-    ``n × n`` matrix or a diagonal tile.  Every operation is elementwise,
-    so a block's terms equal the same slice of the full terms bit for bit.
-    """
-    if beta == 0:
-        raise DataError("cannot estimate MI from zero diffusion processes")
-    n11 = np.asarray(joints["11"])
-    rows = np.asarray(infection_counts)
-    columns = rows if column_counts is None else np.asarray(column_counts)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _joint_terms(n11, rows, columns, beta, *_fresh_buffers(n11.shape))
-
-
-def mi_terms_from_pairwise_counts(
-    counts: Mapping[str, np.ndarray],
-) -> dict[str, np.ndarray]:
-    """Pointwise MI terms over pairwise-complete counts (masked data).
-
-    ``counts`` is the five-matrix dict of
-    :func:`repro.core.kernels.packed_pairwise_complete_counts` (the four
-    joint counts plus the per-pair effective sample size ``"obs"``).
-    Identical in structure to the clean path, except every quantity is an
-    ``(n, n)`` matrix: joint probabilities divide by the per-pair ``β_ij``
-    and the marginals are recomputed per pair from the same complete rows,
-    so joint and marginal estimates always refer to the same sample.
-    Purely elementwise on the five count planes, so it applies to one
-    block of the pair space as is.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _pairwise_terms(counts, *_fresh_buffers(np.shape(counts["obs"])))
-
-
-def imi_from_terms(
-    terms: Mapping[str, np.ndarray], *, zero_diagonal: bool = True
-) -> np.ndarray:
-    """Combine pointwise terms into the infection-MI matrix (Eq. 25);
-    diagonal zeroed unless ``zero_diagonal`` is false (a block off the
-    diagonal of the pair space has no ``(i, i)`` entries)."""
-    imi = (
-        terms["11"]
-        + terms["00"]
-        - np.abs(terms["10"])
-        - np.abs(terms["01"])
-    )
-    if zero_diagonal:
-        np.fill_diagonal(imi, 0.0)
-    return imi
-
-
-def mi_from_terms(
-    terms: Mapping[str, np.ndarray], *, zero_diagonal: bool = True
-) -> np.ndarray:
-    """Combine pointwise terms into the traditional MI matrix; diagonal
-    zeroed (as in :func:`imi_from_terms`), tiny float-noise negatives
-    clamped to 0."""
-    mi = terms["11"] + terms["00"] + terms["10"] + terms["01"]
-    if zero_diagonal:
-        np.fill_diagonal(mi, 0.0)
-    return np.maximum(mi, 0.0)
-
-
 # ----------------------------------------------------------------------
 # the blocked pass
 # ----------------------------------------------------------------------
@@ -331,8 +204,9 @@ def _write_block(
     the columns past the chunk's own rows, into the mirror
     ``out[cols, rows]``.
 
-    The block takes :func:`imi_from_terms` / :func:`mi_from_terms` order,
-    ``((t11 + t00) ∓ t10) ∓ t01``.  Each term is symmetric under the
+    The block takes Eq. 25's order, ``((t11 + t00) ∓ t10) ∓ t01``
+    (``∓`` subtracts magnitudes for infection MI and adds terms for
+    traditional MI, which is then clamped at 0).  Each term is symmetric under the
     mirror with ``"10"`` and ``"01"`` swapped — ``MI(X_j = a, X_i = b)``
     is ``MI(X_i = b, X_j = a)`` bit for bit: the same counts over the
     same sample size, and marginal products that differ only in factor
@@ -374,20 +248,6 @@ def _append_sample(sample: list[np.ndarray], rows: np.ndarray, start: int) -> No
     # compress over the flat rows: the same values, in the same order,
     # as rows[keep], in about half the time.
     sample.append(np.compress(keep.ravel(), rows.ravel()))
-
-
-def _masked_counts(
-    planes: Mapping[str, np.ndarray], rows: slice, cols: slice
-) -> dict[str, np.ndarray]:
-    """One chunk block's five int64 pairwise-complete count planes from
-    the stored ``11``/``10``/``01``/``obs``; ``n00`` is their exact
-    difference."""
-    counts = {
-        key: np.asarray(planes[key][rows, cols], dtype=np.int64)
-        for key in ("11", "10", "01", "obs")
-    }
-    counts["00"] = counts["obs"] - counts["11"] - counts["10"] - counts["01"]
-    return counts
 
 
 def mi_pass(
@@ -459,7 +319,13 @@ def mi_pass(
                     terms = dict(zip(_TERM_KEYS, term_planes))
                     rows, cols = slice(r0 - a0, r1 - a0), slice(c0 - b0, c1 - b0)
                     if has_missing:
-                        chunk = _masked_counts(counts, rows, cols)
+                        chunk = derive_counts(
+                            {key: plane[rows, cols] for key, plane in counts.items()},
+                            has_missing=True,
+                            row_infected=infected[r0:r1],
+                            col_infected=infected[c0:c1],
+                            beta=beta,
+                        )
                         _pairwise_terms(chunk, terms, ratio, floor)
                     else:
                         _joint_terms(
@@ -488,9 +354,9 @@ def dense_mi_matrix(
     kind: str = "infection",
     sample: list[np.ndarray] | None = None,
 ) -> np.ndarray:
-    """:func:`mi_pass` over dense ``(n, n)`` count matrices (keyed as
-    :func:`~repro.core.kernels.packed_pairwise_complete_counts`), read
-    as views of :data:`_DENSE_BLOCK`-wide blocks."""
+    """:func:`mi_pass` over dense ``(n, n)`` stored count planes (keyed
+    by :func:`~repro.core.stats.stored_count_keys`), read as views of
+    :data:`_DENSE_BLOCK`-wide blocks."""
 
     def planes(bi: int, bj: int) -> dict[str, np.ndarray]:
         rows = slice(bi * _DENSE_BLOCK, (bi + 1) * _DENSE_BLOCK)
@@ -514,12 +380,8 @@ def _statuses_mi_matrix(statuses: StatusMatrix, kind: str) -> np.ndarray:
     if statuses.beta == 0:
         raise DataError("cannot estimate MI from zero diffusion processes")
     packed = PackedStatuses.from_statuses(statuses)
-    if statuses.has_missing:
-        counts = packed_pairwise_complete_counts(packed)
-    else:
-        counts = packed_joint_counts(packed)
     return dense_mi_matrix(
-        counts,
+        packed_pairwise_complete_counts(packed),
         packed_infection_counts(packed),
         statuses.beta,
         has_missing=statuses.has_missing,

@@ -59,7 +59,6 @@ __all__ = [
     "pack_bits",
     "unpack_bits",
     "PackedStatuses",
-    "packed_joint_counts",
     "packed_pairwise_complete_counts",
     "packed_infection_counts",
     "packed_observed_counts",
@@ -339,9 +338,10 @@ def _pairwise_counts(a: np.ndarray, b: np.ndarray, n_bits: int) -> np.ndarray:
     unpacks it once, and BLAS computes the symmetric product's one
     triangle.
     """
-    out = np.zeros((a.shape[0], b.shape[0]), dtype=np.int64)
+    out = None
     step = max(1, _MAX_PRODUCT_BITS // WORD_BITS)
-    for start in range(0, _n_words(n_bits), step):
+    # β = 0 still takes one chunk: its empty product is the zero counts.
+    for start in range(0, max(1, _n_words(n_bits)), step):
         stop = start + step
         chunk_bits = min(n_bits, stop * WORD_BITS) - start * WORD_BITS
         columns_a = _bit_columns(a[:, start:stop], chunk_bits)
@@ -349,7 +349,7 @@ def _pairwise_counts(a: np.ndarray, b: np.ndarray, n_bits: int) -> np.ndarray:
             columns_a if b is a else _bit_columns(b[:, start:stop], chunk_bits)
         )
         counts = (columns_a @ columns_b.T).astype(np.int64)
-        out = counts if start == 0 else out + counts
+        out = counts if out is None else out + counts
     return out
 
 
@@ -378,66 +378,42 @@ def _block_slices(
     return slice(*rows), slice(*cols), tuple(rows) == tuple(cols)
 
 
-def packed_joint_counts(
-    packed: PackedStatuses,
-    rows: tuple[int, int] | None = None,
-    cols: tuple[int, int] | None = None,
-) -> dict[str, np.ndarray]:
-    """All four pairwise joint counts ``count(X_i = a ∧ X_j = b)`` at
-    ``[i, j]``, keyed ``"11"``/``"10"``/``"01"``/``"00"``.
-
-    ``rows``/``cols`` are ``[start, stop)`` node spans restricting the
-    result to one pair block (default: every node); a block's counts
-    equal the same slice of the full matrices exactly.
-
-    Only the ``(i=1, j=1)`` matrix needs an all-pairs product; the other
-    three follow exactly from the per-node marginals (popcounts of the
-    packed rows).
-    """
-    row_slice, col_slice, square = _block_slices(packed, rows, cols)
-    ones_a = packed.ones[row_slice]
-    ones_b = ones_a if square else packed.ones[col_slice]
-    with current_tracer().span(
-        "kernel.pair_counts",
-        kind="joint",
-        n_nodes=packed.n_nodes,
-        words=packed.n_words,
-    ):
-        n11 = _pairwise_counts(ones_a, ones_b, packed.n_bits)
-        counts_a = _popcount_sum(ones_a)
-        counts_b = counts_a if square else _popcount_sum(ones_b)
-    n10 = counts_a[:, None] - n11
-    n01 = counts_b[None, :] - n11
-    n00 = packed.n_bits - n11 - n10 - n01
-    return {"11": n11, "10": n10, "01": n01, "00": n00}
-
-
 def packed_pairwise_complete_counts(
     packed: PackedStatuses,
     rows: tuple[int, int] | None = None,
     cols: tuple[int, int] | None = None,
 ) -> dict[str, np.ndarray]:
-    """Joint counts over pairwise-complete processes only.
+    """The stored pair-count planes (:func:`repro.core.stats.stored_count_keys`)
+    over pairwise-complete processes.
 
     Each pair ``(i, j)`` is counted over the processes in which **both**
-    statuses were observed; the extra key ``"obs"`` holds the per-pair
-    effective process count ``β_ij`` (identically ``β`` when nothing is
-    missing).  ``rows``/``cols`` restrict the result to one pair block,
-    as in :func:`packed_joint_counts`.
+    statuses were observed.  Fully observed data returns only ``"11"``,
+    one all-pairs product; :func:`repro.core.stats.derive_counts` rebuilds
+    the other planes from the per-node marginals.  Masked data returns
+    ``"11"``, ``"10"``, ``"01"`` and ``"obs"``, the per-pair effective
+    process count ``β_ij``.  ``rows``/``cols`` are ``[start, stop)`` node
+    spans restricting the result to one pair block (default: every node);
+    a block's counts equal the same slice of the full matrices exactly.
 
-    A square block (rows equal to columns, the whole matrix included)
-    takes three products: observed ones against observed ones (``n11``),
-    observed ones against the mask (the ``x_i = 1 ∧ obs_i ∧ obs_j``
-    marginal, whose transpose is the column marginal), and mask against
-    mask (``β_ij``).  Any other block has no transpose to reuse, so the
-    column marginal takes a fourth product (mask against observed ones).
-    The remaining cells are integer-exact differences.
+    A masked square block (rows equal to columns, the whole matrix
+    included) takes three products: observed ones against observed ones
+    (``n11``), observed ones against the mask (the
+    ``x_i = 1 ∧ obs_i ∧ obs_j`` marginal, whose transpose is the column
+    marginal), and mask against mask (``β_ij``).  Any other block has no
+    transpose to reuse, so the column marginal takes a fourth product
+    (mask against observed ones).
     """
-    if packed.mask is None:
-        counts = packed_joint_counts(packed, rows, cols)
-        counts["obs"] = np.full(counts["11"].shape, packed.n_bits, dtype=np.int64)
-        return counts
     row_slice, col_slice, square = _block_slices(packed, rows, cols)
+    if packed.mask is None:
+        ones_a = packed.ones[row_slice]
+        ones_b = ones_a if square else packed.ones[col_slice]
+        with current_tracer().span(
+            "kernel.pair_counts",
+            kind="joint",
+            n_nodes=packed.n_nodes,
+            words=packed.n_words,
+        ):
+            return {"11": _pairwise_counts(ones_a, ones_b, packed.n_bits)}
     mask_a = packed.mask[row_slice]
     mask_b = mask_a if square else packed.mask[col_slice]
     with current_tracer().span(
@@ -455,10 +431,7 @@ def packed_pairwise_complete_counts(
         else:
             mask_ones = _pairwise_counts(mask_a, observed_b, packed.n_bits)
         obs = _pairwise_counts(mask_a, mask_b, packed.n_bits)
-    n10 = ones_mask - n11
-    n01 = mask_ones - n11
-    n00 = obs - n11 - n10 - n01
-    return {"11": n11, "10": n10, "01": n01, "00": n00, "obs": obs}
+    return {"11": n11, "10": ones_mask - n11, "01": mask_ones - n11, "obs": obs}
 
 
 # ----------------------------------------------------------------------

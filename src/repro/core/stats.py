@@ -12,6 +12,12 @@ history — which is the foundation of the
 (``partial_fit`` over any batch split ≡ one-shot ``fit``; see
 docs/INCREMENTAL.md and ``tests/property/test_prop_incremental.py``).
 
+This module also owns the count layout every statistics object shares
+(dense here, tiled in :mod:`repro.core.tiles`, and model snapshots):
+only the planes of :func:`stored_count_keys` are stored, and
+:func:`derive_counts` — the one place the identities between the
+planes are written — rebuilds the rest on read.
+
 :class:`SufficientStats` is immutable: :meth:`SufficientStats.updated`
 returns a new instance, leaving the previous one untouched.  That is what
 makes incremental updates copy-on-write — a ``partial_fit`` that fails
@@ -27,11 +33,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.imi import dense_mi_matrix
 from repro.core.kernels import (
     PackedStatuses,
     packed_infection_counts,
@@ -41,11 +46,20 @@ from repro.core.kernels import (
 from repro.exceptions import DataError
 from repro.simulation.statuses import StatusMatrix
 
-__all__ = ["SufficientStats", "COUNT_KEYS"]
+__all__ = [
+    "SufficientStats",
+    "COUNT_KEYS",
+    "stored_count_keys",
+    "derive_counts",
+    "counts_checksum",
+]
 
 #: Keys of the pairwise count matrices, in canonical (serialisation) order:
 #: the four joint counts plus the per-pair observed-process count ``β_ij``.
 COUNT_KEYS = ("11", "10", "01", "00", "obs")
+
+#: Row-band height of :meth:`SufficientStats.checksum`'s derived planes.
+_CHECKSUM_BAND = 256
 
 
 def _accumulator(array: np.ndarray) -> np.ndarray:
@@ -62,6 +76,100 @@ def _accumulator(array: np.ndarray) -> np.ndarray:
     return array
 
 
+# ----------------------------------------------------------------------
+# the count layout: stored planes and their derivation
+# ----------------------------------------------------------------------
+
+def stored_count_keys(has_missing: bool) -> tuple[str, ...]:
+    """The count planes statistics store, in stack order.
+
+    Fully observed data needs only ``11``: ``n10``, ``n01``, ``n00`` and
+    ``obs`` follow from the per-node infected totals and β.  Masked data
+    stores ``11``, ``10``, ``01`` and ``obs``; ``n00`` is their
+    difference.  Dense statistics, tiles and model snapshots all hold
+    exactly these planes.
+    """
+    return ("11", "10", "01", "obs") if has_missing else ("11",)
+
+
+def derive_counts(
+    stored: Mapping[str, np.ndarray],
+    *,
+    has_missing: bool,
+    row_infected: np.ndarray,
+    col_infected: np.ndarray,
+    beta: int,
+    keys: Sequence[str] = COUNT_KEYS,
+) -> dict[str, np.ndarray]:
+    """The count planes ``keys`` of one block, rebuilt from its stored
+    planes — the one place the layout's identities are written down.
+
+    ``stored`` maps the keys of :func:`stored_count_keys` to the block's
+    planes, in any integer width (a tile passes
+    ``dict(zip(keys, stack))``); every integer plane returned is int64.
+    ``row_infected``/``col_infected`` are the infected totals of the
+    block's row and column nodes and ``beta`` the number of processes.
+    Fully observed: ``n10 = N_i − n11``, ``n01 = N_j − n11``,
+    ``n00 = β − n11 − n10 − n01`` and ``obs = β``.  Masked:
+    ``n00 = obs − n11 − n10 − n01``.  Every derived plane is an exact
+    integer difference, so it equals the plane a full count gives; only
+    the planes ``keys`` needs are computed.
+    """
+    wanted = set(keys)
+    # Masked n00 reads every stored plane and any other masked plane only
+    # itself; every clean plane reads the one stored plane, n11.
+    every = "00" in wanted or not has_missing
+    planes = {
+        key: _accumulator(plane)
+        for key, plane in stored.items()
+        if every or key in wanted
+    }
+    if has_missing:
+        if "00" in wanted:
+            planes["00"] = planes["obs"] - planes["11"] - planes["10"] - planes["01"]
+    else:
+        n11 = planes["11"]
+        if wanted & {"10", "00"}:
+            planes["10"] = _accumulator(row_infected)[:, None] - n11
+        if wanted & {"01", "00"}:
+            planes["01"] = _accumulator(col_infected)[None, :] - n11
+        if "00" in wanted:
+            planes["00"] = beta - n11 - planes["10"] - planes["01"]
+        if "obs" in wanted:
+            planes["obs"] = np.full(n11.shape, beta, dtype=np.int64)
+    return {key: planes[key] for key in keys}
+
+
+def counts_checksum(
+    *,
+    beta: int,
+    has_missing: bool,
+    n_nodes: int,
+    bands: Callable[[str], Iterable[np.ndarray]],
+    infected: np.ndarray,
+    observed: np.ndarray,
+) -> str:
+    """SHA-256 over the five count planes and the marginals — the one
+    digest dense and tiled statistics share.
+
+    ``bands(key)`` yields the ``(n, n)`` plane ``key`` as consecutive row
+    bands, top to bottom; their int64 bytes, concatenated, are the
+    plane's contiguous row-major bytes, so the digest never depends on
+    how the planes are stored or how tall a band is.
+    """
+    digest = hashlib.sha256()
+    digest.update(f"beta={beta};missing={has_missing};".encode())
+    for key in COUNT_KEYS:
+        digest.update(key.encode())
+        digest.update(str((n_nodes, n_nodes)).encode())
+        for band in bands(key):
+            digest.update(np.ascontiguousarray(band, dtype=np.int64))
+    for name, array in (("infected", infected), ("observed", observed)):
+        digest.update(name.encode())
+        digest.update(np.ascontiguousarray(array, dtype=np.int64))
+    return digest.hexdigest()
+
+
 @dataclass(frozen=True)
 class SufficientStats:
     """Additive sufficient statistics of a status-matrix history.
@@ -69,11 +177,12 @@ class SufficientStats:
     Attributes
     ----------
     counts:
-        The five ``(n, n)`` int64 matrices of
-        :func:`repro.core.kernels.packed_pairwise_complete_counts` —
-        pairwise joint counts ``"11"``/``"10"``/``"01"``/``"00"`` plus
-        ``"obs"`` (per-pair observed-process count ``β_ij``; identically
-        ``beta`` when nothing is missing).
+        The stored ``(n, n)`` count planes, keyed by exactly
+        :func:`stored_count_keys` of ``has_missing``: the both-infected
+        counts ``"11"`` of a fully observed history, and ``"11"``,
+        ``"10"``, ``"01"`` plus ``"obs"`` (the per-pair observed-process
+        count ``β_ij``) of a masked one.  :meth:`count_matrix` derives
+        any of the five planes on read.
     infected:
         Per-node observed-infection totals (the paper's ``N₂`` per node).
     observed:
@@ -83,8 +192,9 @@ class SufficientStats:
         Total number of processes absorbed so far.
     has_missing:
         Whether any absorbed batch carried unobserved entries.  Controls
-        which MI estimator applies, exactly mirroring
-        ``StatusMatrix.has_missing`` of the concatenated history.
+        which MI estimator applies and which planes are stored, exactly
+        mirroring ``StatusMatrix.has_missing`` of the concatenated
+        history.
     """
 
     counts: Mapping[str, np.ndarray]
@@ -93,20 +203,27 @@ class SufficientStats:
     beta: int
     has_missing: bool
 
+    def __post_init__(self) -> None:
+        expected = stored_count_keys(self.has_missing)
+        if set(self.counts) != set(expected):
+            raise DataError(
+                f"statistics with has_missing={self.has_missing} store the "
+                f"count planes {list(expected)}, got {sorted(self.counts)}"
+            )
+
     # ------------------------------------------------------------------
     @classmethod
     def from_statuses(cls, statuses: StatusMatrix) -> "SufficientStats":
         """Count one status matrix (a whole history or a single batch).
 
-        The counts come from the packed kernels
+        The stored planes come from the packed kernels
         (:mod:`repro.core.kernels`).
         """
         if not isinstance(statuses, StatusMatrix):
             statuses = StatusMatrix(statuses)
         packed = PackedStatuses.from_statuses(statuses)
-        pairwise = packed_pairwise_complete_counts(packed)
         return cls(
-            counts={key: pairwise[key] for key in COUNT_KEYS},
+            counts=packed_pairwise_complete_counts(packed),
             infected=packed_infection_counts(packed),
             observed=packed_observed_counts(packed),
             beta=statuses.beta,
@@ -119,10 +236,7 @@ class SufficientStats:
         if n_nodes < 1:
             raise DataError(f"n_nodes must be >= 1, got {n_nodes}")
         return cls(
-            counts={
-                key: np.zeros((n_nodes, n_nodes), dtype=np.int64)
-                for key in COUNT_KEYS
-            },
+            counts={"11": np.zeros((n_nodes, n_nodes), dtype=np.int64)},
             infected=np.zeros(n_nodes, dtype=np.int64),
             observed=np.zeros(n_nodes, dtype=np.int64),
             beta=0,
@@ -141,12 +255,8 @@ class SufficientStats:
         cached arrays are internally inconsistent, instead of letting a
         raw numpy broadcast error escape downstream."""
         n = self.n_nodes
-        for key in COUNT_KEYS:
-            if key not in self.counts:
-                raise DataError(
-                    f"{label} statistics are missing the {key!r} count matrix"
-                )
-            shape = np.shape(self.counts[key])
+        for key, plane in self.counts.items():
+            shape = np.shape(plane)
             if shape != (n, n):
                 raise DataError(
                     f"{label} statistics pair {n}-node marginals with a "
@@ -179,6 +289,20 @@ class SufficientStats:
         self._validate_shapes("these")
         other._validate_shapes("the other operand's")
 
+    def _planes(
+        self, keys: Sequence[str], rows: slice = slice(None)
+    ) -> dict[str, np.ndarray]:
+        """The count planes ``keys`` of the row band ``rows``, stored or
+        derived (:func:`derive_counts`)."""
+        return derive_counts(
+            {key: plane[rows] for key, plane in self.counts.items()},
+            has_missing=self.has_missing,
+            row_infected=self.infected[rows],
+            col_infected=self.infected,
+            beta=self.beta,
+            keys=keys,
+        )
+
     # ------------------------------------------------------------------
     # incremental update
     # ------------------------------------------------------------------
@@ -204,21 +328,23 @@ class SufficientStats:
     def merged(self, other: "SufficientStats") -> "SufficientStats":
         """Statistics of the two histories concatenated (pure addition).
 
-        Integer operands are promoted to int64 accumulators first, so
-        merging many large-β shards whose counts arrived as int32 cannot
-        silently wrap past 2³¹ − 1 (regression-tested in
-        ``tests/unit/test_stats_overflow.py``).
+        The sum stores the planes of its own layout: a fully observed
+        operand merged with a masked one contributes its derived
+        ``10``/``01``/``obs``.  Integer operands are promoted to int64
+        accumulators first, so merging many large-β shards whose counts
+        arrived as int32 cannot silently wrap past 2³¹ − 1
+        (regression-tested in ``tests/unit/test_stats_overflow.py``).
         """
         self._require_compatible(other, "merge")
+        has_missing = self.has_missing or other.has_missing
+        keys = stored_count_keys(has_missing)
+        mine, theirs = self._planes(keys), other._planes(keys)
         return SufficientStats(
-            counts={
-                key: _accumulator(self.counts[key]) + _accumulator(other.counts[key])
-                for key in COUNT_KEYS
-            },
+            counts={key: mine[key] + theirs[key] for key in keys},
             infected=_accumulator(self.infected) + _accumulator(other.infected),
             observed=_accumulator(self.observed) + _accumulator(other.observed),
             beta=self.beta + other.beta,
-            has_missing=self.has_missing or other.has_missing,
+            has_missing=has_missing,
         )
 
     def subtracted(self, other: "SufficientStats") -> "SufficientStats":
@@ -230,10 +356,12 @@ class SufficientStats:
         bit-identical to counting the remaining processes from scratch.
         This is what lets the drift detector compare a *recent* window
         against the *reference* (everything before it) in ``O(n²)``
-        without re-reading old cascades.
+        without re-reading old cascades.  A remainder with no missing
+        entry left stores only ``11``.
 
         Raises :class:`~repro.exceptions.DataError` when ``other`` is not
-        a sub-history of these statistics (any count would go negative).
+        a sub-history of these statistics: any of the five count planes
+        (derived ones included) or either marginal would go negative.
         """
         self._require_compatible(other, "subtract")
         if other.beta > self.beta:
@@ -241,15 +369,26 @@ class SufficientStats:
                 f"cannot subtract a beta={other.beta} window from "
                 f"beta={self.beta} statistics"
             )
-        counts = {
-            key: _accumulator(self.counts[key]) - _accumulator(other.counts[key])
-            for key in COUNT_KEYS
-        }
+        layout = self.has_missing or other.has_missing
+        keys = stored_count_keys(layout)
+        mine, theirs = self._planes(keys), other._planes(keys)
+        counts = {key: mine[key] - theirs[key] for key in keys}
         infected = _accumulator(self.infected) - _accumulator(other.infected)
         observed = _accumulator(self.observed) - _accumulator(other.observed)
         beta = self.beta - other.beta
+
+        def plane(key: str) -> np.ndarray:
+            return derive_counts(
+                counts,
+                has_missing=layout,
+                row_infected=infected,
+                col_infected=infected,
+                beta=beta,
+                keys=(key,),
+            )[key]
+
         if (
-            any(np.any(counts[key] < 0) for key in COUNT_KEYS)
+            any(np.any(plane(key) < 0) for key in COUNT_KEYS)
             or np.any(infected < 0)
             or np.any(observed < 0)
         ):
@@ -262,7 +401,7 @@ class SufficientStats:
         # is derivable exactly from the remaining counts.
         has_missing = bool(beta > 0 and np.any(observed < beta))
         return SufficientStats(
-            counts=counts,
+            counts={key: counts[key] for key in stored_count_keys(has_missing)},
             infected=infected,
             observed=observed,
             beta=beta,
@@ -270,13 +409,13 @@ class SufficientStats:
         )
 
     def count_matrix(self, key: str) -> np.ndarray:
-        """One dense ``(n, n)`` int64 count matrix — the same accessor
-        :class:`~repro.core.tiles.TiledSufficientStats` exposes, so
-        consumers that densify one plane at a time (model snapshots,
-        drift) work against either representation."""
+        """One dense ``(n, n)`` int64 count matrix, stored or derived —
+        the same accessor :class:`~repro.core.tiles.TiledSufficientStats`
+        exposes, so consumers that read one plane at a time (model
+        snapshots, drift) work against either representation."""
         if key not in COUNT_KEYS:
             raise DataError(f"unknown count key: {key!r}")
-        return np.ascontiguousarray(self.counts[key], dtype=np.int64)
+        return np.ascontiguousarray(self._planes((key,))[key], dtype=np.int64)
 
     # ------------------------------------------------------------------
     # derived estimates
@@ -285,17 +424,21 @@ class SufficientStats:
         self, kind: str = "infection", sample: list[np.ndarray] | None = None
     ) -> np.ndarray:
         """The pairwise MI matrix (``"infection"`` or ``"traditional"``)
-        from the cached counts, bit-identical to the from-scratch one.
+        from the stored counts, bit-identical to the from-scratch one.
 
         One blocked pass (:func:`~repro.core.imi.dense_mi_matrix`) runs
         the clean-data formulas when no entry was ever missing and the
         pairwise-complete formulas otherwise — exactly the dispatch of
-        :func:`repro.core.imi.pointwise_mi_terms` on the concatenated
+        :func:`repro.core.imi.infection_mi_matrix` on the concatenated
         history.  With ``sample`` given, the matrix's non-negative
         off-diagonal values are appended to it in row-major order as the
         pass completes each row chunk — the stage-2 threshold's input,
         collected here so no later pass rescans the matrix.
         """
+        # Imported here: the MI pass derives its masked n00 through this
+        # module's derive_counts.
+        from repro.core.imi import dense_mi_matrix
+
         return dense_mi_matrix(
             self.counts,
             self.infected,
@@ -309,7 +452,8 @@ class SufficientStats:
     # integrity
     # ------------------------------------------------------------------
     def checksum(self) -> str:
-        """Deterministic SHA-256 over every cached count.
+        """Deterministic SHA-256 over all five count planes
+        (:func:`counts_checksum`), derived a row band at a time.
 
         Pinned by the golden incremental fixture
         (``tests/data/golden_incremental.json``) and verified on model
@@ -323,17 +467,21 @@ class SufficientStats:
         garbage or failing with a raw numpy error.
         """
         self._validate_shapes("these")
-        digest = hashlib.sha256()
-        digest.update(f"beta={self.beta};missing={self.has_missing};".encode())
-        for key in COUNT_KEYS:
-            array = np.ascontiguousarray(self.counts[key], dtype=np.int64)
-            digest.update(key.encode())
-            digest.update(str(array.shape).encode())
-            digest.update(array)
-        for name, array in (("infected", self.infected), ("observed", self.observed)):
-            digest.update(name.encode())
-            digest.update(np.ascontiguousarray(array, dtype=np.int64))
-        return digest.hexdigest()
+        n = self.n_nodes
+
+        def bands(key: str) -> Iterable[np.ndarray]:
+            for start in range(0, n, _CHECKSUM_BAND):
+                rows = slice(start, start + _CHECKSUM_BAND)
+                yield self._planes((key,), rows)[key]
+
+        return counts_checksum(
+            beta=self.beta,
+            has_missing=self.has_missing,
+            n_nodes=n,
+            bands=bands,
+            infected=self.infected,
+            observed=self.observed,
+        )
 
     def equals(self, other: "SufficientStats") -> bool:
         """Exact equality of every cached count (tests and guards)."""
@@ -346,8 +494,8 @@ class SufficientStats:
         ):
             return False
         if not all(
-            np.array_equal(self.counts[key], other.counts[key])
-            for key in COUNT_KEYS
+            np.array_equal(plane, other.counts[key])
+            for key, plane in self.counts.items()
         ):
             return False
         return bool(

@@ -38,7 +38,7 @@ from repro.core.search import (
     prune_candidates,
     search_chunk,
 )
-from repro.core.stats import COUNT_KEYS, SufficientStats
+from repro.core.stats import SufficientStats, stored_count_keys
 from repro.core.tiles import TiledSufficientStats
 from repro.durable import atomic_write
 from repro.exceptions import (
@@ -391,8 +391,12 @@ class TendsModel:
     diagnostics: tuple[SearchDiagnostics, ...]
 
     #: Snapshot format version; bumped on layout changes so old readers
-    #: fail loudly instead of misinterpreting newer files.
-    SNAPSHOT_VERSION = 1
+    #: fail loudly instead of misinterpreting newer files.  Version 2
+    #: writes only the stored count planes
+    #: (:func:`~repro.core.stats.stored_count_keys`); version 1 wrote all
+    #: five, a superset, so :meth:`load` reads both.
+    SNAPSHOT_VERSION = 2
+    _READABLE_VERSIONS = (1, 2)
 
     @property
     def n_nodes(self) -> int:
@@ -482,9 +486,9 @@ class TendsModel:
         }
         if self.statuses.mask is not None:
             arrays["statuses_mask"] = self.statuses.mask
-        for key in COUNT_KEYS:
+        for key in stored_count_keys(self.stats.has_missing):
             # count_matrix densifies one plane at a time, so tile-backed
-            # statistics snapshot without materialising all five at once.
+            # statistics snapshot without materialising them all at once.
             arrays[f"counts_{key}"] = self.stats.count_matrix(key)
         return atomic_write(
             path, lambda handle: np.savez_compressed(handle, **arrays)
@@ -525,10 +529,10 @@ class TendsModel:
                 f"(format={meta.get('format')!r})"
             )
         version = meta.get("version")
-        if version != cls.SNAPSHOT_VERSION:
+        if version not in cls._READABLE_VERSIONS:
             raise CheckpointError(
                 f"model snapshot {path} has format version {version!r}; "
-                f"this build reads version {cls.SNAPSHOT_VERSION}"
+                f"this build reads versions {list(cls._READABLE_VERSIONS)}"
             )
         try:
             settings = dict(meta["config"])
@@ -542,17 +546,18 @@ class TendsModel:
             statuses = StatusMatrix(
                 arrays["statuses"], None if mask is None else mask
             )
+            has_missing = bool(meta["has_missing"])
             stats = SufficientStats(
                 counts={
                     key: np.ascontiguousarray(
                         arrays[f"counts_{key}"], dtype=np.int64
                     )
-                    for key in COUNT_KEYS
+                    for key in stored_count_keys(has_missing)
                 },
                 infected=np.ascontiguousarray(arrays["infected"], dtype=np.int64),
                 observed=np.ascontiguousarray(arrays["observed"], dtype=np.int64),
                 beta=int(meta["beta"]),
-                has_missing=bool(meta["has_missing"]),
+                has_missing=has_missing,
             )
             model = cls(
                 config=config,

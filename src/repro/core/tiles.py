@@ -1,23 +1,25 @@
 """Tiled sufficient statistics: shard the O(n²) pair-count memory wall.
 
-TENDS' stage 1 needs five ``(n, n)`` int64 count matrices and an
-``(n, n)`` float64 IMI matrix — ~80 n² bytes resident with the dense
-pipeline, which caps single-machine fits around a few thousand nodes
-even after the packed kernels made them fast.  Every one of
-those matrices is *blockwise computable*: the counts of the pair block
-``(A, B)`` depend only on the status rows of ``A`` and ``B``, and the
-MI float pipeline is purely elementwise on top of the counts and the
-per-node marginals.  This module exploits that:
+TENDS' stage 1 needs the stored ``(n, n)`` int64 count planes (one
+fully observed, four masked) and an ``(n, n)`` float64 IMI matrix —
+16 to 40 n² bytes resident with the dense pipeline, which caps
+single-machine fits around a few thousand nodes even after the packed
+kernels made them fast.  Every one of those matrices is *blockwise
+computable*: the counts of the pair block ``(A, B)`` depend only on the
+status rows of ``A`` and ``B``, and the MI float pipeline is purely
+elementwise on top of the counts and the per-node marginals.  This
+module exploits that:
 
 * :class:`TileGrid` partitions the (i, j) pair space into fixed-size
   square tiles; only the upper triangle of blocks is computed (the
   counts obey ``n11 = n11ᵀ``, ``n10 = n01ᵀ``, ``obs = obsᵀ``), and the
   lower triangle is derived by exact integer transposition.
-* A tile stores only its independent count planes
-  (:func:`stored_count_keys`): ``11`` for fully observed data, and
-  ``11``/``10``/``01``/``obs`` for masked data.  :func:`derive_counts`
-  rebuilds the rest on read, exactly, from the generation's per-node
-  infected totals and β.
+* A tile stores the count layout of
+  :class:`~repro.core.stats.SufficientStats`
+  (:func:`~repro.core.stats.stored_count_keys`): ``11`` for fully
+  observed data, and ``11``/``10``/``01``/``obs`` for masked data.
+  :func:`~repro.core.stats.derive_counts` rebuilds the rest on read,
+  exactly, from the generation's per-node infected totals and β.
 * :func:`count_tile_chunk` is a module-level executor chunk function —
   each tile is a retryable unit under the *same*
   :class:`~repro.core.executor.ParallelExecutor` backoff / fallback /
@@ -34,8 +36,9 @@ per-node marginals.  This module exploits that:
   the one blocked MI pass (:func:`repro.core.imi.mi_pass`) over the
   tile grid into a float64 memory-map, each upper-triangle block also
   writing its mirror,
-  :meth:`~TiledSufficientStats.checksum` streams the count bytes in
-  dense row-major order so the digest is *equal* to the dense one, and
+  :meth:`~TiledSufficientStats.checksum` feeds the dense type's
+  :func:`~repro.core.stats.counts_checksum` row bands assembled from the
+  tiles, so the digest is *equal* to the dense one, and
   :meth:`~TiledSufficientStats.updated` rolls a new copy-on-write
   generation of tiles (old tile + batch tile, fanned out the same way).
 
@@ -69,7 +72,7 @@ takes the generation after the model it replaces).  Each generation contains a
 ``spill-meta.json`` identity header (node count, tile size, β, missing
 flag, and a source digest chained over the absorbed batches) plus one
 ``tile-<bi>-<bj>.npy`` per upper-triangle block — a ``(k, h, w)`` stack
-of the generation's :func:`stored_count_keys` (``k`` is 1 for fully
+of the generation's stored planes (``k`` is 1 for fully
 observed data, 4 for masked data) in :func:`tile_dtype`, the narrowest
 unsigned dtype that holds the generation's β (no stored count exceeds
 it) — with a ``.npy.crc`` JSON sidecar recording the CRC-32 and shape.
@@ -101,7 +104,13 @@ import numpy as np
 from repro.core.executor import ExecutionPlan, ParallelExecutor
 from repro.core.imi import mi_pass
 from repro.core.kernels import PackedStatuses, packed_pairwise_complete_counts
-from repro.core.stats import COUNT_KEYS, SufficientStats
+from repro.core.stats import (
+    COUNT_KEYS,
+    SufficientStats,
+    counts_checksum,
+    derive_counts,
+    stored_count_keys,
+)
 from repro.durable import atomic_write
 from repro.exceptions import DataError
 from repro.obs.metrics import NULL_METRICS
@@ -114,8 +123,6 @@ __all__ = [
     "TileStore",
     "TiledSufficientStats",
     "count_tile_chunk",
-    "derive_counts",
-    "stored_count_keys",
     "tile_dtype",
     "write_tile",
     "read_tile",
@@ -127,8 +134,8 @@ DEFAULT_MAX_RESIDENT_TILES = 16
 
 _META_NAME = "spill-meta.json"
 #: Version 3: tiles are stored in :func:`tile_dtype` (version 2 stored
-#: int64); since version 2 they hold only the independent planes of
-#: :func:`stored_count_keys` (version 1 stored all five).
+#: int64); since version 2 they hold only the planes of
+#: :func:`~repro.core.stats.stored_count_keys` (version 1 stored all five).
 _META_VERSION = 3
 
 #: A lower-triangle block's plane and the upper-mirror plane it transposes.
@@ -207,8 +214,9 @@ def tile_dtype(beta: int) -> np.dtype:
 
 def write_tile(directory: Path | str, block: tuple[int, int], stack: np.ndarray) -> int:
     """Spill one ``(k, h, w)`` integer tile stack (``k`` stored count
-    planes, see :func:`stored_count_keys`) in its own dtype — two
-    :func:`repro.durable.atomic_write` calls with ``sync=False``.
+    planes, see :func:`~repro.core.stats.stored_count_keys`) in its own
+    dtype — two :func:`repro.durable.atomic_write` calls with
+    ``sync=False``.
 
     A tile is a cache artifact: each file is replaced atomically, but
     nothing is fsynced, because :func:`validate_tile` re-verifies every
@@ -349,61 +357,6 @@ def _statuses_digest(statuses: StatusMatrix) -> str:
 
 
 # ----------------------------------------------------------------------
-# stored planes and their derivation
-# ----------------------------------------------------------------------
-
-def stored_count_keys(has_missing: bool) -> tuple[str, ...]:
-    """The count planes a tile stores, in stack order.
-
-    Fully observed data needs only ``11``: ``n10``, ``n01``, ``n00`` and
-    ``obs`` follow from the per-node infected totals and β.  Masked data
-    stores ``11``, ``10``, ``01`` and ``obs``; ``n00`` is their
-    difference.
-    """
-    return ("11", "10", "01", "obs") if has_missing else ("11",)
-
-
-def derive_counts(
-    stored: np.ndarray,
-    *,
-    has_missing: bool,
-    row_infected: np.ndarray,
-    col_infected: np.ndarray,
-    beta: int,
-    keys: Sequence[str] = COUNT_KEYS,
-) -> dict[str, np.ndarray]:
-    """The count planes ``keys`` of one block, rebuilt from its stored stack.
-
-    ``stored`` holds the planes of :func:`stored_count_keys` in int64
-    (:meth:`TileStore.counts` upcasts the spilled stack);
-    ``row_infected``/``col_infected`` are the infected totals of the
-    block's row and column nodes and ``beta`` the process count of the
-    generation it belongs to.  Every derived plane is an exact integer
-    difference — the identities of
-    :func:`~repro.core.kernels.packed_joint_counts` and
-    :func:`~repro.core.kernels.packed_pairwise_complete_counts` — so it
-    equals the plane a full count would have spilled.  Only the planes
-    ``keys`` needs are computed.
-    """
-    planes = dict(zip(stored_count_keys(has_missing), stored))
-    wanted = set(keys)
-    if has_missing:
-        if "00" in wanted:
-            planes["00"] = planes["obs"] - planes["11"] - planes["10"] - planes["01"]
-    else:
-        n11 = planes["11"]
-        if wanted & {"10", "00"}:
-            planes["10"] = row_infected[:, None] - n11
-        if wanted & {"01", "00"}:
-            planes["01"] = col_infected[None, :] - n11
-        if "00" in wanted:
-            planes["00"] = beta - n11 - planes["10"] - planes["01"]
-        if "obs" in wanted:
-            planes["obs"] = np.full(n11.shape, beta, dtype=np.int64)
-    return {key: planes[key] for key in keys}
-
-
-# ----------------------------------------------------------------------
 # per-tile counting (runs inside executor workers)
 # ----------------------------------------------------------------------
 
@@ -412,8 +365,9 @@ class TileContext:
     """Picklable per-fan-out context shipped once per worker.
 
     ``packed`` is the counted batch in bit-packed form, ``directory`` the
-    spill target, and ``has_missing`` and ``dtype`` fix the stored planes
-    and the :func:`tile_dtype` of the generation written there.  When
+    spill target, ``infected`` the batch's per-node infected totals, and
+    ``has_missing`` and ``dtype`` fix the stored planes and the
+    :func:`tile_dtype` of the generation written there.  When
     ``base_directory`` is set each computed batch tile is added to the
     previous generation's tile before spilling — the copy-on-write
     update step; ``base_infected``, ``base_beta`` and
@@ -423,6 +377,7 @@ class TileContext:
 
     grid: TileGrid
     packed: PackedStatuses
+    infected: np.ndarray
     directory: str
     has_missing: bool
     dtype: np.dtype
@@ -437,13 +392,21 @@ def _tile_stack(context: TileContext, block: tuple[int, int]) -> np.ndarray:
     generation's :func:`tile_dtype`.
 
     The batch's planes are the block form of the dense counting kernel,
-    so exactly equal to slicing the dense count matrices.  An update
-    adds the base generation's full planes first, so a generation may
-    switch layout (an unmasked history absorbing a masked batch, or the
-    reverse) and still store exact sums.
+    so exactly equal to slicing the dense count matrices, and
+    :func:`~repro.core.stats.derive_counts` puts them in the
+    generation's layout.  An update adds the base generation's planes in
+    that layout too, so a generation may switch layout (an unmasked
+    history absorbing a masked batch) and still store exact sums.
     """
-    counts = packed_pairwise_complete_counts(
-        context.packed, context.grid.span(block[0]), context.grid.span(block[1])
+    (a0, a1), (b0, b1) = context.grid.span(block[0]), context.grid.span(block[1])
+    keys = stored_count_keys(context.has_missing)
+    counts = derive_counts(
+        packed_pairwise_complete_counts(context.packed, (a0, a1), (b0, b1)),
+        has_missing=context.packed.has_missing,
+        row_infected=context.infected[a0:a1],
+        col_infected=context.infected[b0:b1],
+        beta=context.packed.n_bits,
+        keys=keys,
     )
     if context.base_directory is not None:
         base = TileStore(
@@ -452,13 +415,11 @@ def _tile_stack(context: TileContext, block: tuple[int, int]) -> np.ndarray:
             infected=context.base_infected,
             beta=context.base_beta,
             has_missing=context.base_has_missing,
-        ).counts(*block)
-        counts = {key: counts[key] + base[key] for key in COUNT_KEYS}
+        ).counts(*block, keys)
+        counts = {key: counts[key] + base[key] for key in keys}
     # Every stored count lies in [0, β], so the narrowing cast is exact.
     return np.stack(
-        [counts[key] for key in stored_count_keys(context.has_missing)],
-        dtype=context.dtype,
-        casting="unsafe",
+        [counts[key] for key in keys], dtype=context.dtype, casting="unsafe"
     )
 
 
@@ -491,13 +452,20 @@ def _build_context(
     """The fan-out context counting ``statuses`` into ``directory``,
     on top of the ``base`` generation when one is given."""
     packed = PackedStatuses.from_statuses(statuses)
+    infected = statuses.infection_counts()
     if base is None:
         return TileContext(
-            grid, packed, directory, statuses.has_missing, tile_dtype(statuses.beta)
+            grid,
+            packed,
+            infected,
+            directory,
+            statuses.has_missing,
+            tile_dtype(statuses.beta),
         )
     return TileContext(
         grid,
         packed,
+        infected,
         directory,
         has_missing=statuses.has_missing or base.has_missing,
         dtype=tile_dtype(base.beta + statuses.beta),
@@ -517,11 +485,12 @@ class TileStore:
 
     :meth:`counts` serves *any* block with all five int64 count planes —
     the stored ones upcast from :func:`tile_dtype` as they are read, the
-    derived ones rebuilt by :func:`derive_counts` from the generation's
-    ``infected`` totals and ``beta``, and lower-triangle requests served
-    from the mirrored upper-triangle tile as transposed views (with the
-    ``"10"``/``"01"`` planes swapped) — so consumers never notice that
-    only half the grid and only the independent planes exist on disk.
+    derived ones rebuilt by :func:`~repro.core.stats.derive_counts` from
+    the generation's ``infected`` totals and ``beta``, and lower-triangle
+    requests served from the mirrored upper-triangle tile as transposed
+    views (with the ``"10"``/``"01"`` planes swapped) — so consumers
+    never notice that only half the grid and only the independent
+    planes exist on disk.
     At most ``max_resident`` tiles stay mapped at once; eviction is LRU
     and the ``tiles_resident`` gauge tracks the live count.
     """
@@ -555,7 +524,8 @@ class TileStore:
 
     def stack_shape(self, bi: int, bj: int) -> tuple[int, int, int]:
         """Shape of block ``(bi, bj)``'s stored stack: one plane per
-        :func:`stored_count_keys` entry of this generation."""
+        :func:`~repro.core.stats.stored_count_keys` entry of this
+        generation."""
         planes = len(stored_count_keys(self.has_missing))
         return (planes,) + self.grid.block_shape(bi, bj)
 
@@ -596,7 +566,7 @@ class TileStore:
         a0, a1 = self.grid.span(upper[0])
         b0, b1 = self.grid.span(upper[1])
         planes = derive_counts(
-            self.load(upper).astype(np.int64),
+            dict(zip(stored_count_keys(self.has_missing), self.load(upper))),
             has_missing=self.has_missing,
             row_infected=self.infected[a0:a1],
             col_infected=self.infected[b0:b1],
@@ -878,9 +848,13 @@ class TiledSufficientStats:
         return dense
 
     def to_dense(self) -> SufficientStats:
-        """The equivalent dense :class:`SufficientStats` (tests, drift)."""
+        """The equivalent dense :class:`SufficientStats` (tests, drift),
+        assembled from the stored planes only."""
         return SufficientStats(
-            counts={key: self.count_matrix(key) for key in COUNT_KEYS},
+            counts={
+                key: self.count_matrix(key)
+                for key in stored_count_keys(self.has_missing)
+            },
             infected=self.infected,
             observed=self.observed,
             beta=self.beta,
@@ -897,33 +871,27 @@ class TiledSufficientStats:
     # ------------------------------------------------------------------
     def checksum(self) -> str:
         """SHA-256 over every count, **equal** to the dense
-        :meth:`SufficientStats.checksum` hex digest.
+        :meth:`SufficientStats.checksum` hex digest: the same
+        :func:`~repro.core.stats.counts_checksum`, fed one tile row band
+        at a time, assembled from its tiles in column order."""
+        blocks = range(self.grid.n_blocks)
 
-        The dense digest hashes each count matrix's contiguous int64
-        bytes row-major; assembling each row band from its tiles in
-        column order reproduces that byte stream exactly, one band
-        resident at a time.
-        """
-        digest = hashlib.sha256()
-        digest.update(f"beta={self.beta};missing={self.has_missing};".encode())
-        n = self.n_nodes
-        for key in COUNT_KEYS:
-            digest.update(key.encode())
-            digest.update(str((n, n)).encode())
-            for bi in range(self.grid.n_blocks):
-                band = np.concatenate(
-                    [
-                        self.store.counts(bi, bj, (key,))[key]
-                        for bj in range(self.grid.n_blocks)
-                    ],
+        def bands(key: str):
+            for bi in blocks:
+                yield np.concatenate(
+                    [self.store.counts(bi, bj, (key,))[key] for bj in blocks],
                     axis=1,
                     dtype=np.int64,
                 )
-                digest.update(band)
-        for name, array in (("infected", self.infected), ("observed", self.observed)):
-            digest.update(name.encode())
-            digest.update(np.ascontiguousarray(array, dtype=np.int64))
-        return digest.hexdigest()
+
+        return counts_checksum(
+            beta=self.beta,
+            has_missing=self.has_missing,
+            n_nodes=self.n_nodes,
+            bands=bands,
+            infected=self.infected,
+            observed=self.observed,
+        )
 
     def equals(self, other) -> bool:
         """Exact equality of every count with dense or tiled statistics."""

@@ -38,7 +38,7 @@ import numpy as np
 import pytest
 
 from repro.core.executor import ExecutionPlan, ParallelExecutor, RetryPolicy
-from repro.core.stats import COUNT_KEYS, SufficientStats
+from repro.core.stats import COUNT_KEYS, SufficientStats, stored_count_keys
 from repro.core.tends import Tends
 from repro.core.tiles import (
     TileGrid,
@@ -46,7 +46,6 @@ from repro.core.tiles import (
     _build_context,
     _statuses_digest,
     read_tile,
-    stored_count_keys,
     validate_tile,
     write_tile,
 )
@@ -329,7 +328,7 @@ def _old_spill(root, statuses, version, keys, dtype=np.int64):
     for bi, bj in grid.blocks():
         a0, a1 = grid.span(bi)
         b0, b1 = grid.span(bj)
-        planes = [dense.counts[key][a0:a1, b0:b1] for key in keys]
+        planes = [dense.count_matrix(key)[a0:a1, b0:b1] for key in keys]
         write_tile(gen, (bi, bj), np.stack(planes).astype(dtype))
     return dense
 

@@ -32,7 +32,7 @@ import numpy as np
 from repro.core.config import TendsConfig
 from repro.core.scoring import FamilyCounts, delta_i, size_bound
 from repro.core.search import MAX_PARENT_SET_SIZE, SearchDiagnostics
-from repro.core.stats import COUNT_KEYS, SufficientStats
+from repro.core.stats import SufficientStats
 from repro.core.tends import Tends, TendsResult
 from repro.simulation.statuses import StatusMatrix
 
@@ -81,10 +81,13 @@ def pairwise_complete_counts(statuses: StatusMatrix) -> dict[str, np.ndarray]:
 
 
 def sufficient_stats(statuses: StatusMatrix) -> SufficientStats:
-    """``SufficientStats.from_statuses`` computed from the oracle counts."""
+    """``SufficientStats.from_statuses`` computed from the oracle counts:
+    the oracle's planes of the stored layout (``11`` fully observed;
+    ``11``/``10``/``01``/``obs`` masked)."""
     pairwise = pairwise_complete_counts(statuses)
+    stored = ("11", "10", "01", "obs") if statuses.has_missing else ("11",)
     return SufficientStats(
-        counts={key: pairwise[key] for key in COUNT_KEYS},
+        counts={key: pairwise[key] for key in stored},
         infected=statuses.infection_counts(),
         observed=statuses.observed_counts(),
         beta=statuses.beta,
@@ -102,9 +105,9 @@ def mi_terms_from_joint_counts(
     beta: int,
     column_counts: np.ndarray | None = None,
 ) -> dict[str, np.ndarray]:
-    """``repro.core.imi.mi_terms_from_joint_counts``, one full pass per
-    term; ``column_counts`` are the column nodes' totals of a block
-    (omitted: the rows')."""
+    """The four pointwise MI terms of fully observed joint counts, one
+    full pass per term; ``column_counts`` are the column nodes' totals
+    of a block (omitted: the rows')."""
     p1 = infection_counts / beta
     p0 = 1.0 - p1
     row = {"1": p1, "0": p0}
@@ -129,8 +132,10 @@ def mi_terms_from_joint_counts(
 def mi_terms_from_pairwise_counts(
     counts: Mapping[str, np.ndarray],
 ) -> dict[str, np.ndarray]:
-    """``repro.core.imi.mi_terms_from_pairwise_counts``, one full pass
-    per term, over any block of the pair space."""
+    """The four pointwise MI terms over pairwise-complete counts (masked
+    data), one full pass per term, over any block of the pair space:
+    joint and marginal probabilities both divide by the per-pair
+    ``β_ij``."""
     beta_ij = counts["obs"].astype(np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
         p1_row = np.where(beta_ij > 0, (counts["11"] + counts["10"]) / beta_ij, 0.0)
@@ -154,7 +159,7 @@ def mi_terms_from_pairwise_counts(
 def imi_from_terms(
     terms: Mapping[str, np.ndarray], *, zero_diagonal: bool = True
 ) -> np.ndarray:
-    """Eq. 25 in ``repro.core.imi.imi_from_terms``'s summation order."""
+    """Eq. 25 in the summation order of ``repro.core.imi.mi_pass``."""
     imi = terms["11"] + terms["00"] - np.abs(terms["10"]) - np.abs(terms["01"])
     if zero_diagonal:
         np.fill_diagonal(imi, 0.0)
@@ -164,7 +169,7 @@ def imi_from_terms(
 def mi_from_terms(
     terms: Mapping[str, np.ndarray], *, zero_diagonal: bool = True
 ) -> np.ndarray:
-    """Traditional MI in ``repro.core.imi.mi_from_terms``'s order."""
+    """Traditional MI in the summation order of ``repro.core.imi.mi_pass``."""
     mi = terms["11"] + terms["00"] + terms["10"] + terms["01"]
     if zero_diagonal:
         np.fill_diagonal(mi, 0.0)
@@ -172,7 +177,9 @@ def mi_from_terms(
 
 
 def pointwise_mi_terms(statuses: StatusMatrix) -> dict[str, np.ndarray]:
-    """``repro.core.imi.pointwise_mi_terms`` over the oracle counts."""
+    """The four pointwise MI matrices ``MI(X_i = a, X_j = b)``, keyed
+    ``"11"``/``"10"``/``"01"``/``"00"``, over the oracle counts:
+    pairwise-complete when a mask is present."""
     if statuses.has_missing:
         return mi_terms_from_pairwise_counts(pairwise_complete_counts(statuses))
     return mi_terms_from_joint_counts(

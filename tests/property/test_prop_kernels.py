@@ -26,12 +26,16 @@ from repro.core.imi import infection_mi_matrix, traditional_mi_matrix
 from repro.core.kernels import (
     PackedStatuses,
     packed_infection_counts,
-    packed_joint_counts,
     packed_observed_counts,
     packed_pairwise_complete_counts,
 )
 from repro.core.scoring import family_counts, local_score
-from repro.core.stats import COUNT_KEYS, SufficientStats
+from repro.core.stats import (
+    COUNT_KEYS,
+    SufficientStats,
+    derive_counts,
+    stored_count_keys,
+)
 from repro.core.tends import Tends
 from repro.simulation import io as sim_io
 from repro.simulation.statuses import StatusMatrix
@@ -71,6 +75,28 @@ def status_matrices(draw):
     return StatusMatrix(data, mask)
 
 
+def all_count_planes(
+    packed: PackedStatuses,
+    rows: tuple[int, int] | None = None,
+    cols: tuple[int, int] | None = None,
+) -> dict[str, np.ndarray]:
+    """All five count planes of one pair block (default: the whole
+    matrix): the kernel's stored planes, which must be exactly the
+    layout's keys, and the rest rebuilt by ``derive_counts``."""
+    n = packed.n_nodes
+    a, b = slice(*(rows or (0, n))), slice(*(cols or (0, n)))
+    stored = packed_pairwise_complete_counts(packed, rows, cols)
+    assert tuple(stored) == stored_count_keys(packed.has_missing)
+    infected = packed_infection_counts(packed)
+    return derive_counts(
+        stored,
+        has_missing=packed.has_missing,
+        row_infected=infected[a],
+        col_infected=infected[b],
+        beta=packed.n_bits,
+    )
+
+
 def _assert_counts_equal(reference: dict, got: dict, keys) -> None:
     for key in keys:
         assert got[key].dtype == reference[key].dtype
@@ -84,7 +110,7 @@ def test_joint_and_marginal_counts_bit_equal(statuses):
     if not statuses.has_missing:
         _assert_counts_equal(
             oracle.joint_counts(statuses),
-            packed_joint_counts(packed),
+            all_count_planes(packed),
             ("11", "10", "01", "00"),
         )
     assert np.array_equal(
@@ -100,9 +126,7 @@ def test_joint_and_marginal_counts_bit_equal(statuses):
 def test_pairwise_complete_counts_bit_equal(statuses):
     packed = PackedStatuses.from_statuses(statuses)
     _assert_counts_equal(
-        oracle.pairwise_complete_counts(statuses),
-        packed_pairwise_complete_counts(packed),
-        COUNT_KEYS,
+        oracle.pairwise_complete_counts(statuses), all_count_planes(packed), COUNT_KEYS
     )
 
 
@@ -147,6 +171,10 @@ def test_sufficient_stats_bit_equal(statuses):
     packed = SufficientStats.from_statuses(statuses)
     assert reference.equals(packed)
     assert reference.checksum() == packed.checksum()
+    assert tuple(packed.counts) == stored_count_keys(statuses.has_missing)
+    planes = oracle.pairwise_complete_counts(statuses)
+    for key in COUNT_KEYS:
+        assert np.array_equal(packed.count_matrix(key), planes[key]), key
 
 
 # ----------------------------------------------------------------------
@@ -173,9 +201,7 @@ def test_corner_matrices_bit_equal(index):
     statuses = list(_corner_matrices())[index]
     packed = PackedStatuses.from_statuses(statuses)
     _assert_counts_equal(
-        oracle.pairwise_complete_counts(statuses),
-        packed_pairwise_complete_counts(packed),
-        COUNT_KEYS,
+        oracle.pairwise_complete_counts(statuses), all_count_planes(packed), COUNT_KEYS
     )
     assert np.array_equal(
         oracle.infection_mi_matrix(statuses), infection_mi_matrix(statuses)

@@ -1,12 +1,15 @@
-"""Differential battery: the in-place MI term pipeline vs the oracle loop.
+"""Differential battery: the blocked MI pass vs the oracle loop.
 
-:mod:`repro.core.imi` computes the pointwise terms in place and, on a
-square block (the whole matrix or a diagonal tile), takes
-``term["01"]`` as ``term["10"]ᵀ``.  ``tests/oracle.py`` keeps the plain
-four-term loop.  Here Hypothesis draws statuses (masked and unmasked, β
-mostly not a multiple of 64) and one block of the pair space — the whole
-matrix, a diagonal tile or an off-diagonal tile — and the terms, the IMI
-and the traditional MI of that block must equal the oracle's bit for bit.
+:mod:`repro.core.imi` computes the pointwise terms in place, chunk by
+chunk, and writes each upper-triangle block's mirror from the same
+buffers.  ``tests/oracle.py`` keeps the plain four-term loop.  Here
+Hypothesis draws statuses (masked and unmasked, β mostly not a multiple
+of 64) and one block of the pair space — the whole matrix, a diagonal
+tile or an off-diagonal tile, either side of the diagonal — and the
+block's counts (the kernel's stored planes plus
+:func:`~repro.core.stats.derive_counts`) must equal the oracle's, and
+the oracle's IMI and traditional MI of that block must equal the
+production matrices' slice bit for bit.
 
 The MI matrices themselves come from one blocked pass
 (:func:`repro.core.imi.mi_pass`); for any block width and row-chunk
@@ -23,18 +26,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import imi
-from repro.core.imi import (
-    MI_KINDS,
-    imi_from_terms,
-    mi_from_terms,
-    mi_terms_from_joint_counts,
-    mi_terms_from_pairwise_counts,
-)
-from repro.core.kernels import PackedStatuses, packed_pairwise_complete_counts
+from repro.core.imi import MI_KINDS, infection_mi_matrix, traditional_mi_matrix
+from repro.core.kernels import PackedStatuses
 from repro.core.stats import SufficientStats
 from repro.core.tiles import TiledSufficientStats
 from tests import oracle
-from tests.property.test_prop_kernels import status_matrices
+from tests.property.test_prop_kernels import all_count_planes, status_matrices
 
 
 def _bit_equal(got: np.ndarray, expected: np.ndarray) -> bool:
@@ -67,36 +64,27 @@ def test_block_terms_and_mi_equal_the_oracle_loop(statuses, data):
     square = rows == cols
     a = slice(*(rows or (0, n)))
     b = slice(*(cols or (0, n)))
-    counts = packed_pairwise_complete_counts(
-        PackedStatuses.from_statuses(statuses), rows, cols
-    )
+    counts = all_count_planes(PackedStatuses.from_statuses(statuses), rows, cols)
     reference_counts = {
         key: plane[a, b]
         for key, plane in oracle.pairwise_complete_counts(statuses).items()
     }
+    for key, plane in reference_counts.items():
+        assert np.array_equal(counts[key], plane), key
     if statuses.has_missing:
-        terms = mi_terms_from_pairwise_counts(counts)
         expected = oracle.mi_terms_from_pairwise_counts(reference_counts)
     else:
         infected = statuses.infection_counts()
-        terms = mi_terms_from_joint_counts(
-            counts,
-            infected[a],
-            statuses.beta,
-            column_counts=None if square else infected[b],
-        )
         expected = oracle.mi_terms_from_joint_counts(
             reference_counts, infected[a], statuses.beta, column_counts=infected[b]
         )
-    for key in ("11", "10", "01", "00"):
-        assert _bit_equal(terms[key], expected[key]), key
     assert _bit_equal(
-        imi_from_terms(terms, zero_diagonal=square),
         oracle.imi_from_terms(expected, zero_diagonal=square),
+        infection_mi_matrix(statuses)[a, b],
     )
     assert _bit_equal(
-        mi_from_terms(terms, zero_diagonal=square),
         oracle.mi_from_terms(expected, zero_diagonal=square),
+        traditional_mi_matrix(statuses)[a, b],
     )
 
 

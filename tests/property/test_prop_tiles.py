@@ -94,7 +94,7 @@ def _assert_stats_identical(tiled, dense):
     assert tiled.has_missing == dense.has_missing
     assert tiled.checksum() == dense.checksum()
     for key in COUNT_KEYS:
-        assert np.array_equal(tiled.count_matrix(key), dense.counts[key]), key
+        assert np.array_equal(tiled.count_matrix(key), dense.count_matrix(key)), key
     for kind in ("infection", "traditional"):
         assert (
             np.asarray(tiled.mi_matrix(kind)).tobytes()
@@ -110,7 +110,7 @@ def _assert_counts_identical(statuses, tile_size):
     tiled = TiledSufficientStats.from_statuses(statuses, tile_size=tile_size)
     for key in COUNT_KEYS:
         assert np.array_equal(tiled.count_matrix(key), reference[key]), key
-        assert np.array_equal(dense.counts[key], reference[key]), key
+        assert np.array_equal(dense.count_matrix(key), reference[key]), key
     return tiled
 
 
@@ -163,7 +163,7 @@ def test_stats_mi_and_checksum_identical(history, tmp_path_factory):
         ), kind
     assert tiled.checksum() == dense.checksum()
     for key in COUNT_KEYS:
-        assert np.array_equal(tiled.count_matrix(key), dense.counts[key]), key
+        assert np.array_equal(tiled.count_matrix(key), dense.count_matrix(key)), key
 
 
 @given(history=histories(with_mask=False, min_beta=4))

@@ -6,18 +6,9 @@ import numpy as np
 import pytest
 
 from repro.core import imi
-from repro.core.imi import (
-    MI_KINDS,
-    imi_from_terms,
-    infection_mi_matrix,
-    mi_from_terms,
-    mi_terms_from_joint_counts,
-    mi_terms_from_pairwise_counts,
-    pointwise_mi_terms,
-    traditional_mi_matrix,
-)
+from repro.core.imi import MI_KINDS, infection_mi_matrix, traditional_mi_matrix
 from repro.core.kernels import PackedStatuses, packed_pairwise_complete_counts
-from repro.core.stats import SufficientStats
+from repro.core.stats import SufficientStats, derive_counts
 from repro.core.tiles import TiledSufficientStats
 from repro.exceptions import DataError
 from repro.simulation.statuses import StatusMatrix
@@ -40,32 +31,37 @@ def _independent(beta: int = 4) -> StatusMatrix:
 
 
 class TestPointwiseTerms:
+    """The four pointwise terms behind Eq. 25, as the oracle loop
+    computes them; the production matrices equal the oracle's bit for
+    bit (``TestBlockedPass``)."""
+
     def test_keys(self, tiny_statuses):
-        terms = pointwise_mi_terms(tiny_statuses)
+        terms = oracle.pointwise_mi_terms(tiny_statuses)
         assert set(terms) == {"11", "10", "01", "00"}
 
     def test_zero_processes_rejected(self):
-        with pytest.raises(DataError):
-            pointwise_mi_terms(StatusMatrix(np.zeros((0, 3))))
+        for function in (infection_mi_matrix, traditional_mi_matrix):
+            with pytest.raises(DataError):
+                function(StatusMatrix(np.zeros((0, 3))))
 
     def test_independent_terms_are_zero(self):
-        terms = pointwise_mi_terms(_independent(8))
+        terms = oracle.pointwise_mi_terms(_independent(8))
         for matrix in terms.values():
             assert matrix[0, 1] == pytest.approx(0.0, abs=1e-12)
 
     def test_correlated_cross_terms_negative(self):
-        terms = pointwise_mi_terms(_perfectly_correlated())
         # (1,0) never observed -> 0; but for near-perfect correlation with
         # one disagreement the cross term goes negative:
         data = [[1, 1]] * 10 + [[0, 0]] * 9 + [[1, 0]]
-        terms = pointwise_mi_terms(StatusMatrix(data))
+        terms = oracle.pointwise_mi_terms(StatusMatrix(data))
         assert terms["10"][0, 1] < 0
 
     def test_degenerate_marginals_contribute_zero(self):
         statuses = StatusMatrix([[1, 0], [1, 1]])  # column 0 constant
-        terms = pointwise_mi_terms(statuses)
-        for matrix in terms.values():
+        for function in (infection_mi_matrix, traditional_mi_matrix):
+            matrix = function(statuses)
             assert np.isfinite(matrix).all()
+            assert matrix[0, 1] == 0.0
 
 
 class TestInfectionMI:
@@ -113,11 +109,15 @@ class TestTraditionalMI:
 
 
 class TestBlockForm:
-    """A tile scores one block of the pair space through the same
-    functions; every entry must equal the dense matrix bit for bit."""
+    """A tile counts one block of the pair space and derives its planes
+    with the dense path's ``derive_counts``; the block's counts equal
+    the dense slice, and the oracle's terms of the block combine to the
+    production matrix's slice bit for bit, mirrored blocks included."""
 
     @pytest.mark.parametrize("masked", [False, True])
-    @pytest.mark.parametrize("combine", [imi_from_terms, mi_from_terms])
+    @pytest.mark.parametrize(
+        "combine", [oracle.imi_from_terms, oracle.mi_from_terms]
+    )
     @pytest.mark.parametrize(
         "rows, cols", [((2, 6), (2, 6)), ((0, 3), (5, 9)), ((5, 9), (0, 3))]
     )
@@ -126,21 +126,34 @@ class TestBlockForm:
         data = (rng.random((90, 9)) < 0.4).astype(np.uint8)
         mask = rng.random((90, 9)) < 0.85 if masked else None
         statuses = StatusMatrix(data, mask)
-        counts = packed_pairwise_complete_counts(PackedStatuses.from_statuses(statuses))
+        packed = PackedStatuses.from_statuses(statuses)
+        infected = statuses.infection_counts()
         a, b = slice(*rows), slice(*cols)
-        block_counts = {key: plane[a, b] for key, plane in counts.items()}
-        if masked:
-            dense = mi_terms_from_pairwise_counts(counts)
-            block = mi_terms_from_pairwise_counts(block_counts)
-        else:
-            infected = statuses.infection_counts()
-            dense = mi_terms_from_joint_counts(counts, infected, statuses.beta)
-            block = mi_terms_from_joint_counts(
-                block_counts, infected[a], statuses.beta, column_counts=infected[b]
+
+        def planes(row_span, col_span):
+            return derive_counts(
+                packed_pairwise_complete_counts(packed, row_span, col_span),
+                has_missing=masked,
+                row_infected=infected[slice(*row_span)],
+                col_infected=infected[slice(*col_span)],
+                beta=statuses.beta,
             )
-        expected = combine(dense)[a, b]
-        got = combine(block, zero_diagonal=rows == cols)
-        assert np.array_equal(got, expected)
+
+        dense, block = planes((0, 9), (0, 9)), planes(rows, cols)
+        for key, plane in block.items():
+            assert np.array_equal(plane, dense[key][a, b]), key
+        if masked:
+            terms = oracle.mi_terms_from_pairwise_counts(block)
+        else:
+            terms = oracle.mi_terms_from_joint_counts(
+                block, infected[a], statuses.beta, column_counts=infected[b]
+            )
+        if combine is oracle.imi_from_terms:
+            production = infection_mi_matrix(statuses)
+        else:
+            production = traditional_mi_matrix(statuses)
+        got = combine(terms, zero_diagonal=rows == cols)
+        assert _bytes_equal(got, production[a, b])
 
 
 def _pass_statuses(n: int, masked: bool, seed: int = 5) -> StatusMatrix:

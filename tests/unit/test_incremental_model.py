@@ -13,6 +13,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.core.stats import COUNT_KEYS, stored_count_keys
 from repro.core.tends import Tends, TendsModel
 from repro.exceptions import CheckpointError, ConfigurationError
 from repro.simulation.statuses import StatusMatrix
@@ -91,6 +92,61 @@ class TestSnapshotRoundTrip:
         loaded = TendsModel.load(first)
         second = loaded.save(tmp_path / "b.npz")
         assert first.read_bytes() == second.read_bytes()
+
+
+class TestSnapshotLayout:
+    """Version 2 writes only the stored count planes; a version-1
+    snapshot, which wrote all five, still loads to the same model."""
+
+    @pytest.mark.parametrize("mask_fraction", [0.0, 0.3])
+    def test_snapshot_holds_only_the_stored_planes(self, tmp_path, mask_fraction):
+        model = _fitted(_history(seed=12, mask_fraction=mask_fraction)).model
+        path = model.save(tmp_path / "model.npz")
+        with np.load(path) as archive:
+            planes = sorted(
+                name for name in archive.files if name.startswith("counts_")
+            )
+            meta = json.loads(bytes(bytearray(archive["meta_json"])).decode())
+        keys = stored_count_keys(model.stats.has_missing)
+        assert planes == sorted(f"counts_{key}" for key in keys)
+        assert meta["version"] == TendsModel.SNAPSHOT_VERSION == 2
+
+    @pytest.mark.parametrize("mask_fraction", [0.0, 0.3])
+    def test_version_1_snapshot_loads_to_the_same_fingerprint(
+        self, tmp_path, mask_fraction
+    ):
+        model = _fitted(_history(seed=13, mask_fraction=mask_fraction)).model
+        path = _version_1(model, tmp_path / "v1.npz")
+        loaded = TendsModel.load(path)
+        assert loaded.fingerprint() == model.fingerprint()
+        assert set(loaded.stats.counts) == set(model.stats.counts)
+        assert loaded.stats.equals(model.stats)
+
+    @pytest.mark.parametrize("key", ["11", "obs"])
+    def test_corrupted_stored_plane_refused(self, tmp_path, key):
+        model = _fitted(_history(seed=14, mask_fraction=0.3)).model
+        v1 = _version_1(model, tmp_path / "v1.npz")
+        for path in (model.save(tmp_path / "v2.npz"), v1):
+
+            def bump(arrays):
+                arrays[f"counts_{key}"][0, 1] += 1
+
+            _tamper(path, bump)
+            with pytest.raises(CheckpointError, match="checksum"):
+                TendsModel.load(path)
+
+
+def _version_1(model, path):
+    """``model`` saved in the version-1 layout: all five count planes."""
+    model.save(path)
+
+    def five_planes(arrays):
+        for key in COUNT_KEYS:
+            arrays[f"counts_{key}"] = model.stats.count_matrix(key)
+        _rewrite_meta(arrays, lambda meta: meta.update(version=1))
+
+    _tamper(path, five_planes)
+    return path
 
 
 class TestLoadRefusals:

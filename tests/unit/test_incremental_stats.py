@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.stats import SufficientStats
+from repro.core.stats import COUNT_KEYS, SufficientStats, stored_count_keys
 from repro.core.tends import Tends
 from repro.exceptions import ConfigurationError, DataError, InferenceError
 from repro.simulation.statuses import StatusMatrix
@@ -34,8 +34,9 @@ class TestSufficientStats:
         statuses = _random_statuses(30, 6, seed=0)
         stats = SufficientStats.from_statuses(statuses)
         joints = oracle.joint_counts(statuses)
+        assert set(stats.counts) == {"11"}
         for key in ("11", "10", "01", "00"):
-            assert np.array_equal(stats.counts[key], joints[key])
+            assert np.array_equal(stats.count_matrix(key), joints[key])
         assert np.array_equal(stats.infected, statuses.infection_counts())
         assert stats.beta == 30
         assert stats.n_nodes == 6
@@ -103,6 +104,75 @@ class TestSufficientStats:
         stats = SufficientStats.from_statuses(_random_statuses(10, 4, seed=11))
         updated = stats.updated(_random_statuses(3, 4, seed=12))
         assert stats.checksum() != updated.checksum()
+
+    def test_constructor_refuses_a_wrong_key_set(self):
+        planes = {key: np.zeros((3, 3), dtype=np.int64) for key in COUNT_KEYS}
+        marginals = dict(
+            infected=np.zeros(3, dtype=np.int64),
+            observed=np.zeros(3, dtype=np.int64),
+            beta=0,
+        )
+        for has_missing, keys in (
+            (False, COUNT_KEYS),
+            (False, ("11", "10", "01", "obs")),
+            (False, ()),
+            (True, ("11",)),
+            (True, COUNT_KEYS),
+        ):
+            with pytest.raises(DataError, match="store the count planes"):
+                SufficientStats(
+                    counts={key: planes[key] for key in keys},
+                    has_missing=has_missing,
+                    **marginals,
+                )
+
+    @pytest.mark.parametrize("masked_first", [False, True])
+    def test_clean_and_masked_merge_equals_recount(self, masked_first):
+        clean = _random_statuses(20, 5, seed=14)
+        masked = _random_statuses(9, 5, seed=15, mask_fraction=0.3)
+        first, second = (masked, clean) if masked_first else (clean, masked)
+        recounted = SufficientStats.from_statuses(first.append(second))
+        assert tuple(recounted.counts) == stored_count_keys(True)
+        merged = SufficientStats.from_statuses(first).merged(
+            SufficientStats.from_statuses(second)
+        )
+        updated = SufficientStats.from_statuses(first).updated(second)
+        for stats in (merged, updated):
+            assert stats.has_missing
+            assert stats.equals(recounted)
+            assert stats.checksum() == recounted.checksum()
+
+    def test_window_leaving_a_clean_remainder_stores_only_n11(self):
+        clean = _random_statuses(20, 5, seed=16)
+        window = _random_statuses(6, 5, seed=17, mask_fraction=0.3)
+        total = SufficientStats.from_statuses(clean.append(window))
+        assert total.has_missing
+        remainder = total.subtracted(SufficientStats.from_statuses(window))
+        recounted = SufficientStats.from_statuses(clean)
+        assert not remainder.has_missing
+        assert set(remainder.counts) == {"11"}
+        assert remainder.equals(recounted)
+        assert remainder.checksum() == recounted.checksum()
+
+    def test_subtracting_a_non_sub_history_with_a_negative_derived_plane(self):
+        # The stored n11, both marginals and beta of the difference are
+        # all non-negative; only the derived n10 at (0, 1) goes negative
+        # (n01, n00 and obs stay non-negative).
+        total = SufficientStats.from_statuses(
+            StatusMatrix([[1, 1], [1, 1], [0, 1], [0, 0]])
+        )
+        other = SufficientStats(
+            counts={"11": np.array([[1, 0], [1, 0]], dtype=np.int64)},
+            infected=np.array([1, 0], dtype=np.int64),
+            observed=np.array([1, 1], dtype=np.int64),
+            beta=1,
+            has_missing=False,
+        )
+        difference = total.counts["11"] - other.counts["11"]
+        assert (difference >= 0).all()
+        assert (total.infected - other.infected)[0] - difference[0, 1] < 0
+        with pytest.raises(DataError, match="went negative"):
+            total.subtracted(other)
 
     def test_equals_rejects_different_shapes_and_types(self):
         stats = SufficientStats.from_statuses(_random_statuses(10, 4, seed=13))

@@ -21,7 +21,6 @@ from repro.core.kernels import (
     WORD_BITS,
     PackedStatuses,
     pack_bits,
-    packed_joint_counts,
     packed_pairwise_complete_counts,
     packed_split_words,
     packed_pattern_counts,
@@ -36,6 +35,7 @@ from repro.core.search import MAX_PARENT_SET_SIZE, ParentSearch
 from repro.exceptions import DataError
 from repro.simulation.statuses import StatusMatrix
 from tests import oracle
+from tests.property.test_prop_kernels import all_count_planes
 
 
 def _random_statuses(rng, beta, n, mask_density=None):
@@ -79,7 +79,7 @@ def test_fallback_counts_through_whole_kernel_stack(monkeypatch):
     statuses = _random_statuses(rng, 130, 7, mask_density=0.8)
     reference = oracle.pairwise_complete_counts(statuses)
     monkeypatch.setattr(kernels, "_HAS_NATIVE_POPCOUNT", False)
-    got = packed_pairwise_complete_counts(PackedStatuses.from_statuses(statuses))
+    got = all_count_planes(PackedStatuses.from_statuses(statuses))
     for key in ("11", "10", "01", "00", "obs"):
         assert np.array_equal(reference[key], got[key]), key
 
@@ -222,7 +222,7 @@ def test_chunked_products_equal_oracle_counts(monkeypatch, mask_density, rows, c
     packed = PackedStatuses.from_statuses(statuses)
     reference = oracle.pairwise_complete_counts(statuses)
     monkeypatch.setattr(kernels, "_MAX_PRODUCT_BITS", 2 * WORD_BITS)
-    chunked = packed_pairwise_complete_counts(packed, rows, cols)
+    chunked = all_count_planes(packed, rows, cols)
     block = (slice(*(rows or (0, 20))), slice(*(cols or (0, 20))))
     for key in ("11", "10", "01", "00", "obs"):
         assert chunked[key].dtype == np.int64, key
@@ -230,11 +230,14 @@ def test_chunked_products_equal_oracle_counts(monkeypatch, mask_density, rows, c
 
 
 def test_unmasked_pairwise_complete_equals_joint_plus_beta():
+    # Unmasked, the kernel counts only n11; the derived planes are the
+    # joint counts and obs is β everywhere.
     rng = np.random.default_rng(14)
     statuses = _random_statuses(rng, 100, 8)
     packed = PackedStatuses.from_statuses(statuses)
-    joint = packed_joint_counts(packed)
-    complete = packed_pairwise_complete_counts(packed)
+    assert set(packed_pairwise_complete_counts(packed)) == {"11"}
+    joint = oracle.joint_counts(statuses)
+    complete = all_count_planes(packed)
     for key in ("11", "10", "01", "00"):
         assert np.array_equal(joint[key], complete[key])
     assert (complete["obs"] == 100).all()
@@ -253,8 +256,8 @@ def test_block_counts_equal_dense_slices(mask_density, rows, cols):
     rng = np.random.default_rng(16)
     statuses = _random_statuses(rng, 140, 11, mask_density)
     packed = PackedStatuses.from_statuses(statuses)
-    dense = packed_pairwise_complete_counts(packed)
-    block = packed_pairwise_complete_counts(packed, rows, cols)
+    dense = all_count_planes(packed)
+    block = all_count_planes(packed, rows, cols)
     for key in ("11", "10", "01", "00", "obs"):
         assert np.array_equal(block[key], dense[key][slice(*rows), slice(*cols)]), key
 
@@ -262,8 +265,9 @@ def test_block_counts_equal_dense_slices(mask_density, rows, cols):
 def test_zero_process_matrix_counts_to_zero():
     packed = PackedStatuses.from_statuses(np.zeros((0, 4), dtype=np.uint8))
     assert packed.n_words == 0
-    joint = packed_joint_counts(packed)
-    assert all(not joint[key].any() for key in joint)
+    counts = packed_pairwise_complete_counts(packed)
+    assert counts["11"].shape == (4, 4) and counts["11"].dtype == np.int64
+    assert not counts["11"].any()
 
 
 # ----------------------------------------------------------------------

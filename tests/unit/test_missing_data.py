@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import TendsConfig
-from repro.core.imi import infection_mi_matrix, pointwise_mi_terms
+from repro.core.imi import infection_mi_matrix, traditional_mi_matrix
 from repro.core.scoring import delta_i, family_counts
 from repro.core.tends import Tends
 from repro.exceptions import ConfigurationError, DataError
@@ -77,11 +77,9 @@ class TestPairwiseCompleteImi:
         masked = StatusMatrix(np.where(mask, data, 0), mask)
         # Pairwise-complete estimate == dropping the incomplete rows.
         complete = StatusMatrix(data[:4])
-        terms_masked = pointwise_mi_terms(masked)
-        terms_complete = pointwise_mi_terms(complete)
-        for key in terms_masked:
+        for function in (infection_mi_matrix, traditional_mi_matrix):
             np.testing.assert_allclose(
-                terms_masked[key][0, 1], terms_complete[key][0, 1], atol=1e-12
+                function(masked)[0, 1], function(complete)[0, 1], atol=1e-12
             )
 
     def test_fully_unobserved_pair_is_finite(self):

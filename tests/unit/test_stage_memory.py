@@ -1,10 +1,13 @@
-"""Stage 2's memory: the MI pass and the fit fingerprint stay small.
+"""Stages 1–2's memory: the counts, the MI pass and the fit fingerprint
+stay small.
 
-The blocked MI pass (:func:`repro.core.imi.mi_pass`) holds only its
-output, the threshold sample and chunk-sized buffers above the cached
-counts — no whole-matrix term planes — and
+Fully observed statistics store one int64 ``n11`` plane, and the pair
+count product builds it without a zero-filled accumulator; the blocked
+MI pass (:func:`repro.core.imi.mi_pass`) holds only its output, the
+threshold sample and chunk-sized buffers above the cached counts — no
+whole-matrix term planes — and
 :meth:`~repro.core.tends.TendsResult.fingerprint` hashes the MI matrix
-through the buffer protocol instead of copying it.  Both are measured
+through the buffer protocol instead of copying it.  All are measured
 with tracemalloc on an LFR fit, in units of one float64 ``n × n``
 matrix.
 """
@@ -29,6 +32,14 @@ def lfr_fit():
         DiffusionSimulator(graph, mu=0.3, alpha=0.15, seed=8).run(beta=BETA).statuses
     )
     return Tends(memory=True, executor="serial").fit(statuses)
+
+
+def test_stats_stage_peaks_below_two_matrices(lfr_fit):
+    """The stats stage holds the one stored ``n11`` plane (one matrix)
+    plus the product's float32 result while it is cast: under 2.
+    Five stored int64 planes would take 5."""
+    peak = lfr_fit.telemetry.memory["stats"]["peak_alloc_bytes"]
+    assert peak < 2 * MATRIX_BYTES, peak / MATRIX_BYTES
 
 
 def test_imi_stage_peaks_below_two_and_a_half_matrices(lfr_fit):
