@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.graphs.digraph import DiffusionGraph
-from repro.simulation.models import IndependentCascadeModel
+from repro.simulation.models import IndependentCascadeModel, PropagationTable
 from repro.utils.rng import RandomState, as_generator
 from repro.utils.validation import check_positive_int
 
@@ -33,19 +33,20 @@ __all__ = ["estimate_spread", "greedy_influence_maximization"]
 def _resolve_probabilities(
     graph: DiffusionGraph,
     probabilities: Mapping[tuple[int, int], float] | float,
-) -> dict[tuple[int, int], float]:
+) -> PropagationTable:
+    """The probabilities compiled for ``graph`` (a frozen graph reuses a
+    table compiled for it, so every Monte-Carlo sample shares one)."""
     if isinstance(probabilities, (int, float)):
         p = float(probabilities)
         if not 0.0 < p < 1.0:
             raise ConfigurationError(f"uniform probability must be in (0, 1), got {p}")
-        return {edge: p for edge in graph.edges()}
-    resolved = dict(probabilities)
-    missing = [edge for edge in graph.edges() if edge not in resolved]
+        return PropagationTable(graph, {edge: p for edge in graph.edges()})
+    missing = [edge for edge in graph.edges() if edge not in probabilities]
     if missing:
         raise ConfigurationError(
             f"missing probabilities for {len(missing)} edges, e.g. {missing[0]}"
         )
-    return resolved
+    return PropagationTable.compile(graph, probabilities)
 
 
 def estimate_spread(
@@ -79,6 +80,7 @@ def estimate_spread(
     seed_array = np.array(sorted(set(int(v) for v in seeds)), dtype=np.int64)
     if seed_array.size == 0:
         return 0.0
+    graph = graph if graph.frozen else graph.copy().freeze()
     resolved = _resolve_probabilities(graph, probabilities)
     rng = as_generator(seed)
     model = IndependentCascadeModel()
@@ -110,6 +112,7 @@ def greedy_influence_maximization(
     check_positive_int("k", k)
     if k > graph.n_nodes:
         raise ConfigurationError(f"k ({k}) exceeds node count ({graph.n_nodes})")
+    graph = graph if graph.frozen else graph.copy().freeze()
     resolved = _resolve_probabilities(graph, probabilities)
     rng = as_generator(seed)
 

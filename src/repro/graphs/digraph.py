@@ -4,7 +4,7 @@
 keeps both out- and in-adjacency as sorted numpy arrays, because the hot
 paths in this library are:
 
-* the simulator streaming over the out-neighbours of newly infected nodes,
+* the simulator compiling each node's out-neighbours into propagation rows,
 * the inference algorithms comparing an inferred edge set against the truth,
 * exporting a boolean adjacency matrix for vectorised scoring.
 
@@ -109,10 +109,11 @@ class DiffusionGraph:
     def freeze(self) -> "DiffusionGraph":
         """Disallow further mutation.  Returns ``self`` for chaining.
 
-        The sorted adjacency arrays that make the simulator's per-round
-        infection attempts a couple of vectorised numpy calls are built
-        on the first :meth:`successors` / :meth:`predecessors` call, not
-        here: most frozen graphs (every fit result) are never traversed.
+        The sorted adjacency arrays behind :meth:`successors` /
+        :meth:`predecessors` are built on the first such call, not here:
+        most frozen graphs (every fit result) are never traversed.  The
+        simulator walks them once, to compile its
+        :class:`~repro.simulation.models.PropagationTable`.
         """
         self._frozen = True
         return self

@@ -15,6 +15,7 @@ from repro.simulation.models import (
     IndependentCascadeModel,
     LinearThresholdModel,
     ProcessOutcome,
+    PropagationTable,
     SusceptibleInfectedModel,
 )
 from repro.simulation.probabilities import (
@@ -39,6 +40,7 @@ __all__ = [
     "IndependentCascadeModel",
     "LinearThresholdModel",
     "ProcessOutcome",
+    "PropagationTable",
     "SusceptibleInfectedModel",
     "gaussian_probabilities",
     "constant_probabilities",

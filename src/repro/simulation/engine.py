@@ -2,9 +2,11 @@
 
 This is the experiment front door.  Given a ground-truth graph, it draws
 per-edge propagation probabilities once (they are properties of the
-network, not of a single process — §III), then runs ``β`` independent
-diffusion processes and returns a :class:`SimulationResult` exposing every
-observation view the algorithms need:
+network, not of a single process — §III) and compiles them into one
+:class:`~repro.simulation.models.PropagationTable`, then runs ``β``
+independent diffusion processes over that table and returns a
+:class:`SimulationResult` exposing every observation view the algorithms
+need:
 
 * ``result.statuses`` — the ``β × n`` final-status matrix (TENDS input),
 * ``result.cascades`` — timestamped cascades (NetRate/MulTree/NetInf),
@@ -31,7 +33,11 @@ import numpy as np
 from repro.exceptions import ConfigurationError
 from repro.graphs.digraph import DiffusionGraph
 from repro.simulation.cascades import Cascade, CascadeSet
-from repro.simulation.models import DiffusionModel, IndependentCascadeModel
+from repro.simulation.models import (
+    DiffusionModel,
+    IndependentCascadeModel,
+    PropagationTable,
+)
 from repro.simulation.probabilities import gaussian_probabilities
 from repro.simulation.seeds import SeedStrategy, uniform_random_seeds
 from repro.simulation.statuses import StatusMatrix
@@ -96,6 +102,15 @@ class DiffusionSimulator:
         Optional explicit seed strategy, overriding ``alpha``.
     seed:
         Master seed; probability draws and every process derive from it.
+
+    Attributes
+    ----------
+    probabilities:
+        The edge-probability dict (also :attr:`SimulationResult.probabilities`).
+    table:
+        Those probabilities compiled once at construction; every process
+        reads this table, so later edits to :attr:`probabilities` do not
+        reach the simulation.
     """
 
     def __init__(
@@ -122,6 +137,7 @@ class DiffusionSimulator:
         else:
             self._validate_probabilities(probabilities)
         self.probabilities = dict(probabilities)
+        self.table = PropagationTable(self.graph, self.probabilities)
         self.seed_strategy = seed_strategy or uniform_random_seeds(alpha)
 
     def _validate_probabilities(
@@ -145,11 +161,9 @@ class DiffusionSimulator:
         """
         seeds = self.seed_strategy(self.graph, self._rng)
         if hasattr(self.model, "simulate"):
-            outcome = self.model.simulate(
-                self.graph, self.probabilities, seeds, self._rng
-            )
+            outcome = self.model.simulate(self.graph, self.table, seeds, self._rng)
             return Cascade(outcome.times, infectors=outcome.infectors)
-        times = self.model.run(self.graph, self.probabilities, seeds, self._rng)
+        times = self.model.run(self.graph, self.table, seeds, self._rng)
         return Cascade(times)
 
     def run(self, beta: int) -> SimulationResult:

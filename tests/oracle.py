@@ -18,6 +18,14 @@ rows of it).  This module keeps the scalar float code — one
 ``np.sum`` — and :class:`ScalarParentSearch`, the same search with one
 :func:`family_counts` plus ``log_likelihood − penalty`` per evaluation,
 so no scoring code is shared with production either.
+
+Production simulates through a compiled propagation table, with each
+process's uniforms drawn from the generator in blocks
+(:mod:`repro.simulation.models`).  This module keeps the per-attempt
+loops — one ``graph.successors`` walk, one ``probabilities.get`` lookup
+and one scalar ``rng.random()`` per infection attempt — which the
+compiled models must match in times, infectors (dict order included)
+and the generator state each process leaves behind.
 """
 
 from __future__ import annotations
@@ -34,6 +42,8 @@ from repro.core.scoring import FamilyCounts, delta_i, size_bound
 from repro.core.search import MAX_PARENT_SET_SIZE, SearchDiagnostics
 from repro.core.stats import SufficientStats
 from repro.core.tends import Tends, TendsResult
+from repro.exceptions import SimulationError
+from repro.graphs.digraph import DiffusionGraph
 from repro.simulation.statuses import StatusMatrix
 
 
@@ -406,3 +416,137 @@ def fit(statuses: StatusMatrix) -> TendsResult:
     whose parent search scores one family at a time."""
     with scalar_search():
         return Tends(executor="serial").fit(statuses, stats=sufficient_stats(statuses))
+
+
+# ----------------------------------------------------------------------
+# diffusion processes
+# ----------------------------------------------------------------------
+
+Process = tuple[dict[int, float], dict[int, int]]
+
+
+def _seeded(seeds: np.ndarray) -> tuple[dict[int, float], list[int]]:
+    times: dict[int, float] = {}
+    order: list[int] = []
+    for seed in np.asarray(seeds, dtype=np.int64).tolist():
+        if seed not in times:
+            times[seed] = 0.0
+            order.append(seed)
+    return times, order
+
+
+def independent_cascade(
+    graph: DiffusionGraph,
+    probabilities: Mapping[tuple[int, int], float],
+    seeds: np.ndarray,
+    rng: np.random.Generator,
+    max_rounds: int = 10_000,
+) -> Process:
+    """IC with one scalar draw per attempt on an uninfected target."""
+    times, frontier = _seeded(seeds)
+    infectors: dict[int, int] = {}
+    round_index = 0
+    while frontier:
+        round_index += 1
+        if round_index > max_rounds:
+            raise SimulationError(f"IC process exceeded max_rounds={max_rounds}")
+        next_frontier: list[int] = []
+        for source in frontier:
+            for target in graph.successors(source).tolist():
+                if target in times:
+                    continue
+                p = probabilities.get((source, target))
+                if p is None:
+                    raise SimulationError(
+                        f"missing propagation probability for edge ({source}, {target})"
+                    )
+                if rng.random() < p:
+                    times[target] = float(round_index)
+                    infectors[target] = source
+                    next_frontier.append(target)
+        frontier = next_frontier
+    return times, infectors
+
+
+def susceptible_infected(
+    graph: DiffusionGraph,
+    probabilities: Mapping[tuple[int, int], float],
+    seeds: np.ndarray,
+    rng: np.random.Generator,
+    horizon: int = 10,
+) -> Process:
+    """SI: every infected node re-attempts each round until the horizon."""
+    times, infected = _seeded(seeds)
+    infectors: dict[int, int] = {}
+    for round_index in range(1, horizon + 1):
+        newly: list[int] = []
+        for source in infected:
+            for target in graph.successors(source).tolist():
+                if target in times:
+                    continue
+                p = probabilities.get((source, target))
+                if p is None:
+                    raise SimulationError(
+                        f"missing propagation probability for edge ({source}, {target})"
+                    )
+                if rng.random() < p:
+                    times[target] = float(round_index)
+                    infectors[target] = source
+                    newly.append(target)
+        infected.extend(newly)
+        if len(times) == graph.n_nodes:
+            break
+    return times, infectors
+
+
+def linear_threshold(
+    graph: DiffusionGraph,
+    probabilities: Mapping[tuple[int, int], float],
+    seeds: np.ndarray,
+    rng: np.random.Generator,
+    max_rounds: int = 10_000,
+) -> Process:
+    """LT with the in-weights normalised from scratch for every process."""
+    n = graph.n_nodes
+    weights: dict[tuple[int, int], float] = {}
+    for node in range(n):
+        parents = graph.predecessors(node).tolist()
+        if not parents:
+            continue
+        raw = []
+        for parent in parents:
+            p = probabilities.get((parent, node))
+            if p is None:
+                raise SimulationError(
+                    f"missing influence weight for edge ({parent}, {node})"
+                )
+            raw.append(p)
+        total = sum(raw)
+        scale = 1.0 / total if total > 1.0 else 1.0
+        for parent, p in zip(parents, raw):
+            weights[(parent, node)] = p * scale
+
+    thresholds = rng.random(n)
+    times, frontier = _seeded(seeds)
+    infectors: dict[int, int] = {}
+    accumulated = np.zeros(n)
+    round_index = 0
+    while frontier:
+        round_index += 1
+        if round_index > max_rounds:
+            raise SimulationError(f"LT process exceeded max_rounds={max_rounds}")
+        next_frontier: list[int] = []
+        touched: dict[int, int] = {}
+        for source in frontier:
+            for target in graph.successors(source).tolist():
+                if target in times:
+                    continue
+                accumulated[target] += weights[(source, target)]
+                touched[target] = source
+        for target, last_contributor in touched.items():
+            if target not in times and accumulated[target] >= thresholds[target]:
+                times[target] = float(round_index)
+                infectors[target] = last_contributor
+                next_frontier.append(target)
+        frontier = next_frontier
+    return times, infectors

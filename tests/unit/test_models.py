@@ -1,13 +1,14 @@
-"""Diffusion process models (IC and SI)."""
+"""Diffusion process models (IC, SI, LT) and the compiled propagation table."""
 
 import numpy as np
 import pytest
 
-from repro.exceptions import SimulationError
+from repro.exceptions import GraphError, SimulationError
 from repro.graphs.digraph import DiffusionGraph
 from repro.simulation.models import (
     IndependentCascadeModel,
     LinearThresholdModel,
+    PropagationTable,
     SusceptibleInfectedModel,
 )
 from repro.simulation.probabilities import constant_probabilities
@@ -151,3 +152,65 @@ class TestLinearThreshold:
 
     def test_repr(self):
         assert "max_rounds" in repr(LinearThresholdModel())
+
+
+class TestPropagationTable:
+    @pytest.fixture
+    def graph(self):
+        return DiffusionGraph(4, [(0, 2), (0, 1), (2, 1), (3, 1)]).freeze()
+
+    @pytest.fixture
+    def probabilities(self):
+        return {(0, 1): 0.2, (0, 2): 0.7, (2, 1): 0.6, (3, 1): 0.5}
+
+    def test_rows_follow_successor_order(self, graph, probabilities):
+        table = PropagationTable(graph, probabilities)
+        assert table.rows == (((1, 0.2), (2, 0.7)), (), ((1, 0.6),), ((1, 0.5),))
+        assert table.out_degrees == (2, 0, 1, 1)
+
+    def test_read_only_mapping(self, graph, probabilities):
+        table = PropagationTable(graph, probabilities)
+        assert dict(table) == probabilities
+        assert list(table) == list(graph.edges())
+        assert len(table) == 4 and (2, 1) in table and (1, 2) not in table
+        assert table[(0, 2)] == 0.7 and table.get((1, 2)) is None
+        with pytest.raises(KeyError):
+            table[(1, 0)]
+        with pytest.raises(TypeError):
+            table[(0, 1)] = 0.3
+
+    def test_missing_probability_raises_before_any_draw(self, graph, probabilities):
+        del probabilities[(3, 1)]
+        with pytest.raises(SimulationError, match=r"\(3, 1\)"):
+            PropagationTable(graph, probabilities)
+        rng = as_generator(0)
+        state = rng.bit_generator.state
+        with pytest.raises(SimulationError):
+            IndependentCascadeModel().run(graph, probabilities, np.array([0]), rng)
+        assert rng.bit_generator.state == state
+
+    def test_compile_reuses_a_table_only_for_its_frozen_graph(self, graph, probabilities):
+        table = PropagationTable(graph, probabilities)
+        assert PropagationTable.compile(graph, table) is table
+        assert PropagationTable.compile(graph.copy().freeze(), table) is not table
+        unfrozen = graph.copy()
+        loose = PropagationTable(unfrozen, probabilities)
+        assert PropagationTable.compile(unfrozen, loose) is not loose
+        assert PropagationTable.compile(graph, probabilities).rows == table.rows
+
+    def test_influence_rows_match_the_per_node_normalisation(self, graph, probabilities):
+        # Node 1's parents 0, 2, 3 sum to 1.3 > 1, so their weights are
+        # scaled; node 2's single parent (0.7) is not.
+        total = 0.2 + 0.6 + 0.5
+        rows = PropagationTable(graph, probabilities).influence_rows()
+        assert rows == (
+            ((1, 0.2 * (1.0 / total)), (2, 0.7)),
+            (),
+            ((1, 0.6 * (1.0 / total)),),
+            ((1, 0.5 * (1.0 / total)),),
+        )
+
+    def test_out_of_range_seed_raises(self, chain_graph):
+        for model in (IndependentCascadeModel(), SusceptibleInfectedModel(), LinearThresholdModel()):
+            with pytest.raises(GraphError):
+                _run(model, chain_graph, 0.5, [5])
